@@ -15,6 +15,13 @@ altogether would be wrong from the second order on: a derivative arriving
 from the left can consume a multiplication before the final evaluation at
 the expansion point annihilates it.
 
+``build_Ln`` forms only what ``reduce_to_z`` reads: the last generator
+factor is always restricted to its pure-z blocks a * beta^2 (Dz^2 - Dz),
+and after each factor the partial-product monomials with an X or Y power
+above 0 are dropped.  A multiplication in a left factor is never consumed
+(only derivatives to its left could consume it, and there are none), so
+those monomials can never reach the X- and Y-free keys the reduction keeps.
+
 Everything works with whatever number type the caller supplies: float
 coefficients for production, ``fractions.Fraction`` for exact tests.  All
 monomial bookkeeping is exact either way; only coefficient arithmetic
@@ -23,6 +30,7 @@ inherits the input type.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -321,44 +329,21 @@ def compositions(n: int, k: int):
         yield tuple(bounds[i + 1] - bounds[i] for i in range(k))
 
 
+@functools.lru_cache(maxsize=None)
 def simplex_weight(exponents: tuple) -> Fraction:
     """Exact weight c with int_simplex prod u_j^(a_j) = c * tau^(k + sum a).
 
-    The iterated integral runs over t < t_1 < ... < t_k < T with
-    u_j = t_j - t.  Computed by antidifferentiating one variable at a
-    time, innermost first, carrying a bivariate polynomial in the current
-    lower limit and tau.
+    The iterated integral runs over 0 < u_1 < ... < u_k < tau with
+    u_j = t_j - t.  Integrating u_1, then u_2, ... each from 0 to the next
+    variable up gives c = prod_j 1 / (j + a_1 + ... + a_j).  The exponent
+    tuples are bounded by the expansion order, so the cache stays small.
     """
-    # terms: {(power_of_v, power_of_tau): Fraction} where v is the lower
-    # limit passed down to the next outer integral.
-    terms = {(0, 0): Fraction(1)}
-    for a in reversed(exponents):
-        integrated = {}
-        for (pv, pt), coeff in terms.items():
-            new_pv = pv + a + 1
-            integrated_coeff = Fraction(coeff, new_pv) if isinstance(
-                coeff, Fraction
-            ) else coeff / new_pv
-            # Upper limit tau: the v-power folds into the tau power.
-            upper = (0, pt + new_pv)
-            integrated[upper] = integrated.get(upper, Fraction(0)) + integrated_coeff
-            # Lower limit: stays a polynomial in the next variable down.
-            lower = (new_pv, pt)
-            integrated[lower] = integrated.get(lower, Fraction(0)) - integrated_coeff
-        terms = {key: c for key, c in integrated.items() if c != 0}
-    # The outermost lower limit is 0 and every v-power is >= 1 there.
-    terms = {key: c for key, c in terms.items() if key[0] == 0}
-    if not terms:
-        return Fraction(0)
-    if len(terms) != 1:
-        raise StructuralError(f"simplex weight not homogeneous: {terms}")
-    ((_, tau_power), coeff), = terms.items()
-    if tau_power != len(exponents) + sum(exponents):
-        raise StructuralError(
-            f"simplex weight has tau power {tau_power}, "
-            f"expected {len(exponents) + sum(exponents)}"
-        )
-    return coeff
+    denominator = 1
+    depth = 0
+    for a in exponents:
+        depth += a + 1
+        denominator *= depth
+    return Fraction(1, denominator)
 
 
 def simplex_integrate_poly(p: TimePoly, k: int) -> TimePoly:
@@ -468,7 +453,8 @@ def build_Gn(
 
     Sums shift powers against the matching Taylor blocks.  With
     ``a_part_only`` each block is restricted to its pure-z second-order
-    part a * beta^2 (Dz^2 - Dz), the form used on the implied-vol route.
+    part a * beta^2 (Dz^2 - Dz), the form ``build_Ln`` uses for the last
+    factor.
     """
     if n < 0:
         raise DomainError(f"generator order must be >= 0, got {n}")
@@ -495,38 +481,41 @@ def build_Gn(
     return total
 
 
-def build_Ln(
-    table,
-    n: int,
-    beta: float,
-    tau: float | None = None,
-    final_a_part: bool = False,
-) -> OperatorPoly:
-    """Integrated order-n correction operator.
+def build_Ln(table, n: int, beta: float, tau: float | None = None) -> OperatorPoly:
+    """Integrated order-n correction operator, as far as ``reduce_to_z`` reads it.
 
     Sums generator products over all ordered compositions of n, each
     factor carrying its own time variable, and integrates them over the
     ordered simplex.  Coefficients of the result are polynomials in tau
-    (numbers if ``tau`` is given).  With ``final_a_part`` the factor with
-    the last time variable is restricted to its pure-z part; after
-    reduction to z this leaves the result unchanged, which the tests
-    verify.
+    (numbers if ``tau`` is given).  Two kinds of terms are never formed:
+
+    - The factor with the last time variable acts first on the function.
+      Every monomial of its Taylor blocks other than a * beta^2 (Dz^2 - Dz)
+      carries Dx or Dy and annihilates a function of z, so that factor is
+      always restricted to its pure-z blocks.
+    - After each factor, partial-product monomials with an X or Y power
+      above 0 are dropped: no later derivative reaches them, so they
+      vanish at the expansion point.
+
+    The reduction to z equals that of the unrestricted, unpruned product,
+    which the tests check.
     """
     if not 1 <= n <= N_MAX:
         raise DomainError(f"correction order must be in 1..{N_MAX}, got {n}")
     total = OperatorPoly.zero()
     for k in range(1, n + 1):
         for comp in compositions(n, k):
-            product = None
+            product = OperatorPoly.identity()
             for j, order in enumerate(comp):
                 factor = build_Gn(
-                    table,
-                    order,
-                    beta,
-                    time_index=j + 1,
-                    a_part_only=final_a_part and j == k - 1,
+                    table, order, beta, time_index=j + 1, a_part_only=j == k - 1
                 )
-                product = factor if product is None else product * factor
+                product = product * factor
+                product.terms = {
+                    key: poly
+                    for key, poly in product.terms.items()
+                    if key[0] == 0 and key[1] == 0
+                }
             integrated = OperatorPoly()
             for key, poly in product.terms.items():
                 integrated.terms[key] = simplex_integrate_poly(poly, k)

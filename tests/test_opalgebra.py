@@ -4,6 +4,7 @@ Exact-arithmetic fixtures use Fraction coefficients throughout, so every
 equality below is exact unless a tolerance is spelled out.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from letfvol.errors import DomainError, StructuralError
-from letfvol.models import TaylorTable
+from letfvol.models import CevModel, HestonModel, SabrModel, TaylorTable
 from letfvol.opalgebra import (
     N_MAX,
     OperatorPoly,
     TimePoly,
+    _normal_order_product,
     build_Ank,
     build_Gn,
     build_Ln,
@@ -53,6 +55,50 @@ def full_table(extent=4):
             entries["c"][(i, j)] = F(-2 + i + j, 25 + i)
             entries["f"][(i, j)] = F(1 + i - 2 * j, 35 + j)
     return TaylorTable(point=(0, 0), extent=extent, entries=entries)
+
+
+def antiderivative_simplex_weight(exponents: tuple) -> Fraction:
+    """Oracle for ``simplex_weight``: antidifferentiate one variable at a time.
+
+    Innermost first, carrying a bivariate polynomial in the current lower
+    limit and tau, over t < t_1 < ... < t_k < T with u_j = t_j - t.
+    """
+    # terms: {(power_of_v, power_of_tau): Fraction} where v is the lower
+    # limit passed down to the next outer integral.
+    terms = {(0, 0): F(1)}
+    for a in reversed(exponents):
+        integrated = {}
+        for (pv, pt), coeff in terms.items():
+            new_pv = pv + a + 1
+            integrated_coeff = F(coeff, new_pv)
+            # Upper limit tau: the v-power folds into the tau power.
+            upper = (0, pt + new_pv)
+            integrated[upper] = integrated.get(upper, F(0)) + integrated_coeff
+            # Lower limit: stays a polynomial in the next variable down.
+            lower = (new_pv, pt)
+            integrated[lower] = integrated.get(lower, F(0)) - integrated_coeff
+        terms = {key: c for key, c in integrated.items() if c != 0}
+    # The outermost lower limit is 0 and every v-power is >= 1 there.
+    terms = {key: c for key, c in terms.items() if key[0] == 0}
+    ((_, tau_power), coeff), = terms.items()
+    assert tau_power == len(exponents) + sum(exponents)
+    return coeff
+
+
+def unpruned_Ln(table, n, beta):
+    """Oracle for ``build_Ln``: every generator factor in full, no monomial dropped."""
+    total = OperatorPoly.zero()
+    for k in range(1, n + 1):
+        for comp in compositions(n, k):
+            product = None
+            for j, order in enumerate(comp):
+                factor = build_Gn(table, order, beta, time_index=j + 1)
+                product = factor if product is None else product * factor
+            integrated = OperatorPoly()
+            for key, poly in product.terms.items():
+                integrated.terms[key] = simplex_integrate_poly(poly, k)
+            total = total + integrated
+    return total
 
 
 def op(**monomials):
@@ -97,6 +143,18 @@ def test_exchange_rule_second_order():
         {(0, 2, 0, 2, 0): F(1), (0, 1, 0, 1, 0): F(4), (0, 0, 0, 0, 0): F(2)}
     )
     assert (dy2 * y2).equals(want)
+
+
+def test_left_factor_multiplications_are_never_consumed():
+    # The invariant behind build_Ln's pruning: in k1 * k2 the derivatives
+    # of k1 can consume multiplications of k2 only, so the X and Y powers
+    # of k1 survive in every resulting monomial.
+    small = list(itertools.product(range(3), repeat=5))
+    for k1 in small:
+        for k2 in small:
+            for key, count in _normal_order_product(k1, k2):
+                assert count > 0
+                assert key[0] >= k1[0] and key[1] >= k1[1], (k1, k2, key)
 
 
 def test_cross_coordinate_factors_commute():
@@ -179,6 +237,12 @@ def test_simplex_weight_examples():
     assert simplex_weight((1, 1)) == F(1, 8)
     # int_0^tau dv1 v1^2 int_{v1}^tau dv2 = tau^4/3 - tau^4/4 = tau^4/12.
     assert simplex_weight((2, 0)) == F(1, 12)
+
+
+def test_simplex_weight_matches_antiderivative_oracle():
+    for k in range(5):
+        for exponents in itertools.product(range(5), repeat=k):
+            assert simplex_weight(exponents) == antiderivative_simplex_weight(exponents)
 
 
 def test_simplex_poly_variant_keeps_tau_symbolic():
@@ -385,14 +449,37 @@ def test_build_Ln_numeric_tau_matches_symbolic():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_reduction_ignores_final_factor_restriction(n):
-    # Restricting the last generator factor to its pure-z block changes the
-    # operator but not its action on functions of z alone.
+    # Restricting the last generator factor to its pure-z block and dropping
+    # X/Y-carrying partial products change the operator but not its action
+    # on functions of z alone.
     table = full_table()
-    full = reduce_to_z(build_Ln(table, n, beta=-2))
-    restricted = reduce_to_z(build_Ln(table, n, beta=-2, final_a_part=True))
+    full = reduce_to_z(unpruned_Ln(table, n, beta=-2))
+    restricted = reduce_to_z(build_Ln(table, n, beta=-2))
     assert set(full.chi) == set(restricted.chi)
     for m in full.chi:
         assert (full.chi[m] - restricted.chi[m]).max_abs() == 0
+
+
+MODEL_TABLES = {
+    "cev": (CevModel(delta=0.25, gamma=0.6), 0.05, 0.0),
+    "heston": (HestonModel(kappa=1.4, theta=0.05, delta=0.35, rho=-0.55), 0.0, -3.0),
+    "sabr": (SabrModel(delta=0.45, gamma=0.4, rho=-0.3), -0.02, -1.6),
+}
+
+
+@pytest.mark.parametrize("beta", [-3.0, 1.0])
+@pytest.mark.parametrize("kind", sorted(MODEL_TABLES))
+def test_reduction_matches_unpruned_oracle_on_model_tables(kind, beta):
+    model, x, y = MODEL_TABLES[kind]
+    table = model.taylor_table(x, y, 3)
+    for n in (1, 2, 3):
+        full = reduce_to_z(unpruned_Ln(table, n, beta)).chi
+        pruned = reduce_to_z(build_Ln(table, n, beta)).chi
+        scale = max(poly.max_abs() for poly in full.values())
+        assert scale > 0
+        for m in set(full) | set(pruned):
+            diff = full.get(m, TimePoly()) - pruned.get(m, TimePoly())
+            assert diff.max_abs() <= 1e-12 * scale, (n, m)
 
 
 # ---------------------------------------------------------------------------
