@@ -1,20 +1,37 @@
 """Series approximations for leveraged ETF option prices and implied vols.
 
-The price corrections come from the integrated operators of ``opalgebra``
-reduced to powers of Dz acting on the base Black-Scholes price.  Each
-z-derivative/vega ratio is a Laurent monomial in log-moneyness lam = k - z
-and maturity tau, so every implied-vol correction sigma_n assembles into a
-polynomial in (lam, tau) whose coefficients depend only on the Taylor table
-and the leverage ratio.  Assembly is symbolic; evaluation at a concrete
-(lam, tau) is a separate, cheap step, which lets one assembly serve a whole
-smile and makes coefficient-level testing possible.
+The price corrections act on the base Black-Scholes price through the
+integrated operators L_n of ``opalgebra``, reduced to z:
+
+    u_n = sum_m chi_{n,m}(tau) Dz^m (Dz^2 - Dz) u_0,
+
+and each chi_{n,m} is a fixed polynomial in tau, the Taylor-table entries
+and the leverage ratio beta.  The algebra is therefore run once per order,
+with symbolic entries and beta (``compile_chi_programs``), and its result
+is committed as data in ``chi_programs.jsonl``, one order per line, which
+is read and parsed for an order on its first use.  ``reduced_Ln`` evaluates
+the order-n program for one table and beta, with that table's number
+type; it equals ``reduce_to_z(build_Ln(table, n, beta))``, which the tests
+check along with the committed file itself.  Regenerate the file with
+
+    PYTHONPATH=src python3 -m letfvol.expansion
+
+Each z-derivative/vega ratio is a Laurent monomial in log-moneyness
+lam = k - z and maturity tau, so every implied-vol correction sigma_n
+assembles into a polynomial in (lam, tau) whose coefficients depend only
+on the Taylor table and beta.  Assembly is symbolic; evaluation at a
+concrete (lam, tau) is a separate, cheap step, which lets one assembly
+serve a whole smile and makes coefficient-level testing possible.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .blackscholes import (
     BsInputs,
@@ -25,7 +42,7 @@ from .blackscholes import (
 )
 from .errors import ConfigError, DomainError, StructuralError
 from .models import CustomTableModel, PiecewiseConstantCurve, TaylorTable
-from .opalgebra import build_Ln, reduce_to_z
+from .opalgebra import TimePoly, ZReduction, build_Ln, reduce_to_z
 
 # Largest correction order carried by the series machinery.
 MAX_ORDER = 3
@@ -36,6 +53,11 @@ CANCEL_TOL = 1e-8
 TRIM_TOL = 1e-14
 
 PAYOFFS = ("call", "put")
+
+CHI_PROGRAMS = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "chi_programs.jsonl"
+)
+REGENERATE = "PYTHONPATH=src python3 -m letfvol.expansion"
 
 # A Laurent polynomial in (lam, tau): {(lam_power, tau_power): coefficient}.
 # Negative tau powers appear only mid-assembly and must cancel by the end.
@@ -203,6 +225,158 @@ def _check_payoff(payoff: str) -> None:
         raise ConfigError(f"payoff must be one of {PAYOFFS}, got {payoff!r}")
 
 
+class _Symbolic:
+    """Polynomial with Fraction coefficients in the table entries and beta.
+
+    A monomial is the sorted tuple of its variable indices, one per unit
+    of power.  Supports what the operator algebra asks of a coefficient:
+    sums, negation, products with numbers and with each other, and tests
+    against 0.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    def _lift(self, other) -> "_Symbolic":
+        if isinstance(other, _Symbolic):
+            return other
+        return _Symbolic({(): Fraction(other)} if other else {})
+
+    def __eq__(self, other) -> bool:
+        return self.terms == self._lift(other).terms
+
+    def __add__(self, other) -> "_Symbolic":
+        out = dict(self.terms)
+        for mono, coeff in self._lift(other).terms.items():
+            acc = out.get(mono, 0) + coeff
+            if acc:
+                out[mono] = acc
+            else:
+                out.pop(mono, None)
+        return _Symbolic(out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "_Symbolic":
+        return self * -1
+
+    def __mul__(self, other) -> "_Symbolic":
+        out: dict = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in self._lift(other).terms.items():
+                mono = tuple(sorted(m1 + m2))
+                acc = out.get(mono, 0) + c1 * c2
+                if acc:
+                    out[mono] = acc
+                else:
+                    out.pop(mono, None)
+        return _Symbolic(out)
+
+    __rmul__ = __mul__
+
+
+# Variable index of beta; it sorts first in every monomial.
+_BETA = -1
+
+
+class _SymbolicTable:
+    """Order-n Taylor table whose entry ``entries[k]`` is the variable k."""
+
+    def __init__(self, n: int):
+        self.entries = [
+            (name, i, d - i)
+            for name in "abcf"
+            for d in range(n + 1)
+            for i in range(d, -1, -1)
+        ]
+        self._index = {entry: k for k, entry in enumerate(self.entries)}
+
+    def get(self, name: str, i: int, j: int) -> _Symbolic:
+        return _Symbolic({(self._index[(name, i, j)],): Fraction(1)})
+
+
+def compile_chi_programs() -> list:
+    """Lines of CHI_PROGRAMS: a header, then the chi program of order n on line n.
+
+    Runs ``build_Ln`` and ``reduce_to_z`` once per order on a symbolic
+    table and beta.  Order n holds the table entries (name, i, j) with
+    i + j <= n (``variables``), the distinct products of them that occur
+    (``monomials``, lists of variable indices, one per unit of power), and
+    one weight [m, tau_power, den, terms] per power of tau in chi_{n,m}:
+    the weight is sum(num * beta^p * monomials[k]) / den over [num, p, k]
+    in terms, with integer num and den.
+    """
+    beta = _Symbolic({(_BETA,): Fraction(1)})
+    lines = [
+        {
+            "about": "chi programs of letfvol.expansion, one order per line, "
+            f"generated by `{REGENERATE}`; tests/test_chi_programs.py "
+            "regenerates them and compares"
+        }
+    ]
+    for n in range(1, MAX_ORDER + 1):
+        table = _SymbolicTable(n)
+        chi = reduce_to_z(build_Ln(table, n, beta)).chi
+        coeffs = [
+            (m, tau_pow, coeff)
+            for m in sorted(chi)
+            for (tau_pow,), coeff in sorted(chi[m].terms.items())
+        ]
+        monos = [mono for _, _, coeff in coeffs for mono in coeff.terms]
+        monomials = sorted({mono[mono.count(_BETA) :] for mono in monos})
+        position = {entries: k for k, entries in enumerate(monomials)}
+        weights = []
+        for m, tau_pow, coeff in coeffs:
+            den = math.lcm(*(c.denominator for c in coeff.terms.values()))
+            terms = []
+            for mono, c in sorted(coeff.terms.items()):
+                p = mono.count(_BETA)
+                terms.append([int(c * den), p, position[mono[p:]]])
+            weights.append([m, tau_pow, den, terms])
+        lines.append(
+            {
+                "n": n,
+                "beta_degree": max(mono.count(_BETA) for mono in monos),
+                "variables": [list(entry) for entry in table.entries],
+                "monomials": [list(entries) for entries in monomials],
+                "weights": weights,
+            }
+        )
+    return lines
+
+
+@functools.lru_cache(maxsize=None)
+def _chi_program(n: int) -> dict:
+    """The order-n program, parsed on first use; callers must not mutate it."""
+    with open(CHI_PROGRAMS, encoding="utf-8") as fh:
+        return json.loads(fh.read().splitlines()[n])
+
+
+def reduced_Ln(table: TaylorTable, n: int, beta) -> ZReduction:
+    """reduce_to_z(build_Ln(table, n, beta)), from the compiled order-n program.
+
+    Coefficients inherit the number type of the table and beta, so a
+    Fraction table gives the exact reduction.
+    """
+    if not 1 <= n <= MAX_ORDER:
+        raise DomainError(f"correction order must be in 1..{MAX_ORDER}, got {n}")
+    program = _chi_program(n)
+    # An absent entry reads as 0.0; an int 0 keeps exact tables exact.
+    values = [table.get(*entry) or 0 for entry in program["variables"]]
+    products = [
+        math.prod(map(values.__getitem__, mono)) for mono in program["monomials"]
+    ]
+    beta_powers = [beta**p for p in range(program["beta_degree"] + 1)]
+    chi: dict = {}
+    for m, tau_pow, den, terms in program["weights"]:
+        total = sum(num * beta_powers[p] * products[k] for num, p, k in terms)
+        if total:
+            chi.setdefault(m, {})[(tau_pow,)] = total / den
+    return ZReduction(chi={m: TimePoly(terms) for m, terms in chi.items()})
+
+
 def base_sigma(table: TaylorTable, beta: float) -> float:
     """Flat volatility of the base price: |beta| sqrt(2 a00)."""
     return abs(beta) * math.sqrt(2.0 * table.get("a", 0, 0))
@@ -214,16 +388,11 @@ def _correction_dicts(table: TaylorTable, beta: float, order: int) -> list:
     ratios: dict = {}
     out = []
     for n in range(1, order + 1):
-        reduction = reduce_to_z(build_Ln(table, n, beta))
         U: dict = {}
-        for m, chi in reduction.chi.items():
+        for m, chi in reduced_Ln(table, n, beta).chi.items():
             if m not in ratios:
                 ratios[m] = hermite_ratio_coeffs(m, sigma0)
             for powers, coeff in chi.terms.items():
-                if len(powers) > 1:
-                    raise StructuralError(
-                        f"reduced weight still carries u-variables: {powers}"
-                    )
                 tau_pow = powers[0] if powers else 0
                 for (lp, tp), value in ratios[m].items():
                     key = (lp, tp + tau_pow)
@@ -338,9 +507,8 @@ def price_uN(point, table: TaylorTable, order: int, payoff: str = "call") -> Pri
     vega = bs_vega(inputs)
     terms = []
     for n in range(1, order + 1):
-        reduction = reduce_to_z(build_Ln(table, n, point.beta))
         value = 0.0
-        for m, chi in reduction.at_tau(tau).items():
+        for m, chi in reduced_Ln(table, n, point.beta).at_tau(tau).items():
             value += chi * hermite_vega_ratio(m, inputs)
         terms.append(vega * value)
     return PriceApprox(u0=u0, terms=tuple(terms), total=u0 + math.fsum(terms))
@@ -376,3 +544,9 @@ def iv_approx(point, model_or_table, order: int, method: str = "engine") -> floa
     else:
         raise ConfigError(f"method must be 'engine' or 'printed', got {method!r}")
     return series.evaluate(point.lam, point.tau)
+
+
+if __name__ == "__main__":
+    with open(CHI_PROGRAMS, "w", encoding="utf-8") as fh:
+        for line in compile_chi_programs():
+            fh.write(json.dumps(line, separators=(",", ":")) + "\n")

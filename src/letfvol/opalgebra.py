@@ -22,10 +22,11 @@ above 0 are dropped.  A multiplication in a left factor is never consumed
 (only derivatives to its left could consume it, and there are none), so
 those monomials can never reach the X- and Y-free keys the reduction keeps.
 
-Everything works with whatever number type the caller supplies: float
-coefficients for production, ``fractions.Fraction`` for exact tests.  All
-monomial bookkeeping is exact either way; only coefficient arithmetic
-inherits the input type.
+Everything works with whatever number type the caller supplies: exact
+coefficients (``fractions.Fraction`` in the tests, polynomials in the
+table entries and beta when ``expansion`` compiles its chi programs) or
+floats.  All monomial bookkeeping is exact either way; only coefficient
+arithmetic inherits the input type.
 """
 
 from __future__ import annotations
@@ -481,13 +482,13 @@ def build_Gn(
     return total
 
 
-def build_Ln(table, n: int, beta: float, tau: float | None = None) -> OperatorPoly:
+def build_Ln(table, n: int, beta: float) -> OperatorPoly:
     """Integrated order-n correction operator, as far as ``reduce_to_z`` reads it.
 
     Sums generator products over all ordered compositions of n, each
     factor carrying its own time variable, and integrates them over the
-    ordered simplex.  Coefficients of the result are polynomials in tau
-    (numbers if ``tau`` is given).  Two kinds of terms are never formed:
+    ordered simplex.  Coefficients of the result are polynomials in tau.
+    Two kinds of terms are never formed:
 
     - The factor with the last time variable acts first on the function.
       Every monomial of its Taylor blocks other than a * beta^2 (Dz^2 - Dz)
@@ -520,11 +521,6 @@ def build_Ln(table, n: int, beta: float, tau: float | None = None) -> OperatorPo
             for key, poly in product.terms.items():
                 integrated.terms[key] = simplex_integrate_poly(poly, k)
             total = total + integrated
-    if tau is not None:
-        evaluated = OperatorPoly()
-        for key, poly in total.terms.items():
-            evaluated.terms[key] = TimePoly.constant(poly.evaluate(tau))
-        return evaluated
     return total
 
 
@@ -581,12 +577,19 @@ def reduce_to_z(op: OperatorPoly, tol: float = 1e-9) -> ZReduction:
         quotient[d - 2] = quotient[d - 2] + lead
         coeffs[d - 1] = coeffs[d - 1] + lead
         coeffs[d] = TimePoly()
-    remainder_scale = max(coeffs[0].max_abs(), coeffs[1].max_abs() if degree >= 1 else 0)
-    scale = max(op.max_abs(), 1)
-    if remainder_scale > tol * scale:
+    remainder = [c for poly in coeffs[:2] for c in poly.terms.values()]
+    if any(isinstance(c, float) for c in remainder):
+        remainder_scale = max(abs(c) for c in remainder)
+        scale = max(op.max_abs(), 1)
+        if remainder_scale > tol * scale:
+            raise StructuralError(
+                f"pure-z part not divisible by Dz^2 - Dz: remainder scale "
+                f"{remainder_scale} vs operator scale {scale}"
+            )
+    elif remainder:
         raise StructuralError(
-            f"pure-z part not divisible by Dz^2 - Dz: remainder scale "
-            f"{remainder_scale} vs operator scale {scale}"
+            f"pure-z part not divisible by Dz^2 - Dz: {len(remainder)} "
+            f"nonzero exact remainder terms"
         )
     chi = {m: poly for m, poly in enumerate(quotient) if not poly.is_zero()}
     return ZReduction(chi=chi)

@@ -436,17 +436,6 @@ def test_build_Ln_order_one_reduction_matches_hand_values():
     assert chi[1].terms == {(2,): beta**3 * a00 * a10}
 
 
-def test_build_Ln_numeric_tau_matches_symbolic():
-    table = full_table()
-    tau = 0.35
-    symbolic = build_Ln(table, 2, beta=-2)
-    numeric = build_Ln(table, 2, beta=-2, tau=tau)
-    for key, poly in symbolic.terms.items():
-        assert float(poly.evaluate(tau)) == pytest.approx(
-            float(numeric.terms[key].evaluate(tau)), rel=1e-15, abs=1e-30
-        )
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_reduction_ignores_final_factor_restriction(n):
     # Restricting the last generator factor to its pure-z block and dropping
@@ -517,6 +506,19 @@ def test_reduce_rejects_nondivisible():
         reduce_to_z(OperatorPoly({(0, 0, 0, 0, 1): F(1)}))
     with pytest.raises(StructuralError):
         reduce_to_z(OperatorPoly({(0, 0, 0, 0, 0): F(1)}))
+
+
+def test_reduce_rejects_any_exact_remainder():
+    # Exact coefficients admit no tolerance: a remainder of 1e-12 is as
+    # structural as a remainder of 1.  Floats keep the relative rule.
+    tiny = F(1, 10**12)
+    dz2, dz, one = (0, 0, 0, 0, 2), (0, 0, 0, 0, 1), (0, 0, 0, 0, 0)
+    with pytest.raises(StructuralError):
+        reduce_to_z(OperatorPoly({dz2: F(1), dz: F(-1), one: tiny}))
+    with pytest.raises(StructuralError):
+        reduce_to_z(OperatorPoly({dz2: F(1), dz: F(-1) + tiny}))
+    chi = reduce_to_z(OperatorPoly({dz2: 1.0, dz: -1.0, one: 1e-12})).chi
+    assert chi[0].terms == {(): 1.0}
 
 
 def test_reduce_at_tau():
