@@ -1,4 +1,4 @@
-"""Approximate LETF option prices and implied vols under local-stochastic
-volatility, verified against Monte Carlo and Fourier reference prices."""
+"""Series approximations of LETF option prices and implied vols under
+local-stochastic volatility, with a Black-Scholes implied-vol inverter."""
 
 __version__ = "0.1.0"

@@ -25,9 +25,5 @@ class SolverError(LetfVolError):
     """An iterative solver failed to converge to the requested tolerance."""
 
 
-class NumericalError(LetfVolError):
-    """A numerical routine lost control: overflow, NaN, or quadrature tail too fat."""
-
-
 class StructuralError(LetfVolError):
     """An internal algebraic invariant was violated; indicates a pipeline bug."""

@@ -7,21 +7,22 @@ integrated operators L_n of ``opalgebra``, reduced to z:
 
 and each chi_{n,m} is a fixed polynomial in tau, the Taylor-table entries
 and the leverage ratio beta.  The algebra is therefore run once per order,
-with symbolic entries and beta (``compile_chi_programs``), and its result
+with symbolic entries and beta (``letfvol.chi_compile``), and its result
 is committed as data in ``chi_programs.jsonl``, one order per line, which
 is read and parsed for an order on its first use.  ``reduced_Ln`` evaluates
 the order-n program for one table and beta, with that table's number
 type; it equals ``reduce_to_z(build_Ln(table, n, beta))``, which the tests
 check along with the committed file itself.  Regenerate the file with
 
-    PYTHONPATH=src python3 -m letfvol.expansion
+    PYTHONPATH=src python3 -m letfvol.chi_compile
 
 Each z-derivative/vega ratio is a Laurent monomial in log-moneyness
 lam = k - z and maturity tau, so every implied-vol correction sigma_n
 assembles into a polynomial in (lam, tau) whose coefficients depend only
 on the Taylor table and beta.  Assembly is symbolic; evaluation at a
 concrete (lam, tau) is a separate, cheap step, which lets one assembly
-serve a whole smile and makes coefficient-level testing possible.
+serve a whole smile (``iv_approx`` reuses a named model's series across
+strikes) and makes coefficient-level testing possible.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
+from types import SimpleNamespace
 
 from .blackscholes import (
     BsInputs,
@@ -42,6 +43,7 @@ from .blackscholes import (
 )
 from .errors import ConfigError, DomainError, StructuralError
 from .models import CustomTableModel, PiecewiseConstantCurve, TaylorTable
+# build_Ln, reduce_to_z: unused here, kept as attributes the benchmark's tracing wraps.
 from .opalgebra import TimePoly, ZReduction, build_Ln, reduce_to_z
 
 # Largest correction order carried by the series machinery.
@@ -51,13 +53,14 @@ MIN_TAU = 1e-8
 # Structural-cancellation and trimming thresholds, relative to max(1, scale).
 CANCEL_TOL = 1e-8
 TRIM_TOL = 1e-14
+# Series iv_approx keeps for named models: >= 3, for smiles of orders 1-3 in turn.
+SERIES_CACHE_SIZE = 8
 
 PAYOFFS = ("call", "put")
 
 CHI_PROGRAMS = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "chi_programs.jsonl"
 )
-REGENERATE = "PYTHONPATH=src python3 -m letfvol.expansion"
 
 # A Laurent polynomial in (lam, tau): {(lam_power, tau_power): coefficient}.
 # Negative tau powers appear only mid-assembly and must cancel by the end.
@@ -225,128 +228,6 @@ def _check_payoff(payoff: str) -> None:
         raise ConfigError(f"payoff must be one of {PAYOFFS}, got {payoff!r}")
 
 
-class _Symbolic:
-    """Polynomial with Fraction coefficients in the table entries and beta.
-
-    A monomial is the sorted tuple of its variable indices, one per unit
-    of power.  Supports what the operator algebra asks of a coefficient:
-    sums, negation, products with numbers and with each other, and tests
-    against 0.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict):
-        self.terms = terms
-
-    def _lift(self, other) -> "_Symbolic":
-        if isinstance(other, _Symbolic):
-            return other
-        return _Symbolic({(): Fraction(other)} if other else {})
-
-    def __eq__(self, other) -> bool:
-        return self.terms == self._lift(other).terms
-
-    def __add__(self, other) -> "_Symbolic":
-        out = dict(self.terms)
-        for mono, coeff in self._lift(other).terms.items():
-            acc = out.get(mono, 0) + coeff
-            if acc:
-                out[mono] = acc
-            else:
-                out.pop(mono, None)
-        return _Symbolic(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "_Symbolic":
-        return self * -1
-
-    def __mul__(self, other) -> "_Symbolic":
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in self._lift(other).terms.items():
-                mono = tuple(sorted(m1 + m2))
-                acc = out.get(mono, 0) + c1 * c2
-                if acc:
-                    out[mono] = acc
-                else:
-                    out.pop(mono, None)
-        return _Symbolic(out)
-
-    __rmul__ = __mul__
-
-
-# Variable index of beta; it sorts first in every monomial.
-_BETA = -1
-
-
-class _SymbolicTable:
-    """Order-n Taylor table whose entry ``entries[k]`` is the variable k."""
-
-    def __init__(self, n: int):
-        self.entries = [
-            (name, i, d - i)
-            for name in "abcf"
-            for d in range(n + 1)
-            for i in range(d, -1, -1)
-        ]
-        self._index = {entry: k for k, entry in enumerate(self.entries)}
-
-    def get(self, name: str, i: int, j: int) -> _Symbolic:
-        return _Symbolic({(self._index[(name, i, j)],): Fraction(1)})
-
-
-def compile_chi_programs() -> list:
-    """Lines of CHI_PROGRAMS: a header, then the chi program of order n on line n.
-
-    Runs ``build_Ln`` and ``reduce_to_z`` once per order on a symbolic
-    table and beta.  Order n holds the table entries (name, i, j) with
-    i + j <= n (``variables``), the distinct products of them that occur
-    (``monomials``, lists of variable indices, one per unit of power), and
-    one weight [m, tau_power, den, terms] per power of tau in chi_{n,m}:
-    the weight is sum(num * beta^p * monomials[k]) / den over [num, p, k]
-    in terms, with integer num and den.
-    """
-    beta = _Symbolic({(_BETA,): Fraction(1)})
-    lines = [
-        {
-            "about": "chi programs of letfvol.expansion, one order per line, "
-            f"generated by `{REGENERATE}`; tests/test_chi_programs.py "
-            "regenerates them and compares"
-        }
-    ]
-    for n in range(1, MAX_ORDER + 1):
-        table = _SymbolicTable(n)
-        chi = reduce_to_z(build_Ln(table, n, beta)).chi
-        coeffs = [
-            (m, tau_pow, coeff)
-            for m in sorted(chi)
-            for (tau_pow,), coeff in sorted(chi[m].terms.items())
-        ]
-        monos = [mono for _, _, coeff in coeffs for mono in coeff.terms]
-        monomials = sorted({mono[mono.count(_BETA) :] for mono in monos})
-        position = {entries: k for k, entries in enumerate(monomials)}
-        weights = []
-        for m, tau_pow, coeff in coeffs:
-            den = math.lcm(*(c.denominator for c in coeff.terms.values()))
-            terms = []
-            for mono, c in sorted(coeff.terms.items()):
-                p = mono.count(_BETA)
-                terms.append([int(c * den), p, position[mono[p:]]])
-            weights.append([m, tau_pow, den, terms])
-        lines.append(
-            {
-                "n": n,
-                "beta_degree": max(mono.count(_BETA) for mono in monos),
-                "variables": [list(entry) for entry in table.entries],
-                "monomials": [list(entries) for entries in monomials],
-                "weights": weights,
-            }
-        )
-    return lines
-
-
 @functools.lru_cache(maxsize=None)
 def _chi_program(n: int) -> dict:
     """The order-n program, parsed on first use; callers must not mutate it."""
@@ -449,7 +330,6 @@ def iv_series_engine(point, table: TaylorTable, order: int) -> IvSeries:
         lp_add(raw, lp_mul(lp_mul(s1, s1), r2), -0.5)
         terms.append(_finalize_term(2, raw))
     if order >= 3:
-        r2 = vega_ratio_coeffs(2, sigma0)
         r3 = vega_ratio_coeffs(3, sigma0)
         s1, s2 = terms[0], terms[1]
         raw = dict(corrections[2])
@@ -514,6 +394,13 @@ def price_uN(point, table: TaylorTable, order: int, payoff: str = "call") -> Pri
     return PriceApprox(u0=u0, terms=tuple(terms), total=u0 + math.fsum(terms))
 
 
+@functools.lru_cache(maxsize=SERIES_CACHE_SIZE)
+def _model_series(model, x: float, y: float, beta: float, order: int) -> IvSeries:
+    """The engine series of a named model at (x, y); callers must not mutate it."""
+    table = model.taylor_table(x, y, order)
+    return iv_series_engine(SimpleNamespace(beta=beta), table, order)
+
+
 def iv_approx(point, model_or_table, order: int, method: str = "engine") -> float:
     """Scalar implied-vol approximation at the point's (lam, tau).
 
@@ -525,15 +412,22 @@ def iv_approx(point, model_or_table, order: int, method: str = "engine") -> floa
     A TaylorTable or CustomTableModel passed in is used as given by both
     routes: its entries are the expansion, so point.x and point.y are not
     consulted for it.  A named model is expanded at (point.x, point.y).
+
+    On the engine route a named model's series (the model is frozen, so
+    hashable by value) is assembled once per (model, point.x, point.y,
+    point.beta, order); the last SERIES_CACHE_SIZE are kept, so a smile's
+    strikes share one assembly.  A TaylorTable, bare or in a
+    CustomTableModel, is mutable and unhashable: it is assembled per call.
     """
     if method == "engine":
         if isinstance(model_or_table, TaylorTable):
-            table = model_or_table
+            series = iv_series_engine(point, model_or_table, order)
         elif isinstance(model_or_table, CustomTableModel):
-            table = model_or_table.table
+            series = iv_series_engine(point, model_or_table.table, order)
         else:
-            table = model_or_table.taylor_table(point.x, point.y, order)
-        series = iv_series_engine(point, table, order)
+            # Before the lookup: 1.0 == 1 would otherwise hit the order-1 series.
+            _check_order(order)
+            series = _model_series(model_or_table, point.x, point.y, point.beta, order)
     elif method == "printed":
         from .closedform import iv_series_printed
 
@@ -544,9 +438,3 @@ def iv_approx(point, model_or_table, order: int, method: str = "engine") -> floa
     else:
         raise ConfigError(f"method must be 'engine' or 'printed', got {method!r}")
     return series.evaluate(point.lam, point.tau)
-
-
-if __name__ == "__main__":
-    with open(CHI_PROGRAMS, "w", encoding="utf-8") as fh:
-        for line in compile_chi_programs():
-            fh.write(json.dumps(line, separators=(",", ":")) + "\n")

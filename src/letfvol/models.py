@@ -103,10 +103,6 @@ class TaylorTable:
             )
         return self.entries[name].get((i, j), 0.0)
 
-    def set(self, name: str, i: int, j: int, value) -> None:
-        if value != 0:
-            self.entries[name][(i, j)] = value
-
 
 @dataclass(frozen=True)
 class CevModel:

@@ -311,16 +311,6 @@ class OperatorPoly:
         return f"OperatorPoly(\n{self.dump()}\n)"
 
 
-def poly_add(p, q):
-    """Sum of two polynomials of the same layer."""
-    return p + q
-
-
-def poly_mul(p, q):
-    """Product of two polynomials of the same layer."""
-    return p * q
-
-
 def compositions(n: int, k: int):
     """Ordered tuples of k positive integers summing to n."""
     if k < 1 or k > n:
@@ -366,13 +356,6 @@ def simplex_integrate_poly(p: TimePoly, k: int) -> TimePoly:
         tau_power = k + sum(u_powers)
         out = out + TimePoly({(tau_power,): coeff * weight})
     return out
-
-
-def simplex_integrate(p: TimePoly, k: int, tau: float) -> float:
-    """Numeric simplex integral of ``p`` over k ordered time variables."""
-    if k < 1:
-        raise DomainError(f"simplex dimension must be >= 1, got {k}")
-    return simplex_integrate_poly(p, k).evaluate(tau)
 
 
 def build_Ank(table, n: int, k: int, beta: float) -> OperatorPoly:
@@ -532,10 +515,6 @@ class ZReduction:
     """
 
     chi: dict
-
-    @property
-    def max_m(self) -> int:
-        return max(self.chi, default=0)
 
     def at_tau(self, tau) -> dict:
         return {m: poly.evaluate(tau) for m, poly in self.chi.items()}

@@ -12,14 +12,9 @@ from fractions import Fraction
 
 import pytest
 
+from letfvol.chi_compile import REGENERATE, compile_chi_programs
 from letfvol.errors import DomainError
-from letfvol.expansion import (
-    CHI_PROGRAMS,
-    MAX_ORDER,
-    REGENERATE,
-    compile_chi_programs,
-    reduced_Ln,
-)
+from letfvol.expansion import CHI_PROGRAMS, MAX_ORDER, reduced_Ln
 from letfvol.opalgebra import TimePoly, build_Ln, reduce_to_z
 from test_opalgebra import MODEL_TABLES, cev_like_table, full_table
 

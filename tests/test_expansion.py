@@ -1,5 +1,6 @@
 """Tests for the price and implied-vol series assembly."""
 
+import dataclasses
 import json
 import math
 
@@ -8,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from letfvol.blackscholes import BsInputs, bs_call_price, bs_put_price, bs_vega, hermite_vega_ratio, vega_ratio
+from letfvol import expansion
 from letfvol.closedform import iv_series_printed
 from letfvol.errors import ConfigError, DomainError
 from letfvol.expansion import (
     MAX_ORDER,
     MIN_TAU,
+    SERIES_CACHE_SIZE,
     IvSeries,
     base_sigma,
     hermite_ratio_coeffs,
@@ -34,6 +37,7 @@ from letfvol.models import (
     SabrModel,
     TaylorTable,
 )
+from test_opalgebra import MODEL_TABLES
 
 
 def make_point(beta=2.0, tau=0.75, k=0.12, z=0.0, x=0.05, y=-2.0):
@@ -397,6 +401,109 @@ def test_iv_approx_routes_agree():
             iv_approx(point, short, 2, method=method)
     with pytest.raises(ConfigError):
         iv_approx(point, model, 2, method="magic")
+
+
+# ---------------------------------------------------------------------------
+# iv_approx assembles a named model's series once per (model, x, y, beta, order)
+
+
+@pytest.fixture
+def series_cache():
+    expansion._model_series.cache_clear()
+    yield expansion._model_series
+    expansion._model_series.cache_clear()
+
+
+def smile_points(x, y, beta, tau=0.25, strikes=41):
+    return [
+        MarketPoint(t=0.0, T=tau, x=x, y=y, z=0.0, k=-0.3 + 0.6 * i / (strikes - 1), beta=beta)
+        for i in range(strikes)
+    ]
+
+
+def fresh_iv(point, model, order):
+    table = model.taylor_table(point.x, point.y, order)
+    return iv_series_engine(point, table, order).evaluate(point.lam, point.tau)
+
+
+@pytest.mark.parametrize("beta", [-2.0, 3.0])
+@pytest.mark.parametrize("kind", sorted(MODEL_TABLES))
+def test_iv_approx_reuse_equals_fresh_assembly(series_cache, kind, beta):
+    model, x, y = MODEL_TABLES[kind]
+    points = smile_points(x, y, beta)
+    for order in range(1, MAX_ORDER + 1):
+        want = [fresh_iv(point, model, order) for point in points]
+        assert [iv_approx(point, model, order) for point in points] == want
+        assert [iv_approx(point, model, order) for point in points] == want
+
+
+def test_iv_approx_checks_the_order_before_reuse(series_cache):
+    model, x, y = MODEL_TABLES["sabr"]
+    point = smile_points(x, y, -2.0)[20]
+    iv_approx(point, model, 1)
+    # 1.0 == 1 and both hash alike: a lookup first would return order 1.
+    for order in (1.0, 1.5):
+        with pytest.raises(DomainError):
+            iv_approx(point, model, order)
+    for _ in range(3):
+        with pytest.raises(DomainError):
+            iv_approx(point, model, MAX_ORDER + 1)
+
+
+def test_iv_approx_follows_every_key_component(series_cache):
+    model, x, y = MODEL_TABLES["sabr"]
+    base = MarketPoint(t=0.0, T=0.25, x=x, y=y, z=0.0, k=0.1, beta=-2.0)
+    before = iv_approx(base, model, 3)
+    for change in ({"x": x + 0.1}, {"y": y + 0.2}, {"beta": 3.0}):
+        point = dataclasses.replace(base, **change)
+        got = iv_approx(point, model, 3)
+        assert got == fresh_iv(point, model, 3), change
+        assert got != before, change
+    for kind in sorted(MODEL_TABLES):
+        model, x, y = MODEL_TABLES[kind]
+        point = dataclasses.replace(base, x=x, y=y)
+        before = iv_approx(point, model, 3)
+        for field in dataclasses.fields(model):
+            changed = dataclasses.replace(model, **{field.name: 1.1 * getattr(model, field.name)})
+            got = iv_approx(point, changed, 3)
+            assert got == fresh_iv(point, changed, 3), (kind, field.name)
+            assert got != before, (kind, field.name)
+
+
+def test_iv_approx_assembles_once_per_smile(series_cache, monkeypatch):
+    calls = []
+    engine = expansion.iv_series_engine
+
+    def counting_engine(*args, **kwargs):
+        calls.append(args)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(expansion, "iv_series_engine", counting_engine)
+    model, x, y = MODEL_TABLES["sabr"]
+    points = smile_points(x, y, -2.0)
+    for point in points:
+        iv_approx(point, model, 3)
+    assert len(calls) == 1
+    # Three smiles, each on its own model and order, strike by strike.
+    calls.clear()
+    smiles = [
+        (SabrModel(delta=0.45 + 0.05 * order, gamma=0.4, rho=-0.3), order)
+        for order in range(1, MAX_ORDER + 1)
+    ]
+    for point in points:
+        for smile_model, order in smiles:
+            iv_approx(point, smile_model, order)
+    assert len(calls) == 3
+
+
+def test_series_cache_is_bounded(series_cache):
+    point = make_point()
+    for i in range(20):
+        iv_approx(point, CevModel(delta=0.2 + 0.01 * i, gamma=0.6), 2)
+    info = series_cache.cache_info()
+    assert info.misses == 20
+    assert info.maxsize == SERIES_CACHE_SIZE >= 3
+    assert info.currsize <= info.maxsize
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,7 @@ from letfvol.opalgebra import (
     build_Ln,
     build_M_shift,
     compositions,
-    poly_add,
-    poly_mul,
     reduce_to_z,
-    simplex_integrate,
     simplex_integrate_poly,
     simplex_weight,
 )
@@ -114,7 +111,7 @@ def test_poly_mul_dz_example():
     dz = OperatorPoly({(0, 0, 0, 0, 1): 1})
     dz2_minus_dz = OperatorPoly({(0, 0, 0, 0, 2): 1, (0, 0, 0, 0, 1): -1})
     want = OperatorPoly({(0, 0, 0, 0, 3): 1, (0, 0, 0, 0, 2): -1})
-    assert poly_mul(dz, dz2_minus_dz).equals(want)
+    assert (dz * dz2_minus_dz).equals(want)
 
 
 def test_operator_pow_matches_repeated_mul():
@@ -190,14 +187,10 @@ def operator_polys(draw):
 @settings(max_examples=60, deadline=None)
 @given(a=operator_polys(), b=operator_polys(), c=operator_polys())
 def test_ring_laws_exact(a, b, c):
-    assert poly_mul(poly_mul(a, b), c).equals(poly_mul(a, poly_mul(b, c)))
-    assert poly_mul(a, poly_add(b, c)).equals(
-        poly_add(poly_mul(a, b), poly_mul(a, c))
-    )
-    assert poly_mul(poly_add(a, b), c).equals(
-        poly_add(poly_mul(a, c), poly_mul(b, c))
-    )
-    assert poly_add(a, b).equals(poly_add(b, a))
+    assert ((a * b) * c).equals(a * (b * c))
+    assert (a * (b + c)).equals(a * b + a * c)
+    assert ((a + b) * c).equals(a * c + b * c)
+    assert (a + b).equals(b + a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -220,9 +213,11 @@ def test_simplex_examples():
     one = TimePoly.constant(1)
     u1 = TimePoly.variable(1)
     u2 = TimePoly.variable(2)
-    assert simplex_integrate(one, 2, tau) == pytest.approx(tau**2 / 2, rel=1e-15)
-    assert simplex_integrate(u1, 1, tau) == pytest.approx(tau**2 / 2, rel=1e-15)
-    assert simplex_integrate(u1 * u2, 2, tau) == pytest.approx(tau**4 / 8, rel=1e-15)
+    assert simplex_integrate_poly(one, 2).evaluate(tau) == pytest.approx(tau**2 / 2, rel=1e-15)
+    assert simplex_integrate_poly(u1, 1).evaluate(tau) == pytest.approx(tau**2 / 2, rel=1e-15)
+    assert simplex_integrate_poly(u1 * u2, 2).evaluate(tau) == pytest.approx(
+        tau**4 / 8, rel=1e-15
+    )
 
 
 def test_simplex_constant_weight_is_inverse_factorial():
@@ -253,12 +248,12 @@ def test_simplex_poly_variant_keeps_tau_symbolic():
 
 def test_simplex_rejects_existing_tau():
     with pytest.raises(StructuralError):
-        simplex_integrate(TimePoly.variable(0), 1, 0.5)
+        simplex_integrate_poly(TimePoly.variable(0), 1).evaluate(0.5)
 
 
 def test_simplex_rejects_excess_variables():
     with pytest.raises(StructuralError):
-        simplex_integrate(TimePoly.variable(3), 2, 0.5)
+        simplex_integrate_poly(TimePoly.variable(3), 2).evaluate(0.5)
 
 
 # ---------------------------------------------------------------------------
