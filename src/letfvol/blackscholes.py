@@ -148,27 +148,6 @@ def implied_vol(price: float, tau: float, z: float, k: float) -> ImpliedVol:
     )
 
 
-def vega_ratio(order: int, inputs: BsInputs) -> float:
-    """Ratio of a higher sigma-derivative of the call price to its vega.
-
-    Supported orders are 2 and 3; both are rational in (k - z), tau and
-    sigma, so the ratio stays cheap and exact where the price itself would
-    lose digits.
-    """
-    lam = inputs.k - inputs.z
-    sigma, tau = inputs.sigma, inputs.tau
-    if order == 2:
-        return lam * lam / (tau * sigma**3) - tau * sigma / 4.0
-    if order == 3:
-        return (
-            lam**4 / (tau**2 * sigma**6)
-            - (3.0 / (tau * sigma**4) + 1.0 / (2.0 * sigma**2)) * lam * lam
-            + tau**2 * sigma**2 / 16.0
-            - tau / 4.0
-        )
-    raise DomainError(f"vega_ratio supports orders 2 and 3, got {order}")
-
-
 def hermite_poly_value(m: int, w):
     """Value of the degree-m physicists' Hermite polynomial at ``w``.
 

@@ -3,9 +3,9 @@
 These closed forms were worked out once by hand for each supported model
 and are kept as an independent check on the mechanical assembly in
 ``expansion``: both routes must produce identical coefficients wherever a
-closed form exists.  Availability: cev and heston through order 3, sabr
-through order 2, custom tables through order 2 via the general
-local-stochastic-vol forms.
+closed form exists.  Availability: CEV and Heston through order 3, SABR
+through order 2, a Taylor table given directly through order 2 via the
+general local-stochastic-vol forms.
 
 Convention note: the general forms are written against the quadratic-form
 weights of the degree-2 Taylor block, so every normalized degree-2 table
@@ -19,9 +19,9 @@ import math
 
 from .errors import ConfigError, DomainError
 from .expansion import MAX_ORDER, IvSeries, _check_order
-from .models import CevModel, CustomTableModel, HestonModel, SabrModel
+from .models import CevModel, HestonModel, SabrModel, TaylorTable
 
-PRINTED_MAX_ORDER = {"cev": 3, "heston": 3, "sabr": 2, "custom": 2}
+PRINTED_MAX_ORDER = {CevModel: 3, HestonModel: 3, SabrModel: 2, TaylorTable: 2}
 
 
 def _clean(term: dict) -> dict:
@@ -319,25 +319,26 @@ def _general_sigma_terms(table, sigma0: float, beta: float, order: int) -> list:
 def iv_series_printed(model, point, order: int) -> IvSeries:
     """Implied-vol series from the hand-transcribed closed forms.
 
-    Supported (model, order) pairs are listed in PRINTED_MAX_ORDER; a sabr
-    request at order 3 is rejected because no third-order closed form is
-    available for it, only the engine route covers that case.
+    ``model`` is a named model, expanded at (point.x, point.y), or a
+    TaylorTable.  Supported (type, order) pairs are listed in
+    PRINTED_MAX_ORDER; a SABR request at order 3 is rejected because no
+    third-order closed form is available for it, only the engine route
+    covers that case.
 
-    A CustomTableModel's table is used as given, exactly as the engine
-    route uses a TaylorTable: its entries are the expansion, so point.x and
-    point.y are not consulted for it (only point.beta is), and a table
-    whose extent is below ``order`` raises DomainError, as in the engine.
+    A TaylorTable is used as given, exactly as the engine uses it: its
+    entries are the expansion, so point.x and point.y are not consulted
+    for it (only point.beta is), and a table whose extent is below
+    ``order`` raises DomainError, as in the engine.
     """
-    kind = getattr(model, "kind", None)
-    if kind not in PRINTED_MAX_ORDER:
-        raise ConfigError(f"no closed forms for model kind {kind!r}")
+    cap = PRINTED_MAX_ORDER.get(type(model))
+    if cap is None:
+        raise ConfigError(f"no closed forms for {type(model).__name__}")
     if not isinstance(order, int) or not 0 <= order <= MAX_ORDER:
         raise DomainError(f"order must be an integer in 0..{MAX_ORDER}, got {order}")
-    cap = PRINTED_MAX_ORDER[kind]
     if order > cap:
         raise ConfigError(
-            f"no order-{order} closed form is available for the {kind} model "
-            f"(largest is {cap}); use the engine method instead"
+            f"no order-{order} closed form is available for {type(model).__name__} "
+            f"(largest is {cap}); use the engine instead"
         )
     beta = point.beta
     if isinstance(model, CevModel):
@@ -353,11 +354,8 @@ def iv_series_printed(model, point, order: int) -> IvSeries:
             math.exp(2.0 * point.y + 2.0 * point.x * (model.gamma - 1.0))
         )
         terms = _sabr_sigma_terms(model, sigma0, beta, order)
-    elif isinstance(model, CustomTableModel):
-        table = model.table
-        _check_order(order, table)
-        sigma0 = abs(beta) * math.sqrt(2.0 * table.get("a", 0, 0))
-        terms = _general_sigma_terms(table, sigma0, beta, order)
     else:
-        raise ConfigError(f"unsupported model type {type(model).__name__}")
+        _check_order(order, model)
+        sigma0 = abs(beta) * math.sqrt(2.0 * model.get("a", 0, 0))
+        terms = _general_sigma_terms(model, sigma0, beta, order)
     return IvSeries(sigma0=sigma0, terms=tuple(_clean(term) for term in terms))

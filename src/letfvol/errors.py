@@ -1,7 +1,7 @@
 """Error taxonomy shared across the package.
 
-The CLI maps these onto process exit codes, so library code should raise
-the most specific class that applies rather than bare ValueError.
+Library code raises the most specific class that applies rather than bare
+ValueError, so callers can tell bad input from a solver or pipeline fault.
 """
 
 
@@ -10,7 +10,9 @@ class LetfVolError(Exception):
 
 
 class ConfigError(LetfVolError):
-    """Bad user input: parameter files, CLI flags, or malformed run settings."""
+    """Bad caller input that is not a mathematical domain error: an unknown
+    payoff, a malformed series payload, a curve with bad breakpoints, or a
+    model or order with no closed form."""
 
 
 class DomainError(LetfVolError):

@@ -11,8 +11,9 @@ with symbolic entries and beta (``letfvol.chi_compile``), and its result
 is committed as data in ``chi_programs.jsonl``, one order per line, which
 is read and parsed for an order on its first use.  ``reduced_Ln`` evaluates
 the order-n program for one table and beta, with that table's number
-type; it equals ``reduce_to_z(build_Ln(table, n, beta))``, which the tests
-check along with the committed file itself.  Regenerate the file with
+type, as {m: {tau_power: coeff}}; it equals the chi of
+``reduce_to_z(build_Ln(table, n, beta))``, which the tests check along
+with the committed file itself.  Regenerate the file with
 
     PYTHONPATH=src python3 -m letfvol.chi_compile
 
@@ -42,9 +43,9 @@ from .blackscholes import (
     hermite_vega_ratio,
 )
 from .errors import ConfigError, DomainError, StructuralError
-from .models import CustomTableModel, PiecewiseConstantCurve, TaylorTable
+from .models import PiecewiseConstantCurve, TaylorTable
 # build_Ln, reduce_to_z: unused here, kept as attributes the benchmark's tracing wraps.
-from .opalgebra import TimePoly, ZReduction, build_Ln, reduce_to_z
+from .opalgebra import build_Ln, reduce_to_z
 
 # Largest correction order carried by the series machinery.
 MAX_ORDER = 3
@@ -196,19 +197,32 @@ class IvSeries:
 
     @classmethod
     def from_json(cls, text: str) -> "IvSeries":
+        """Read ``to_json`` output; anything else raises ConfigError.
+
+        Powers must be nonnegative integers, each (lam_pow, tau_pow) at most
+        once per term, values finite, and sigma0 finite and positive.
+        """
         try:
             payload = json.loads(text)
             sigma0 = float(payload["sigma0"])
+            if not 0.0 < sigma0 < math.inf:
+                raise ValueError(f"sigma0 must be finite and positive, got {sigma0}")
             terms = []
             for i, entry in enumerate(payload["terms"]):
                 if entry["n"] != i + 1:
                     raise ValueError(f"term {i} labeled n={entry['n']}")
-                terms.append(
-                    {
-                        (int(c["lam_pow"]), int(c["tau_pow"])): float(c["value"])
-                        for c in entry["coeffs"]
-                    }
-                )
+                term: dict = {}
+                for c in entry["coeffs"]:
+                    lp, tp = key = (c["lam_pow"], c["tau_pow"])
+                    if type(lp) is not int or type(tp) is not int or lp < 0 or tp < 0:
+                        raise ValueError(f"term n={i + 1}: powers {key} must be integers >= 0")
+                    if key in term:
+                        raise ValueError(f"term n={i + 1} repeats powers {key}")
+                    value = float(c["value"])
+                    if not math.isfinite(value):
+                        raise ValueError(f"term n={i + 1}: value {value} at {key}")
+                    term[key] = value
+                terms.append(term)
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise ConfigError(f"malformed series payload: {exc}") from exc
         return cls(sigma0=sigma0, terms=tuple(terms))
@@ -235,9 +249,10 @@ def _chi_program(n: int) -> dict:
         return json.loads(fh.read().splitlines()[n])
 
 
-def reduced_Ln(table: TaylorTable, n: int, beta) -> ZReduction:
-    """reduce_to_z(build_Ln(table, n, beta)), from the compiled order-n program.
+def reduced_Ln(table: TaylorTable, n: int, beta) -> dict:
+    """reduce_to_z(build_Ln(table, n, beta)).chi, from the compiled order-n program.
 
+    Returns chi as {m: {tau_power: coeff}}, only nonzero weights kept.
     Coefficients inherit the number type of the table and beta, so a
     Fraction table gives the exact reduction.
     """
@@ -254,8 +269,8 @@ def reduced_Ln(table: TaylorTable, n: int, beta) -> ZReduction:
     for m, tau_pow, den, terms in program["weights"]:
         total = sum(num * beta_powers[p] * products[k] for num, p, k in terms)
         if total:
-            chi.setdefault(m, {})[(tau_pow,)] = total / den
-    return ZReduction(chi={m: TimePoly(terms) for m, terms in chi.items()})
+            chi.setdefault(m, {})[tau_pow] = total / den
+    return chi
 
 
 def base_sigma(table: TaylorTable, beta: float) -> float:
@@ -270,11 +285,10 @@ def _correction_dicts(table: TaylorTable, beta: float, order: int) -> list:
     out = []
     for n in range(1, order + 1):
         U: dict = {}
-        for m, chi in reduced_Ln(table, n, beta).chi.items():
+        for m, chi in reduced_Ln(table, n, beta).items():
             if m not in ratios:
                 ratios[m] = hermite_ratio_coeffs(m, sigma0)
-            for powers, coeff in chi.terms.items():
-                tau_pow = powers[0] if powers else 0
+            for tau_pow, coeff in chi.items():
                 for (lp, tp), value in ratios[m].items():
                     key = (lp, tp + tau_pow)
                     U[key] = U.get(key, 0.0) + float(coeff) * value
@@ -388,8 +402,9 @@ def price_uN(point, table: TaylorTable, order: int, payoff: str = "call") -> Pri
     terms = []
     for n in range(1, order + 1):
         value = 0.0
-        for m, chi in reduced_Ln(table, n, point.beta).at_tau(tau).items():
-            value += chi * hermite_vega_ratio(m, inputs)
+        for m, chi in reduced_Ln(table, n, point.beta).items():
+            weight = sum(coeff * tau**p for p, coeff in chi.items())
+            value += weight * hermite_vega_ratio(m, inputs)
         terms.append(vega * value)
     return PriceApprox(u0=u0, terms=tuple(terms), total=u0 + math.fsum(terms))
 
@@ -401,40 +416,21 @@ def _model_series(model, x: float, y: float, beta: float, order: int) -> IvSerie
     return iv_series_engine(SimpleNamespace(beta=beta), table, order)
 
 
-def iv_approx(point, model_or_table, order: int, method: str = "engine") -> float:
+def iv_approx(point, model_or_table, order: int) -> float:
     """Scalar implied-vol approximation at the point's (lam, tau).
 
-    ``method`` picks the assembly route: "engine" builds the series from
-    the Taylor table mechanically; "printed" uses the hand-transcribed
-    closed forms, available for the named models up to their published
-    order.
-
-    A TaylorTable or CustomTableModel passed in is used as given by both
-    routes: its entries are the expansion, so point.x and point.y are not
-    consulted for it.  A named model is expanded at (point.x, point.y).
-
-    On the engine route a named model's series (the model is frozen, so
-    hashable by value) is assembled once per (model, point.x, point.y,
-    point.beta, order); the last SERIES_CACHE_SIZE are kept, so a smile's
-    strikes share one assembly.  A TaylorTable, bare or in a
-    CustomTableModel, is mutable and unhashable: it is assembled per call.
+    A TaylorTable is used as given: its entries are the expansion, so
+    point.x and point.y are not consulted for it, and it is assembled per
+    call.  A named model (CevModel, HestonModel, SabrModel) is expanded at
+    (point.x, point.y); being frozen, it is hashable by value, and its
+    series is assembled once per (model, point.x, point.y, point.beta,
+    order), with the last SERIES_CACHE_SIZE kept, so a smile's strikes
+    share one assembly.
     """
-    if method == "engine":
-        if isinstance(model_or_table, TaylorTable):
-            series = iv_series_engine(point, model_or_table, order)
-        elif isinstance(model_or_table, CustomTableModel):
-            series = iv_series_engine(point, model_or_table.table, order)
-        else:
-            # Before the lookup: 1.0 == 1 would otherwise hit the order-1 series.
-            _check_order(order)
-            series = _model_series(model_or_table, point.x, point.y, point.beta, order)
-    elif method == "printed":
-        from .closedform import iv_series_printed
-
-        model = model_or_table
-        if isinstance(model, TaylorTable):
-            model = CustomTableModel(table=model)
-        series = iv_series_printed(model, point, order)
+    if isinstance(model_or_table, TaylorTable):
+        series = iv_series_engine(point, model_or_table, order)
     else:
-        raise ConfigError(f"method must be 'engine' or 'printed', got {method!r}")
+        # Before the lookup: 1.0 == 1 would otherwise hit the order-1 series.
+        _check_order(order)
+        series = _model_series(model_or_table, point.x, point.y, point.beta, order)
     return series.evaluate(point.lam, point.tau)

@@ -1,4 +1,4 @@
-"""Model definitions, Taylor coefficient tables, and market-point plumbing.
+"""Models, their Taylor coefficient tables, and the market point.
 
 Dynamics are expressed in log coordinates: x is the log ETF price, y the
 auxiliary volatility state, z the log LETF price.  A model supplies the
@@ -7,16 +7,15 @@ four coefficient functions of the pricing generator,
     a = sigma^2 / 2,   b = g^2 / 2,   c = drift of y,   f = g sigma rho,
 
 and this module differentiates them analytically around an expansion
-point to any requested order.
+point to any requested order.  ``PiecewiseConstantCurve`` gives the base
+price a time-dependent variance (``expansion.price_u0``).
 """
 
 from __future__ import annotations
 
 import math
-import re
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .errors import ConfigError, DomainError, StructuralError
 
@@ -80,10 +79,11 @@ class TaylorTable:
     ``entries[name][(i, j)]`` is the coefficient of (x - xbar)^i (y - ybar)^j
     in the expansion of the named function, i.e. the (i, j) partial divided
     by i! j!.  Entries absent within the extent are zero; reads beyond the
-    extent are structural errors.
+    extent are structural errors.  The table does not record its point: a
+    named model builds it at the (x, y) it is asked for, and a table given
+    to the expansion directly is used as given.
     """
 
-    point: tuple
     extent: int
     entries: dict = field(default_factory=dict)
 
@@ -111,9 +111,6 @@ class CevModel:
     delta: float
     gamma: float
 
-    kind = "cev"
-    rho = 0.0
-
     def __post_init__(self):
         if not self.delta > 0:
             raise DomainError(f"delta must be positive, got {self.delta}")
@@ -128,7 +125,7 @@ class CevModel:
             for i in range(order + 1)
             if a00 * slope**i != 0.0
         }
-        return TaylorTable(point=(x, y), extent=order, entries={"a": a})
+        return TaylorTable(extent=order, entries={"a": a})
 
 
 @dataclass(frozen=True)
@@ -139,8 +136,6 @@ class HestonModel:
     theta: float
     delta: float
     rho: float
-
-    kind = "heston"
 
     def __post_init__(self):
         if not self.kappa >= 0:
@@ -166,7 +161,7 @@ class HestonModel:
         entries["c"][(0, 0)] -= self.kappa
         if self.rho:
             entries["f"][(0, 0)] = self.rho * self.delta
-        return TaylorTable(point=(x, y), extent=order, entries=entries)
+        return TaylorTable(extent=order, entries=entries)
 
 
 @dataclass(frozen=True)
@@ -176,8 +171,6 @@ class SabrModel:
     delta: float
     gamma: float
     rho: float
-
-    kind = "sabr"
 
     def __post_init__(self):
         if not self.delta > 0:
@@ -200,37 +193,7 @@ class SabrModel:
                     entries["f"][(i, j)] = f00 * (self.gamma - 1.0) ** i / norm
         entries["b"][(0, 0)] = 0.5 * self.delta**2
         entries["c"][(0, 0)] = -0.5 * self.delta**2
-        return TaylorTable(point=(x, y), extent=order, entries=entries)
-
-
-@dataclass(frozen=True)
-class CustomTableModel:
-    """A model given directly by its Taylor table, with no global dynamics.
-
-    The point and extent guards apply only to ``taylor_table`` queries,
-    where the model is asked to act as a model at some (x, y): it can
-    answer only at the table's own point.  The series routes read
-    ``table`` directly and use it as given.
-    """
-
-    table: TaylorTable
-
-    kind = "custom"
-    rho = 0.0
-
-    def taylor_table(self, x: float, y: float, order: int) -> TaylorTable:
-        if (x, y) != tuple(self.table.point):
-            raise ConfigError(
-                f"custom table is frozen at {self.table.point}, requested ({x}, {y})"
-            )
-        if order > self.table.extent:
-            raise ConfigError(
-                f"custom table extends to order {self.table.extent}, requested {order}"
-            )
-        return self.table
-
-
-ModelSpec = CevModel | HestonModel | SabrModel | CustomTableModel
+        return TaylorTable(extent=order, entries=entries)
 
 
 def heston_beta_map(model: HestonModel, y: float, beta: float) -> tuple[HestonModel, float]:
@@ -280,139 +243,3 @@ class PiecewiseConstantCurve:
             index = sum(1 for s in self.times if s <= left)
             total += self.values[index] * (right - left)
         return total
-
-
-@dataclass(frozen=True)
-class RateCurves:
-    """Deterministic interest rate r, dividend yield q, and expense rate c."""
-
-    r: PiecewiseConstantCurve
-    q: PiecewiseConstantCurve
-    c: PiecewiseConstantCurve
-
-    @classmethod
-    def constant(cls, r: float = 0.0, q: float = 0.0, c: float = 0.0) -> "RateCurves":
-        return cls(
-            r=PiecewiseConstantCurve.constant(r),
-            q=PiecewiseConstantCurve.constant(q),
-            c=PiecewiseConstantCurve.constant(c),
-        )
-
-    def discount(self, t: float, T: float) -> float:
-        return math.exp(-self.r.integral(t, T))
-
-
-def drift_shift(point: MarketPoint, curves: RateCurves) -> MarketPoint:
-    """Absorb deterministic carry into the state so pricing can assume
-    zero rates.
-
-    The log ETF price moves by the integrated rate net of dividends, and
-    the log LETF price by the integrated rate net of expenses and of the
-    leveraged dividend pass-through.  The caller applies the discount
-    factor to the resulting price separately.
-    """
-    r_int = curves.r.integral(point.t, point.T)
-    q_int = curves.q.integral(point.t, point.T)
-    c_int = curves.c.integral(point.t, point.T)
-    return MarketPoint(
-        t=point.t,
-        T=point.T,
-        x=point.x + r_int - q_int,
-        y=point.y,
-        z=point.z + r_int - c_int - point.beta * q_int,
-        k=point.k,
-        beta=point.beta,
-    )
-
-
-# Keys accepted in model parameter files, per model kind.
-_COMMON_KEYS = {"kind", "beta", "x0", "y0", "z0"}
-_MODEL_KEYS = {
-    "cev": {"delta", "gamma"},
-    "heston": {"kappa", "theta", "delta", "rho"},
-    "sabr": {"delta", "gamma", "rho"},
-}
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    """A parsed model parameter file."""
-
-    model: ModelSpec
-    x0: float
-    y0: float
-    z0: float
-    beta: float | None
-
-
-def parse_model_file(path) -> ModelConfig:
-    """Read a flat ``key = value`` model parameter file.
-
-    Blank lines and ``#`` comments are ignored.  Unknown keys, repeated
-    keys, and non-numeric values are configuration errors.
-    """
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read model file {path}: {exc}") from exc
-    raw: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        match = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\S+)", line)
-        if not match:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, value = match.group(1), match.group(2)
-        if key in raw:
-            raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
-        raw[key] = value
-
-    kind = raw.get("kind", "").lower()
-    if kind not in _MODEL_KEYS:
-        raise ConfigError(
-            f"{path}: 'kind' must be one of {sorted(_MODEL_KEYS)}, got {raw.get('kind')!r}"
-        )
-    allowed = _COMMON_KEYS | _MODEL_KEYS[kind]
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(
-            f"{path}: unknown keys for kind {kind!r}: {sorted(unknown)}; "
-            f"allowed keys are {sorted(allowed)}"
-        )
-    missing = _MODEL_KEYS[kind] - set(raw)
-    if missing:
-        raise ConfigError(f"{path}: missing keys for kind {kind!r}: {sorted(missing)}")
-
-    def number(key: str, default: float | None = None) -> float | None:
-        if key not in raw:
-            return default
-        try:
-            return float(raw[key])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: key {key!r} is not a number: {raw[key]!r}") from exc
-
-    try:
-        if kind == "cev":
-            model: ModelSpec = CevModel(delta=number("delta"), gamma=number("gamma"))
-        elif kind == "heston":
-            model = HestonModel(
-                kappa=number("kappa"),
-                theta=number("theta"),
-                delta=number("delta"),
-                rho=number("rho"),
-            )
-        else:
-            model = SabrModel(
-                delta=number("delta"), gamma=number("gamma"), rho=number("rho")
-            )
-    except DomainError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return ModelConfig(
-        model=model,
-        x0=number("x0", 0.0),
-        y0=number("y0", 0.0),
-        z0=number("z0", 0.0),
-        beta=number("beta", None),
-    )

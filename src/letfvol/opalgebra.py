@@ -24,7 +24,7 @@ those monomials can never reach the X- and Y-free keys the reduction keeps.
 
 Everything works with whatever number type the caller supplies: exact
 coefficients (``fractions.Fraction`` in the tests, polynomials in the
-table entries and beta when ``expansion`` compiles its chi programs) or
+table entries and beta when ``chi_compile`` compiles the chi programs) or
 floats.  All monomial bookkeeping is exact either way; only coefficient
 arithmetic inherits the input type.
 """

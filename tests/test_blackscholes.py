@@ -24,9 +24,29 @@ from letfvol.blackscholes import (
     hermite_vega_ratio,
     implied_vol,
     norm_cdf,
-    vega_ratio,
 )
 from letfvol.errors import DomainError, NoArbitrageError
+
+def vega_ratio(order: int, inputs: BsInputs) -> float:
+    """Oracle: ratio of the order-2 or order-3 sigma-derivative of the call
+    price to its vega, written out in (k - z), tau and sigma.
+
+    The expansion uses the Laurent form ``expansion.vega_ratio_coeffs``;
+    this float form checks it, and finite differences check this.
+    """
+    lam = inputs.k - inputs.z
+    sigma, tau = inputs.sigma, inputs.tau
+    if order == 2:
+        return lam * lam / (tau * sigma**3) - tau * sigma / 4.0
+    if order == 3:
+        return (
+            lam**4 / (tau**2 * sigma**6)
+            - (3.0 / (tau * sigma**4) + 1.0 / (2.0 * sigma**2)) * lam * lam
+            + tau**2 * sigma**2 / 16.0
+            - tau / 4.0
+        )
+    raise DomainError(f"vega_ratio supports orders 2 and 3, got {order}")
+
 
 # Frozen from the quadrature oracle below (sigma=0.2, tau=1, z=k=0).
 ATM_CALL_02_1Y = 0.0796557

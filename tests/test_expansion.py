@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from letfvol.blackscholes import BsInputs, bs_call_price, bs_put_price, bs_vega, hermite_vega_ratio, vega_ratio
+from letfvol.blackscholes import BsInputs, bs_call_price, bs_put_price, bs_vega, hermite_vega_ratio
 from letfvol import expansion
 from letfvol.closedform import iv_series_printed
 from letfvol.errors import ConfigError, DomainError
@@ -30,13 +30,13 @@ from letfvol.expansion import (
 )
 from letfvol.models import (
     CevModel,
-    CustomTableModel,
     HestonModel,
     MarketPoint,
     PiecewiseConstantCurve,
     SabrModel,
     TaylorTable,
 )
+from test_blackscholes import vega_ratio
 from test_opalgebra import MODEL_TABLES
 
 
@@ -53,13 +53,13 @@ def rich_table(extent=3):
             entries["b"][(i, j)] = 0.31 - 0.05 * i + 0.02 * j
             entries["c"][(i, j)] = -0.12 + 0.04 * i + 0.09 * j
             entries["f"][(i, j)] = 0.06 - 0.03 * i + 0.05 * j
-    return TaylorTable(point=(0.0, 0.0), extent=extent, entries=entries)
+    return TaylorTable(extent=extent, entries=entries)
 
 
 def flat_table(a00=0.02, extent=3):
     entries = {"a": {(i, j): 0.0 for i in range(extent + 1) for j in range(extent + 1 - i)}}
     entries["a"][(0, 0)] = a00
-    return TaylorTable(point=(0.0, 0.0), extent=extent, entries=entries)
+    return TaylorTable(extent=extent, entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +322,7 @@ def test_beta_one_matches_hand_folded_single_asset_forms():
 )
 @pytest.mark.parametrize("beta", [2.0, -2.0])
 def test_engine_matches_printed_forms(model, order, beta):
-    point = make_point(beta=beta, tau=0.6, y=-2.6 if model.kind == "heston" else -1.1)
+    point = make_point(beta=beta, tau=0.6, y=-2.6 if isinstance(model, HestonModel) else -1.1)
     table = model.taylor_table(point.x, point.y, order)
     eng = iv_series_engine(point, table, order)
     pr = iv_series_printed(model, point, order)
@@ -356,10 +356,10 @@ def test_engine_matches_general_forms_on_random_tables(
         "c": {(0, 0): c00, (1, 0): 0.17, (0, 1): -0.05, (2, 0): 0.0, (1, 1): 0.0, (0, 2): 0.0},
         "f": {(0, 0): f00, (1, 0): -0.08, (0, 1): 0.11, (2, 0): 0.0, (1, 1): 0.0, (0, 2): 0.0},
     }
-    table = TaylorTable(point=(0.0, 0.0), extent=2, entries=entries)
+    table = TaylorTable(extent=2, entries=entries)
     point = make_point(beta=beta, tau=0.9)
     eng = iv_series_engine(point, table, 2)
-    pr = iv_series_printed(CustomTableModel(table=table), point, 2)
+    pr = iv_series_printed(table, point, 2)
     for n in (1, 2):
         keys = set(eng.term(n)) | set(pr.term(n))
         for key in keys:
@@ -372,35 +372,42 @@ def test_printed_order_cap_points_to_engine():
     with pytest.raises(ConfigError, match="engine"):
         iv_series_printed(model, make_point(y=-1.3), 3)
     with pytest.raises(ConfigError, match="engine"):
-        iv_series_printed(CustomTableModel(table=rich_table()), make_point(), 3)
+        iv_series_printed(rich_table(), make_point(), 3)
+
+
+def test_printed_dispatches_on_the_type():
+    # Only the named model classes and TaylorTable have closed forms.
+    for model in (object(), rich_table().entries):
+        with pytest.raises(ConfigError):
+            iv_series_printed(model, make_point(), 1)
+    # A table one short of the order: the same DomainError as the engine.
+    with pytest.raises(DomainError):
+        iv_series_printed(rich_table(extent=1), make_point(), 2)
 
 
 def test_iv_approx_routes_agree():
     model = HestonModel(kappa=1.1, theta=0.04, delta=0.3, rho=-0.6)
     point = make_point(beta=-2.0, tau=0.5, y=-3.0)
-    engine = iv_approx(point, model, 3, method="engine")
-    printed = iv_approx(point, model, 3, method="printed")
+    engine = iv_approx(point, model, 3)
+    printed = iv_series_printed(model, point, 3).evaluate(point.lam, point.tau)
     assert engine == pytest.approx(printed, rel=1e-10)
     table = model.taylor_table(point.x, point.y, 3)
-    assert iv_approx(point, table, 3, method="engine") == pytest.approx(engine, rel=1e-14)
-    assert iv_approx(point, table, 2, method="printed") == pytest.approx(
-        iv_approx(point, CustomTableModel(table=table), 2, method="printed"), rel=1e-14
-    )
-    # A table is used as given: its own point, not (point.x, point.y), is
-    # the expansion point, on both routes.
+    assert iv_approx(point, table, 3) == pytest.approx(engine, rel=1e-14)
+    # A table is used as given: the point it was built at, not (point.x,
+    # point.y), is the expansion point, on both routes.
     elsewhere = model.taylor_table(0.0, -2.6, 3)
-    assert elsewhere.point != (point.x, point.y)
-    for given_table in (elsewhere, CustomTableModel(table=elsewhere)):
-        from_table = iv_approx(point, given_table, 2, method="engine")
-        assert iv_approx(point, given_table, 2, method="printed") == pytest.approx(from_table, rel=1e-10)
+    from_table = iv_approx(point, elsewhere, 2)
+    assert from_table != pytest.approx(iv_approx(point, model, 2), rel=1e-10)
+    printed = iv_series_printed(elsewhere, point, 2).evaluate(point.lam, point.tau)
+    assert printed == pytest.approx(from_table, rel=1e-10)
     moved = make_point(beta=-2.0, tau=0.5, x=0.0, y=-2.6)
-    assert from_table == pytest.approx(iv_approx(moved, model, 2, method="printed"), rel=1e-10)
+    printed = iv_series_printed(model, moved, 2).evaluate(moved.lam, moved.tau)
+    assert from_table == pytest.approx(printed, rel=1e-10)
     short = model.taylor_table(0.0, -2.6, 1)
-    for method in ("engine", "printed"):
-        with pytest.raises(DomainError):
-            iv_approx(point, short, 2, method=method)
-    with pytest.raises(ConfigError):
-        iv_approx(point, model, 2, method="magic")
+    with pytest.raises(DomainError):
+        iv_approx(point, short, 2)
+    with pytest.raises(DomainError):
+        iv_series_printed(short, point, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +606,15 @@ def test_series_json_round_trip():
         '{"sigma0": 0.4, "terms": [{"n": 2, "coeffs": []}]}',
         '{"sigma0": 0.4, "terms": [{"n": 1, "coeffs": [{"lam_pow": 0}]}]}',
         '{"sigma0": "forty", "terms": []}',
+        '{"sigma0": 0.4, "terms": [{"n": 1, "coeffs": [{"lam_pow": 1.5, "tau_pow": 0, "value": 0.1}]}]}',
+        '{"sigma0": 0.4, "terms": [{"n": 1, "coeffs": [{"lam_pow": 1, "tau_pow": 0, "value": 0.1}, '
+        '{"lam_pow": 1, "tau_pow": 0, "value": 0.2}]}]}',
+        '{"sigma0": 0.4, "terms": [{"n": 1, "coeffs": [{"lam_pow": 1, "tau_pow": -1, "value": 0.1}]}]}',
+        '{"sigma0": 0.4, "terms": [{"n": 1, "coeffs": [{"lam_pow": -1, "tau_pow": 0, "value": 0.1}]}]}',
+        '{"sigma0": NaN, "terms": []}',
+        '{"sigma0": -0.2, "terms": []}',
+        '{"sigma0": 0.4, "terms": [{"n": 1, "coeffs": [{"lam_pow": 1, "tau_pow": 0, "value": Infinity}]}]}',
+        '{"sigma0": 0.4, "terms": [{"n": 1, "coeffs": [{"lam_pow": 1, "tau_pow": 0, "value": NaN}]}]}',
     ],
 )
 def test_series_json_rejects_malformed(text):

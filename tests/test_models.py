@@ -1,4 +1,5 @@
-"""Tests for model definitions, Taylor tables, rates, and parameter files."""
+"""Tests for model definitions, Taylor tables, the market point, the
+Heston leverage map, and piecewise-constant time curves."""
 
 import math
 
@@ -8,16 +9,12 @@ import pytest
 from letfvol.errors import ConfigError, DomainError, StructuralError
 from letfvol.models import (
     CevModel,
-    CustomTableModel,
     HestonModel,
     MarketPoint,
     PiecewiseConstantCurve,
-    RateCurves,
     SabrModel,
     TaylorTable,
-    drift_shift,
     heston_beta_map,
-    parse_model_file,
 )
 
 # Desk parameter sets used throughout the suite.
@@ -146,7 +143,7 @@ def test_table_extent_enforced():
 
 def test_table_requires_positive_a00():
     with pytest.raises(DomainError):
-        TaylorTable(point=(0, 0), extent=1, entries={"a": {(0, 0): 0.0}})
+        TaylorTable(extent=1, entries={"a": {(0, 0): 0.0}})
 
 
 def test_gamma_one_collapses_to_flat_vol():
@@ -154,16 +151,6 @@ def test_gamma_one_collapses_to_flat_vol():
     assert table.get("a", 0, 0) == pytest.approx(0.045)
     for i in range(1, 4):
         assert table.get("a", i, 0) == 0.0
-
-
-def test_custom_table_model_guards():
-    table = CEV.taylor_table(0.0, 0.0, 2)
-    custom = CustomTableModel(table=table)
-    assert custom.taylor_table(0.0, 0.0, 2) is table
-    with pytest.raises(ConfigError):
-        custom.taylor_table(0.1, 0.0, 2)
-    with pytest.raises(ConfigError):
-        custom.taylor_table(0.0, 0.0, 3)
 
 
 def test_model_parameter_validation():
@@ -227,7 +214,7 @@ def test_heston_beta_map_state_consistency():
 
 
 # ---------------------------------------------------------------------------
-# rates
+# time curves
 
 
 def test_piecewise_curve_integral():
@@ -245,100 +232,3 @@ def test_piecewise_curve_validation():
         PiecewiseConstantCurve(times=(0.5,), values=(0.02,))
     with pytest.raises(ConfigError):
         PiecewiseConstantCurve(times=(1.0, 0.5), values=(1, 2, 3))
-
-
-def test_drift_shift_dividends_only():
-    # With a 2% dividend yield and zero rate and expense, the forward drops
-    # by the yield and the triple-leveraged fund by three times the yield.
-    point = MarketPoint(t=0.0, T=1.0, x=0.0, y=0.0, z=0.0, k=0.0, beta=3.0)
-    curves = RateCurves.constant(r=0.0, q=0.02, c=0.0)
-    shifted = drift_shift(point, curves)
-    assert shifted.x == pytest.approx(-0.02)
-    assert shifted.z == pytest.approx(-0.06)
-    assert shifted.y == point.y and shifted.k == point.k
-
-
-def test_drift_shift_full_carry():
-    point = MarketPoint(t=0.5, T=2.5, x=0.1, y=0.0, z=0.2, k=0.0, beta=2.0)
-    curves = RateCurves.constant(r=0.03, q=0.02, c=0.01)
-    shifted = drift_shift(point, curves)
-    assert shifted.x == pytest.approx(0.1 + (0.03 - 0.02) * 2.0)
-    assert shifted.z == pytest.approx(0.2 + (0.03 - 0.01 - 2 * 0.02) * 2.0)
-    assert curves.discount(point.t, point.T) == pytest.approx(math.exp(-0.06))
-
-
-def test_drift_shift_zero_rates_is_identity():
-    point = MarketPoint(t=0.0, T=1.0, x=0.3, y=-1.0, z=0.6, k=0.1, beta=2.0)
-    assert drift_shift(point, RateCurves.constant()) == point
-
-
-# ---------------------------------------------------------------------------
-# parameter files
-
-
-def write(tmp_path, text, name="model.cfg"):
-    path = tmp_path / name
-    path.write_text(text)
-    return path
-
-
-def test_parse_cev_file(tmp_path):
-    path = write(
-        tmp_path,
-        """
-        # desk calibration
-        kind = cev
-        delta = 0.2
-        gamma = -0.75
-        beta = 2
-        x0 = 0.0
-        z0 = 0.0
-        """,
-    )
-    config = parse_model_file(path)
-    assert config.model == CEV
-    assert config.beta == 2.0
-    assert config.y0 == 0.0
-
-
-def test_parse_heston_file(tmp_path):
-    path = write(
-        tmp_path,
-        "kind = heston\nkappa = 1.15\ntheta = 0.04\ndelta = 0.2\nrho = -0.4\n"
-        "y0 = -3.2188758248682006\n",
-    )
-    config = parse_model_file(path)
-    assert config.model == HESTON
-    assert config.y0 == pytest.approx(math.log(0.04))
-    assert config.beta is None
-
-
-def test_parse_rejects_unknown_key(tmp_path):
-    path = write(tmp_path, "kind = cev\ndelta = 0.2\ngamma = 0.5\nkappa = 1.0\n")
-    with pytest.raises(ConfigError, match="unknown keys"):
-        parse_model_file(path)
-
-
-def test_parse_rejects_missing_and_malformed(tmp_path):
-    with pytest.raises(ConfigError, match="missing keys"):
-        parse_model_file(write(tmp_path, "kind = sabr\ndelta = 0.5\n"))
-    with pytest.raises(ConfigError, match="expected 'key = value'"):
-        parse_model_file(write(tmp_path, "kind cev\n", name="bad.cfg"))
-    with pytest.raises(ConfigError, match="repeated key"):
-        parse_model_file(
-            write(tmp_path, "kind = cev\ndelta = 0.2\ndelta = 0.3\ngamma = 0.5\n")
-        )
-    with pytest.raises(ConfigError, match="not a number"):
-        parse_model_file(
-            write(tmp_path, "kind = cev\ndelta = big\ngamma = 0.5\n")
-        )
-    with pytest.raises(ConfigError, match="'kind'"):
-        parse_model_file(write(tmp_path, "delta = 0.2\n"))
-    with pytest.raises(ConfigError, match="cannot read"):
-        parse_model_file(tmp_path / "missing.cfg")
-
-
-def test_parse_surfaces_domain_errors_as_config_errors(tmp_path):
-    path = write(tmp_path, "kind = cev\ndelta = -0.2\ngamma = 0.5\n")
-    with pytest.raises(ConfigError):
-        parse_model_file(path)

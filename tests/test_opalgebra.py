@@ -39,7 +39,7 @@ def cev_like_table(a00=F(1, 50), slope=F(-7, 2), extent=4):
         if i:
             fact *= i
         entries["a"][(i, 0)] = a00 * slope**i / fact
-    return TaylorTable(point=(0, 0), extent=extent, entries=entries)
+    return TaylorTable(extent=extent, entries=entries)
 
 
 def full_table(extent=4):
@@ -51,7 +51,7 @@ def full_table(extent=4):
             entries["b"][(i, j)] = F(1 - i + 2 * j, 30 + 2 * i + j)
             entries["c"][(i, j)] = F(-2 + i + j, 25 + i)
             entries["f"][(i, j)] = F(1 + i - 2 * j, 35 + j)
-    return TaylorTable(point=(0, 0), extent=extent, entries=entries)
+    return TaylorTable(extent=extent, entries=entries)
 
 
 def antiderivative_simplex_weight(exponents: tuple) -> Fraction:
