@@ -11,8 +11,9 @@ class LetfVolError(Exception):
 
 class ConfigError(LetfVolError):
     """Bad caller input that is not a mathematical domain error: an unknown
-    payoff, a malformed series payload, a curve with bad breakpoints, or a
-    model or order with no closed form."""
+    payoff, a malformed series payload, an expansion input that is neither
+    a named model nor a TaylorTable, or a model or order with no closed
+    form."""
 
 
 class DomainError(LetfVolError):

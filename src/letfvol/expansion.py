@@ -43,7 +43,7 @@ from .blackscholes import (
     hermite_vega_ratio,
 )
 from .errors import ConfigError, DomainError, StructuralError
-from .models import PiecewiseConstantCurve, TaylorTable
+from .models import CevModel, HestonModel, SabrModel, TaylorTable
 # build_Ln, reduce_to_z: unused here, kept as attributes the benchmark's tracing wraps.
 from .opalgebra import build_Ln, reduce_to_z
 
@@ -124,21 +124,29 @@ def hermite_ratio_coeffs(m: int, sigma0: float) -> dict:
     return out
 
 
-def vega_ratio_coeffs(order: int, sigma0: float) -> dict:
-    """Laurent coefficients of the sigma-derivative/vega ratio at sigma0."""
+def vega_ratio_coeffs(k: int, sigma0: float) -> dict:
+    """Laurent coefficients of R_k = (d^k u/dsigma^k) / vega at sigma0, k >= 1.
+
+    R_1 = 1 and R_2 = d+ d- / sigma; each step is
+
+        R_{k+1} = dR_k/dsigma + R_k R_2.
+
+    Reading tau as sigma^-2, R_k scales as sigma^(1 - k), so its tau^t
+    coefficient carries sigma^(2t + 1 - k) and dR_k/dsigma multiplies it by
+    (2t + 1 - k) / sigma0.
+    """
+    if not isinstance(k, int) or k < 1:
+        raise DomainError(f"vega ratio order must be an integer >= 1, got {k}")
     if not sigma0 > 0:
         raise DomainError(f"base volatility must be positive, got {sigma0}")
-    if order == 2:
-        return {(2, -1): 1.0 / sigma0**3, (0, 1): -sigma0 / 4.0}
-    if order == 3:
-        return {
-            (4, -2): 1.0 / sigma0**6,
-            (2, -1): -3.0 / sigma0**4,
-            (2, 0): -1.0 / (2.0 * sigma0**2),
-            (0, 2): sigma0**2 / 16.0,
-            (0, 1): -0.25,
-        }
-    raise DomainError(f"vega ratio coefficients support orders 2 and 3, got {order}")
+    r2 = {(2, -1): 1.0 / sigma0**3, (0, 1): -sigma0 / 4.0}
+    ratio = {(0, 0): 1.0}
+    for j in range(1, k):
+        step = lp_mul(ratio, r2)
+        lp_add(step, {(lp, tp): v * (2 * tp + 1 - j) / sigma0
+                      for (lp, tp), v in ratio.items()})
+        ratio = step
+    return ratio
 
 
 @dataclass(frozen=True)
@@ -321,11 +329,12 @@ def iv_series_engine(point, table: TaylorTable, order: int) -> IvSeries:
     """Implied-vol series assembled mechanically from the Taylor table.
 
     Each correction U_n = u_n/vega is combined with the lower-order terms
-    through the Taylor-remainder recursion in the vol variable:
+    through the Taylor-remainder recursion in the vol variable (Lorig,
+    Pagliarani, Pascucci, arXiv 1306.5447):
 
-        sigma_1 = U_1
-        sigma_2 = U_2 - 1/2 sigma_1^2 R_2
-        sigma_3 = U_3 - (sigma_2 sigma_1 R_2 + sigma_1^3/6 R_3)
+        sigma_n = U_n - sum_{k=2..n} R_k/k! C(n, k),
+        C(n, k) = sum_{i_1+...+i_k=n} sigma_{i_1}...sigma_{i_k}
+                = sum_i sigma_i C(n - i, k - 1),   C(n, 1) = sigma_n,
 
     with R_k the sigma-derivative/vega ratios.  Negative tau powers and
     lam-degrees above n arise mid-assembly and must cancel; leftovers
@@ -334,45 +343,29 @@ def iv_series_engine(point, table: TaylorTable, order: int) -> IvSeries:
     _check_order(order, table)
     sigma0 = base_sigma(table, point.beta)
     corrections = _correction_dicts(table, point.beta, order)
-    terms = []
-    if order >= 1:
-        terms.append(_finalize_term(1, corrections[0]))
-    if order >= 2:
-        r2 = vega_ratio_coeffs(2, sigma0)
-        s1 = terms[0]
-        raw = dict(corrections[1])
-        lp_add(raw, lp_mul(lp_mul(s1, s1), r2), -0.5)
-        terms.append(_finalize_term(2, raw))
-    if order >= 3:
-        r3 = vega_ratio_coeffs(3, sigma0)
-        s1, s2 = terms[0], terms[1]
-        raw = dict(corrections[2])
-        lp_add(raw, lp_mul(lp_mul(s2, s1), r2), -1.0)
-        lp_add(raw, lp_mul(lp_mul(s1, s1), lp_mul(s1, r3)), -1.0 / 6.0)
-        terms.append(_finalize_term(3, raw))
+    ratios = {k: vega_ratio_coeffs(k, sigma0) for k in range(2, order + 1)}
+    compositions: dict = {}  # (n, k) -> C(n, k)
+    terms: list = []
+    for n in range(1, order + 1):
+        raw = dict(corrections[n - 1])
+        for k in range(2, n + 1):
+            total = lp_mul(terms[0], compositions[n - 1, k - 1])
+            for i in range(2, n - k + 2):
+                lp_add(total, lp_mul(terms[i - 1], compositions[n - i, k - 1]))
+            compositions[n, k] = total
+            lp_add(raw, lp_mul(total, ratios[k]), -1.0 / math.factorial(k))
+        terms.append(_finalize_term(n, raw))
+        compositions[n, 1] = terms[-1]
     return IvSeries(sigma0=sigma0, terms=tuple(terms))
 
 
-def price_u0(
-    point,
-    table: TaylorTable,
-    payoff: str = "call",
-    a00_curve: PiecewiseConstantCurve | None = None,
-) -> float:
-    """Base price: Black-Scholes at the flat volatility |beta| sqrt(2 a00).
-
-    With ``a00_curve`` the variance uses the time integral of the curve
-    over [t, T] instead of the frozen table entry; only this base term
-    supports time dependence.
-    """
+def price_u0(point, table: TaylorTable, payoff: str = "call") -> float:
+    """Base price: Black-Scholes at the flat volatility |beta| sqrt(2 a00)."""
     _check_payoff(payoff)
     tau = point.T - point.t
     if not tau >= MIN_TAU:
         raise DomainError(f"maturity must be >= {MIN_TAU}, got {tau}")
-    if a00_curve is None:
-        variance = 2.0 * point.beta**2 * table.get("a", 0, 0) * tau
-    else:
-        variance = 2.0 * point.beta**2 * a00_curve.integral(point.t, point.T)
+    variance = 2.0 * point.beta**2 * table.get("a", 0, 0) * tau
     if not variance > 0 or not math.isfinite(variance):
         raise DomainError(f"degenerate base variance {variance}")
     inputs = BsInputs(
@@ -425,12 +418,16 @@ def iv_approx(point, model_or_table, order: int) -> float:
     (point.x, point.y); being frozen, it is hashable by value, and its
     series is assembled once per (model, point.x, point.y, point.beta,
     order), with the last SERIES_CACHE_SIZE kept, so a smile's strikes
-    share one assembly.
+    share one assembly.  Anything else raises ConfigError.
     """
     if isinstance(model_or_table, TaylorTable):
         series = iv_series_engine(point, model_or_table, order)
-    else:
+    elif isinstance(model_or_table, (CevModel, HestonModel, SabrModel)):
         # Before the lookup: 1.0 == 1 would otherwise hit the order-1 series.
         _check_order(order)
         series = _model_series(model_or_table, point.x, point.y, point.beta, order)
+    else:
+        raise ConfigError(
+            f"expected a TaylorTable or a named model, got {type(model_or_table).__name__}"
+        )
     return series.evaluate(point.lam, point.tau)

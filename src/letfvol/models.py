@@ -7,8 +7,7 @@ four coefficient functions of the pricing generator,
     a = sigma^2 / 2,   b = g^2 / 2,   c = drift of y,   f = g sigma rho,
 
 and this module differentiates them analytically around an expansion
-point to any requested order.  ``PiecewiseConstantCurve`` gives the base
-price a time-dependent variance (``expansion.price_u0``).
+point to any requested order.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, DomainError, StructuralError
+from .errors import DomainError, StructuralError
 
 TYPICAL_BETAS = (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0)
 
@@ -212,34 +211,3 @@ def heston_beta_map(model: HestonModel, y: float, beta: float) -> tuple[HestonMo
         rho=math.copysign(1.0, beta) * model.rho,
     )
     return mapped, y + math.log(beta * beta)
-
-
-@dataclass(frozen=True)
-class PiecewiseConstantCurve:
-    """Right-open piecewise-constant function of time with exact integrals."""
-
-    times: tuple
-    values: tuple
-
-    def __post_init__(self):
-        if len(self.values) != len(self.times) + 1:
-            raise ConfigError(
-                f"need len(values) == len(times) + 1, got {len(self.values)} "
-                f"and {len(self.times)}"
-            )
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise ConfigError(f"breakpoints must increase, got {self.times}")
-
-    @classmethod
-    def constant(cls, value: float) -> "PiecewiseConstantCurve":
-        return cls(times=(), values=(value,))
-
-    def integral(self, t: float, T: float) -> float:
-        if T < t:
-            raise DomainError(f"need T >= t, got t={t}, T={T}")
-        grid = [t] + [s for s in self.times if t < s < T] + [T]
-        total = 0.0
-        for left, right in zip(grid, grid[1:]):
-            index = sum(1 for s in self.times if s <= left)
-            total += self.values[index] * (right - left)
-        return total

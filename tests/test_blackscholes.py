@@ -28,7 +28,7 @@ from letfvol.blackscholes import (
 from letfvol.errors import DomainError, NoArbitrageError
 
 def vega_ratio(order: int, inputs: BsInputs) -> float:
-    """Oracle: ratio of the order-2 or order-3 sigma-derivative of the call
+    """Oracle: ratio of the order-2, 3 or 4 sigma-derivative of the call
     price to its vega, written out in (k - z), tau and sigma.
 
     The expansion uses the Laurent form ``expansion.vega_ratio_coeffs``;
@@ -45,7 +45,18 @@ def vega_ratio(order: int, inputs: BsInputs) -> float:
             + tau**2 * sigma**2 / 16.0
             - tau / 4.0
         )
-    raise DomainError(f"vega_ratio supports orders 2 and 3, got {order}")
+    if order == 4:
+        return (
+            lam**6 / (sigma**9 * tau**3)
+            - 9.0 * lam**4 / (sigma**7 * tau**2)
+            - 3.0 * lam**4 / (4.0 * sigma**5 * tau)
+            + 12.0 * lam**2 / (sigma**5 * tau)
+            + 3.0 * lam**2 / (2.0 * sigma**3)
+            + 3.0 * lam**2 * tau / (16.0 * sigma)
+            + 3.0 * sigma * tau**2 / 16.0
+            - sigma**3 * tau**3 / 64.0
+        )
+    raise DomainError(f"vega_ratio supports orders 2 to 4, got {order}")
 
 
 # Frozen from the quadrature oracle below (sigma=0.2, tau=1, z=k=0).
@@ -171,7 +182,7 @@ def test_vega_ratio_atm_closed_forms():
 
 def test_vega_ratio_rejects_unsupported_order():
     with pytest.raises(DomainError):
-        vega_ratio(4, BsInputs(0.2, 1.0, 0.0, 0.0))
+        vega_ratio(5, BsInputs(0.2, 1.0, 0.0, 0.0))
 
 
 def test_vega_ratio_matches_finite_differences():
@@ -192,6 +203,10 @@ def test_vega_ratio_matches_finite_differences():
             want = deriv_fd / vega_fd
             got = vega_ratio(order, BsInputs(sigma, tau, z, k))
             assert abs(got - want) <= 1e-6 * max(abs(want), 1e-2)
+        # The fourth derivative needs a wider step and one more point a side.
+        want = fd_derivative(price_of_sigma, sigma, 4, 0.03 * sigma, 5) / vega_fd
+        got = vega_ratio(4, BsInputs(sigma, tau, z, k))
+        assert abs(got - want) <= 1e-5 * max(abs(want), 1e-2)
 
 
 def test_hermite_ratio_base_case():

@@ -32,7 +32,6 @@ from letfvol.models import (
     CevModel,
     HestonModel,
     MarketPoint,
-    PiecewiseConstantCurve,
     SabrModel,
     TaylorTable,
 )
@@ -118,14 +117,24 @@ def test_vega_ratio_coeffs_match_finite_differences():
             richardson = (4.0 * fd(h / 2) - fd(h)) / 3.0
             want = richardson / bs_vega(BsInputs(sigma=sigma0, tau=tau, z=z, k=k))
             assert lp_eval(coeffs, lam, tau) == pytest.approx(want, rel=2e-6, abs=1e-8)
+    # Generated orders against the written-out oracle, itself checked by
+    # finite differences in test_blackscholes.
+    assert vega_ratio_coeffs(1, sigma0) == {(0, 0): 1.0}
+    for order in (2, 3, 4):
+        coeffs = vega_ratio_coeffs(order, sigma0)
+        for k in (-0.15, 0.0, 0.2):
             assert vega_ratio(order, BsInputs(sigma=sigma0, tau=tau, z=z, k=k)) == pytest.approx(
-                lp_eval(coeffs, lam, tau), rel=1e-12
+                lp_eval(coeffs, k - z, tau), rel=1e-12
             )
 
 
 def test_vega_ratio_coeffs_rejects_unsupported_order():
-    with pytest.raises(DomainError):
-        vega_ratio_coeffs(4, 0.3)
+    for order in (0, -1, 1.5):
+        with pytest.raises(DomainError):
+            vega_ratio_coeffs(order, 0.3)
+    for sigma0 in (0.0, -0.3, float("nan")):
+        with pytest.raises(DomainError):
+            vega_ratio_coeffs(2, sigma0)
 
 
 # ---------------------------------------------------------------------------
@@ -146,23 +155,6 @@ def test_base_price_put_and_parity():
     call = price_u0(point, table, payoff="call")
     put = price_u0(point, table, payoff="put")
     assert call - put == pytest.approx(math.exp(point.z) - math.exp(point.k), abs=1e-14)
-
-
-def test_base_price_curve_route():
-    table = flat_table(a00=0.02)
-    point = make_point(beta=2.0, tau=1.0)
-    flat_curve = PiecewiseConstantCurve.constant(0.02)
-    assert price_u0(point, table, a00_curve=flat_curve) == pytest.approx(
-        price_u0(point, table), rel=1e-15
-    )
-    stepped = PiecewiseConstantCurve(times=(0.5,), values=(0.01, 0.03))
-    # Same integrated variance as the flat curve, so the same base price.
-    assert stepped.integral(0.0, 1.0) == pytest.approx(0.02, rel=1e-15)
-    assert price_u0(point, table, a00_curve=stepped) == pytest.approx(
-        price_u0(point, table), rel=1e-15
-    )
-    tilted = PiecewiseConstantCurve(times=(0.5,), values=(0.01, 0.05))
-    assert price_u0(point, table, a00_curve=tilted) > price_u0(point, table)
 
 
 def test_base_price_guards():
@@ -383,6 +375,14 @@ def test_printed_dispatches_on_the_type():
     # A table one short of the order: the same DomainError as the engine.
     with pytest.raises(DomainError):
         iv_series_printed(rich_table(extent=1), make_point(), 2)
+
+
+def test_iv_approx_rejects_what_is_not_an_expansion_input():
+    # Neither a named model nor a TaylorTable: ConfigError, not a bare
+    # AttributeError or an unhashable-key TypeError.
+    for model in (object(), rich_table().entries):
+        with pytest.raises(ConfigError):
+            iv_approx(make_point(), model, 2)
 
 
 def test_iv_approx_routes_agree():

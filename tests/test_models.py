@@ -1,17 +1,16 @@
-"""Tests for model definitions, Taylor tables, the market point, the
-Heston leverage map, and piecewise-constant time curves."""
+"""Tests for model definitions, Taylor tables, the market point and the
+Heston leverage map."""
 
 import math
 
 import numpy as np
 import pytest
 
-from letfvol.errors import ConfigError, DomainError, StructuralError
+from letfvol.errors import DomainError, StructuralError
 from letfvol.models import (
     CevModel,
     HestonModel,
     MarketPoint,
-    PiecewiseConstantCurve,
     SabrModel,
     TaylorTable,
     heston_beta_map,
@@ -211,24 +210,3 @@ def test_heston_beta_map_state_consistency():
     y = -2.7
     _, y_mapped = heston_beta_map(HESTON, y, beta=-3.0)
     assert math.exp(y_mapped) == pytest.approx(9.0 * math.exp(y))
-
-
-# ---------------------------------------------------------------------------
-# time curves
-
-
-def test_piecewise_curve_integral():
-    curve = PiecewiseConstantCurve(times=(0.5, 1.0), values=(0.02, 0.04, 0.01))
-    assert curve.integral(0.0, 0.5) == pytest.approx(0.01)
-    assert curve.integral(0.25, 0.75) == pytest.approx(0.25 * 0.02 + 0.25 * 0.04)
-    assert curve.integral(0.0, 2.0) == pytest.approx(0.01 + 0.02 + 0.01)
-    assert curve.integral(0.0, 0.3) + curve.integral(0.3, 2.0) == pytest.approx(
-        curve.integral(0.0, 2.0)
-    )
-
-
-def test_piecewise_curve_validation():
-    with pytest.raises(ConfigError):
-        PiecewiseConstantCurve(times=(0.5,), values=(0.02,))
-    with pytest.raises(ConfigError):
-        PiecewiseConstantCurve(times=(1.0, 0.5), values=(1, 2, 3))
