@@ -1,6 +1,7 @@
 """Tests for the price and implied-vol series assembly."""
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -126,6 +127,41 @@ def test_vega_ratio_coeffs_match_finite_differences():
             assert vega_ratio(order, BsInputs(sigma=sigma0, tau=tau, z=z, k=k)) == pytest.approx(
                 lp_eval(coeffs, k - z, tau), rel=1e-12
             )
+
+
+def z_route_vega_ratio(k, inputs):
+    """Oracle: R_k through z-derivatives, for any k the Hermite ratios reach.
+
+    The price depends on sigma only through s = sigma^2 tau, with
+    du/ds = D u / 2 and D = Dz^2 - Dz, so Faa di Bruno on s(sigma) gives
+
+        d^k u/dsigma^k = sum_j (D^j u / 2^j) k! / ((2j-k)! (k-j)!)
+                         (2 sigma tau)^(2j-k) tau^(k-j),
+
+    and D^j u = sum_i C(j-1, i) (-1)^(j-1-i) Dz^(j-1+i) D u is a sum of
+    hermite_vega_ratio values times vega.
+    """
+    sigma, tau = inputs.sigma, inputs.tau
+    total = 0.0
+    for j in range((k + 1) // 2, k + 1):
+        d_power = sum(
+            math.comb(j - 1, i) * (-1) ** (j - 1 - i) * hermite_vega_ratio(j - 1 + i, inputs)
+            for i in range(j)
+        )
+        weight = math.factorial(k) / (math.factorial(2 * j - k) * math.factorial(k - j))
+        total += d_power / 2.0**j * weight * (2.0 * sigma * tau) ** (2 * j - k) * tau ** (k - j)
+    return total
+
+
+def test_vega_ratio_coeffs_match_the_z_derivative_route():
+    # Orders past the written-out oracle, through a route that shares no
+    # code with the sigma-step generator.
+    sigma0, tau, z = 0.27, 0.6, -0.02
+    for order in range(1, 7):
+        coeffs = vega_ratio_coeffs(order, sigma0)
+        for k in (-0.15, 0.0, 0.2):
+            want = z_route_vega_ratio(order, BsInputs(sigma=sigma0, tau=tau, z=z, k=k))
+            assert lp_eval(coeffs, k - z, tau) == pytest.approx(want, rel=1e-10), (order, k)
 
 
 def test_vega_ratio_coeffs_rejects_unsupported_order():
@@ -357,6 +393,30 @@ def test_engine_matches_general_forms_on_random_tables(
         for key in keys:
             e, p = eng.term(n).get(key, 0.0), pr.term(n).get(key, 0.0)
             assert e == pytest.approx(p, rel=1e-9, abs=1e-11), (n, key)
+
+
+@pytest.mark.parametrize("beta", [2.0, -3.0])
+def test_engine_terms_solve_the_composition_sum_pointwise(beta):
+    # Each sigma_n against the recursion written over explicit compositions,
+    # fed by the price route's corrections U_n = u_n / vega (Hermite values,
+    # not Laurent dicts) and the written-out vega ratios.
+    table = rich_table()
+    for tau, k in ((0.4, -0.08), (0.9, 0.15)):
+        point = make_point(beta=beta, tau=tau, k=k)
+        series = iv_series_engine(point, table, MAX_ORDER)
+        inputs = BsInputs(sigma=series.sigma0, tau=tau, z=point.z, k=k)
+        corrections = [u / bs_vega(inputs) for u in price_uN(point, table, MAX_ORDER).terms]
+        sigmas = [lp_eval(series.term(n), point.lam, tau) for n in range(1, MAX_ORDER + 1)]
+        for n in range(1, MAX_ORDER + 1):
+            want = corrections[n - 1]
+            for order in range(2, n + 1):
+                compositions = sum(
+                    math.prod(sigmas[i - 1] for i in parts)
+                    for parts in itertools.product(range(1, n), repeat=order)
+                    if sum(parts) == n
+                )
+                want -= vega_ratio(order, inputs) / math.factorial(order) * compositions
+            assert sigmas[n - 1] == pytest.approx(want, rel=1e-9, abs=1e-12), (n, tau, k)
 
 
 def test_printed_order_cap_points_to_engine():
