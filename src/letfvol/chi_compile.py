@@ -1,6 +1,7 @@
-"""Writes ``chi_programs.jsonl``, which ``expansion`` reads: the operator
-algebra run once per order on a symbolic table and beta.  Not imported at
-run time; regenerate with ``PYTHONPATH=src python3 -m letfvol.chi_compile``."""
+"""Writes ``chi_programs.jsonl``, which ``expansion`` reads: the generator
+of ``opalgebra`` run once per order on a symbolic table and beta.  Not
+imported at run time; regenerate with
+``PYTHONPATH=src python3 -m letfvol.chi_compile``."""
 
 import json
 import math
@@ -16,7 +17,7 @@ class _Symbolic:
     """Polynomial with Fraction coefficients in the table entries and beta.
 
     A monomial is the sorted tuple of its variable indices, one per unit
-    of power.  Supports what the operator algebra asks of a coefficient:
+    of power.  Supports what the generator asks of a coefficient:
     sums, negation, products with numbers and with each other, and tests
     against 0.
     """
@@ -105,11 +106,11 @@ def compile_chi_programs() -> list:
     ]
     for n in range(1, MAX_ORDER + 1):
         table = _SymbolicTable(n)
-        chi = reduce_to_z(build_Ln(table, n, beta)).chi
+        chi = reduce_to_z(build_Ln(table, n, beta))
         coeffs = [
             (m, tau_pow, coeff)
             for m in sorted(chi)
-            for (tau_pow,), coeff in sorted(chi[m].terms.items())
+            for tau_pow, coeff in sorted(chi[m].items())
         ]
         monos = [mono for _, _, coeff in coeffs for mono in coeff.terms]
         monomials = sorted({mono[mono.count(_BETA) :] for mono in monos})

@@ -11,7 +11,7 @@ with symbolic entries and beta (``letfvol.chi_compile``), and its result
 is committed as data in ``chi_programs.jsonl``, one order per line, which
 is read and parsed for an order on its first use.  ``reduced_Ln`` evaluates
 the order-n program for one table and beta, with that table's number
-type, as {m: {tau_power: coeff}}; it equals the chi of
+type, as {m: {tau_power: coeff}}; it equals
 ``reduce_to_z(build_Ln(table, n, beta))``, which the tests check along
 with the committed file itself.  Regenerate the file with
 
@@ -258,7 +258,7 @@ def _chi_program(n: int) -> dict:
 
 
 def reduced_Ln(table: TaylorTable, n: int, beta) -> dict:
-    """reduce_to_z(build_Ln(table, n, beta)).chi, from the compiled order-n program.
+    """reduce_to_z(build_Ln(table, n, beta)), from the compiled order-n program.
 
     Returns chi as {m: {tau_power: coeff}}, only nonzero weights kept.
     Coefficients inherit the number type of the table and beta, so a

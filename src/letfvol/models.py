@@ -46,6 +46,8 @@ class MarketPoint:
         z: log LETF price.
         k: log strike on the LETF.
         beta: leverage ratio of the LETF.
+
+    Every field must be finite.
     """
 
     t: float
@@ -57,6 +59,9 @@ class MarketPoint:
     beta: float
 
     def __post_init__(self):
+        for name in ("t", "T", "x", "y", "z", "k"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.T > self.t:
             raise DomainError(f"need T > t, got t={self.t}, T={self.T}")
         check_beta(self.beta)
@@ -111,10 +116,10 @@ class CevModel:
     gamma: float
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise DomainError(f"delta must be positive, got {self.delta}")
-        if self.gamma > 1.0:
-            raise DomainError(f"gamma must be <= 1, got {self.gamma}")
+        if not self.delta > 0 or not math.isfinite(self.delta):
+            raise DomainError(f"delta must be positive and finite, got {self.delta}")
+        if not self.gamma <= 1.0 or not math.isfinite(self.gamma):
+            raise DomainError(f"gamma must be finite and <= 1, got {self.gamma}")
 
     def taylor_table(self, x: float, y: float, order: int) -> TaylorTable:
         a00 = 0.5 * self.delta**2 * math.exp(2.0 * (self.gamma - 1.0) * x)
@@ -137,12 +142,12 @@ class HestonModel:
     rho: float
 
     def __post_init__(self):
-        if not self.kappa >= 0:
-            raise DomainError(f"kappa must be nonnegative, got {self.kappa}")
-        if not self.theta > 0:
-            raise DomainError(f"theta must be positive, got {self.theta}")
-        if not self.delta > 0:
-            raise DomainError(f"delta must be positive, got {self.delta}")
+        if not self.kappa >= 0 or not math.isfinite(self.kappa):
+            raise DomainError(f"kappa must be nonnegative and finite, got {self.kappa}")
+        if not self.theta > 0 or not math.isfinite(self.theta):
+            raise DomainError(f"theta must be positive and finite, got {self.theta}")
+        if not self.delta > 0 or not math.isfinite(self.delta):
+            raise DomainError(f"delta must be positive and finite, got {self.delta}")
         if not -1.0 < self.rho < 1.0:
             raise DomainError(f"rho must lie in (-1, 1), got {self.rho}")
 
@@ -172,10 +177,10 @@ class SabrModel:
     rho: float
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise DomainError(f"delta must be positive, got {self.delta}")
-        if self.gamma > 1.0:
-            raise DomainError(f"gamma must be <= 1, got {self.gamma}")
+        if not self.delta > 0 or not math.isfinite(self.delta):
+            raise DomainError(f"delta must be positive and finite, got {self.delta}")
+        if not self.gamma <= 1.0 or not math.isfinite(self.gamma):
+            raise DomainError(f"gamma must be finite and <= 1, got {self.gamma}")
         if not -1.0 < self.rho < 1.0:
             raise DomainError(f"rho must lie in (-1, 1), got {self.rho}")
 

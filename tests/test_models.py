@@ -163,6 +163,20 @@ def test_model_parameter_validation():
         HestonModel(kappa=1.0, theta=0.04, delta=0.2, rho=1.0)
     with pytest.raises(DomainError):
         SabrModel(delta=0.5, gamma=2.0, rho=0.0)
+    nan, inf = math.nan, math.inf
+    for bad in (
+        dict(delta=0.2, gamma=nan),
+        dict(delta=0.2, gamma=-inf),
+        dict(delta=inf, gamma=0.5),
+        dict(delta=nan, gamma=0.5),
+    ):
+        with pytest.raises(DomainError):
+            CevModel(**bad)
+        with pytest.raises(DomainError):
+            SabrModel(rho=0.0, **bad)
+    for bad in (dict(kappa=inf), dict(theta=inf), dict(delta=inf)):
+        with pytest.raises(DomainError):
+            HestonModel(**{**dict(kappa=1.0, theta=0.04, delta=0.2, rho=0.0), **bad})
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +196,15 @@ def test_market_point_validation():
         MarketPoint(t=0.0, T=1.0, x=0, y=0, z=0, k=0, beta=0.0)
     with pytest.warns(UserWarning):
         MarketPoint(t=0.0, T=1.0, x=0, y=0, z=0, k=0, beta=1.5)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["t", "T", "x", "y", "z", "k", "beta"])
+def test_market_point_rejects_non_finite_fields(field, value):
+    fields = dict(t=0.0, T=1.0, x=0.0, y=-1.0, z=0.0, k=0.1, beta=2.0)
+    fields[field] = value
+    with pytest.raises(DomainError):
+        MarketPoint(**fields)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,17 @@
-"""Tests for the sparse normal-ordered operator algebra.
+"""Tests for the generator of the integrated operators, against an oracle.
+
+The oracle below forms the full, unpruned product of the expansion
+generators in normal order and divides its pure-z part exactly by
+Dz^2 - Dz.  It shares no code with ``letfvol.opalgebra``, which forms only
+what that division reads, on commuting symbols.
 
 Exact-arithmetic fixtures use Fraction coefficients throughout, so every
 equality below is exact unless a tolerance is spelled out.
 """
 
+import functools
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,20 +20,7 @@ from hypothesis import strategies as st
 
 from letfvol.errors import DomainError, StructuralError
 from letfvol.models import CevModel, HestonModel, SabrModel, TaylorTable
-from letfvol.opalgebra import (
-    N_MAX,
-    OperatorPoly,
-    TimePoly,
-    _normal_order_product,
-    build_Ank,
-    build_Gn,
-    build_Ln,
-    build_M_shift,
-    compositions,
-    reduce_to_z,
-    simplex_integrate_poly,
-    simplex_weight,
-)
+from letfvol.opalgebra import build_Ln, reduce_to_z, simplex_weight
 
 F = Fraction
 
@@ -54,6 +48,7 @@ def full_table(extent=4):
     return TaylorTable(extent=extent, entries=entries)
 
 
+@functools.lru_cache(maxsize=None)
 def antiderivative_simplex_weight(exponents: tuple) -> Fraction:
     """Oracle for ``simplex_weight``: antidifferentiate one variable at a time.
 
@@ -82,126 +77,282 @@ def antiderivative_simplex_weight(exponents: tuple) -> Fraction:
     return coeff
 
 
+# ---------------------------------------------------------------------------
+# The oracle: normal-ordered operators.  An operator is a dict from
+# (X, Y, Dx, Dy, Dz, tau, u_1, u_2, ...) powers to a coefficient: the
+# multiplications X = x - xbar and Y = y - ybar act after the derivatives,
+# and the time powers (tau first, then the elapsed times u_j) have their
+# trailing zeros trimmed.  Zero coefficients are never stored.
+
+ONE = (0, 0, 0, 0, 0)
+
+
+def op(terms: dict) -> dict:
+    out = {}
+    for key, coeff in terms.items():
+        key = tuple(key)
+        while len(key) > 5 and key[-1] == 0:
+            key = key[:-1]
+        _accumulate(out, key, coeff)
+    return out
+
+
+def _accumulate(out: dict, key: tuple, coeff) -> None:
+    acc = out.get(key, 0) + coeff
+    if acc == 0:
+        out.pop(key, None)
+    else:
+        out[key] = acc
+
+
+def op_add(*ops) -> dict:
+    out = {}
+    for o in ops:
+        for key, coeff in o.items():
+            _accumulate(out, key, coeff)
+    return out
+
+
+def op_scale(o: dict, factor) -> dict:
+    return op({key: coeff * factor for key, coeff in o.items()})
+
+
+def normal_order(k1: tuple, k2: tuple):
+    """Monomial product in normal order: multiplications left, derivatives right.
+
+    Moving the left factor's derivatives past the right factor's
+    multiplications uses Dx^i X^p = sum_r C(i, r) p!/(p-r)! X^(p-r) Dx^(i-r),
+    coordinatewise in x and y; Dz commutes with everything because no
+    monomial carries a z multiplication.  Yields (operator powers, integer
+    count) pairs, time powers left out.
+    """
+    xm1, ym1, dx1, dy1, dz1 = k1[:5]
+    xm2, ym2, dx2, dy2, dz2 = k2[:5]
+    for r in range(min(dx1, xm2) + 1):
+        cx = math.comb(dx1, r) * math.perm(xm2, r)
+        for s in range(min(dy1, ym2) + 1):
+            cy = math.comb(dy1, s) * math.perm(ym2, s)
+            yield (xm1 + xm2 - r, ym1 + ym2 - s, dx1 + dx2 - r, dy1 + dy2 - s, dz1 + dz2), cx * cy
+
+
+def op_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            # Both time tails are trimmed, so their sum is too.
+            time = tuple(map(sum, itertools.zip_longest(k1[5:], k2[5:], fillvalue=0)))
+            for head, count in normal_order(k1, k2):
+                _accumulate(out, head + time, count * c1 * c2)
+    return out
+
+
+def op_pow(o: dict, exponent: int) -> dict:
+    out = {ONE: 1}
+    for _ in range(exponent):
+        out = op_mul(out, o)
+    return out
+
+
+def u(index: int) -> dict:
+    """The elapsed time u_index as an operator."""
+    return {ONE + (0,) * index + (1,): 1}
+
+
+def build_Ank(table, n, k, beta):
+    """Taylor block of the generator with x-order n-k and y-order k."""
+    a, b, c, f = (table.get(name, n - k, k) for name in "abcf")
+    return op(
+        {
+            (0, 0, 2, 0, 0): a,
+            (0, 0, 1, 0, 0): -a,
+            (0, 0, 0, 0, 2): a * beta * beta,
+            (0, 0, 0, 0, 1): -a * beta * beta,
+            (0, 0, 1, 0, 1): 2 * beta * a,
+            (0, 0, 0, 2, 0): b,
+            (0, 0, 0, 1, 0): c,
+            (0, 0, 1, 1, 0): f,
+            (0, 0, 0, 1, 1): beta * f,
+        }
+    )
+
+
+def build_M_shift(which, table, beta, time_index=1):
+    """Centered shift X + u B_x or Y + u B_y at the elapsed time u_time_index."""
+    a00, b00, c00, f00 = (table.get(name, 0, 0) for name in "abcf")
+    if which == "x":
+        mult, body = (1, 0, 0, 0, 0), {
+            (0, 0, 1, 0, 0): 2 * a00,
+            (0, 0, 0, 0, 1): 2 * beta * a00,
+            (0, 0, 0, 0, 0): -a00,
+            (0, 0, 0, 1, 0): f00,
+        }
+    elif which == "y":
+        mult, body = (0, 1, 0, 0, 0), {
+            (0, 0, 1, 0, 0): f00,
+            (0, 0, 0, 0, 1): beta * f00,
+            (0, 0, 0, 1, 0): 2 * b00,
+            (0, 0, 0, 0, 0): c00,
+        }
+    else:
+        raise DomainError(f"shift must be 'x' or 'y', got {which!r}")
+    return op_add({mult: 1}, op_mul(op(body), u(time_index)))
+
+
+def build_Gn(table, n, beta, time_index=1):
+    """Order-n generator at u_time_index: sum_k M_y^k M_x^(n-k) A_{n-k,k}."""
+    mx = build_M_shift("x", table, beta, time_index)
+    my = build_M_shift("y", table, beta, time_index)
+    return op_add(
+        *(
+            op_mul(op_pow(my, k), op_mul(op_pow(mx, n - k), build_Ank(table, n, k, beta)))
+            for k in range(n + 1)
+        )
+    )
+
+
+def compositions(n, k):
+    """Ordered tuples of k positive integers summing to n."""
+    for cuts in itertools.combinations(range(1, n), k - 1):
+        bounds = (0,) + cuts + (n,)
+        yield tuple(bounds[i + 1] - bounds[i] for i in range(k))
+
+
+def simplex_integrate(o: dict, k: int) -> dict:
+    """Integrate the u_1..u_k powers over the ordered simplex; leaves tau powers."""
+    out = {}
+    for key, coeff in o.items():
+        time = key[5:]
+        if time and time[0]:
+            raise StructuralError("simplex integrand already contains tau")
+        if len(time) > k + 1:
+            raise StructuralError(f"integrand uses u{len(time) - 1}, only {k} exist")
+        us = time[1:] + (0,) * (k + 1 - max(len(time), 1))
+        weight = antiderivative_simplex_weight(us)
+        _accumulate(out, key[:5] + (k + sum(us),), coeff * weight)
+    return out
+
+
 def unpruned_Ln(table, n, beta):
-    """Oracle for ``build_Ln``: every generator factor in full, no monomial dropped."""
-    total = OperatorPoly.zero()
+    """L_n with every generator factor in full and no monomial dropped."""
+    total = {}
     for k in range(1, n + 1):
         for comp in compositions(n, k):
-            product = None
+            product = {ONE: 1}
             for j, order in enumerate(comp):
-                factor = build_Gn(table, order, beta, time_index=j + 1)
-                product = factor if product is None else product * factor
-            integrated = OperatorPoly()
-            for key, poly in product.terms.items():
-                integrated.terms[key] = simplex_integrate_poly(poly, k)
-            total = total + integrated
+                product = op_mul(product, build_Gn(table, order, beta, time_index=j + 1))
+            total = op_add(total, simplex_integrate(product, k))
     return total
 
 
-def op(**monomials):
-    """Shorthand builder: op(X=..., Dx=...) with 5-tuple keys spelled out."""
-    return OperatorPoly(monomials)
+def divide_to_z(o: dict, tol: float = 1e-9) -> dict:
+    """Pure-z part at the expansion point, divided by Dz^2 - Dz: {m: {tau power: coeff}}.
+
+    Monomials with an X, Y, Dx or Dy power are dropped; the rest must
+    factor through Dz^2 - Dz, exactly for exact coefficients and to a
+    relative ``tol`` for floats, or StructuralError is raised.
+    """
+    coeffs = {}
+    for key, coeff in o.items():
+        if key[:4] == (0, 0, 0, 0):
+            tau_power = key[5] if len(key) > 5 else 0
+            coeffs.setdefault(key[4], {})[tau_power] = coeff
+    # Synthetic division: Dz^d = Dz^(d-2) (Dz^2 - Dz) + Dz^(d-1).
+    chi = {}
+    for d in range(max(coeffs, default=0), 1, -1):
+        lead = coeffs.pop(d, {})
+        if lead:
+            chi[d - 2] = lead
+            coeffs[d - 1] = op_add(coeffs.get(d - 1, {}), lead)
+    remainder = [c for part in coeffs.values() for c in part.values()]
+    if any(isinstance(c, float) for c in remainder):
+        scale = max(max(abs(c) for c in o.values()), 1)
+        if max(abs(c) for c in remainder) > tol * scale:
+            raise StructuralError(f"pure-z part not divisible by Dz^2 - Dz: {remainder}")
+    elif remainder:
+        raise StructuralError(f"pure-z part not divisible by Dz^2 - Dz: {remainder}")
+    return chi
 
 
 # ---------------------------------------------------------------------------
-# polynomial layers
+# the oracle's algebra
 
 
 def test_poly_mul_dz_example():
-    dz = OperatorPoly({(0, 0, 0, 0, 1): 1})
-    dz2_minus_dz = OperatorPoly({(0, 0, 0, 0, 2): 1, (0, 0, 0, 0, 1): -1})
-    want = OperatorPoly({(0, 0, 0, 0, 3): 1, (0, 0, 0, 0, 2): -1})
-    assert (dz * dz2_minus_dz).equals(want)
+    dz = op({(0, 0, 0, 0, 1): 1})
+    dz2_minus_dz = op({(0, 0, 0, 0, 2): 1, (0, 0, 0, 0, 1): -1})
+    want = op({(0, 0, 0, 0, 3): 1, (0, 0, 0, 0, 2): -1})
+    assert op_mul(dz, dz2_minus_dz) == want
 
 
 def test_operator_pow_matches_repeated_mul():
-    o = OperatorPoly(
-        {(1, 0, 0, 0, 0): F(2), (0, 0, 1, 0, 0): F(-1), (0, 0, 0, 0, 0): F(3)}
-    )
-    assert (o**3).equals(o * o * o)
-    assert (o**0).equals(OperatorPoly.identity())
+    o = op({(1, 0, 0, 0, 0): F(2), (0, 0, 1, 0, 0): F(-1), (0, 0, 0, 0, 0): F(3)})
+    assert op_pow(o, 3) == op_mul(op_mul(o, o), o)
+    assert op_pow(o, 0) == {ONE: 1}
 
 
 def test_exchange_rule_first_order():
     # Dx X = X Dx + 1: the derivative consumes the multiplication once.
-    dx = OperatorPoly({(0, 0, 1, 0, 0): F(1)})
-    x_mult = OperatorPoly({(1, 0, 0, 0, 0): F(1)})
-    want = OperatorPoly({(1, 0, 1, 0, 0): F(1), (0, 0, 0, 0, 0): F(1)})
-    assert (dx * x_mult).equals(want)
+    dx = op({(0, 0, 1, 0, 0): F(1)})
+    x_mult = op({(1, 0, 0, 0, 0): F(1)})
+    want = op({(1, 0, 1, 0, 0): F(1), (0, 0, 0, 0, 0): F(1)})
+    assert op_mul(dx, x_mult) == want
     # The reversed product is already normal-ordered, so nothing happens.
-    assert (x_mult * dx).equals(OperatorPoly({(1, 0, 1, 0, 0): F(1)}))
+    assert op_mul(x_mult, dx) == op({(1, 0, 1, 0, 0): F(1)})
 
 
 def test_exchange_rule_second_order():
     # Dy^2 Y^2 = Y^2 Dy^2 + 4 Y Dy + 2.
-    dy2 = OperatorPoly({(0, 0, 0, 2, 0): F(1)})
-    y2 = OperatorPoly({(0, 2, 0, 0, 0): F(1)})
-    want = OperatorPoly(
-        {(0, 2, 0, 2, 0): F(1), (0, 1, 0, 1, 0): F(4), (0, 0, 0, 0, 0): F(2)}
-    )
-    assert (dy2 * y2).equals(want)
+    dy2 = op({(0, 0, 0, 2, 0): F(1)})
+    y2 = op({(0, 2, 0, 0, 0): F(1)})
+    want = op({(0, 2, 0, 2, 0): F(1), (0, 1, 0, 1, 0): F(4), (0, 0, 0, 0, 0): F(2)})
+    assert op_mul(dy2, y2) == want
 
 
 def test_left_factor_multiplications_are_never_consumed():
-    # The invariant behind build_Ln's pruning: in k1 * k2 the derivatives
-    # of k1 can consume multiplications of k2 only, so the X and Y powers
-    # of k1 survive in every resulting monomial.
+    # The invariant behind the generator's pruning: in k1 * k2 the
+    # derivatives of k1 can consume multiplications of k2 only, so the X
+    # and Y powers of k1 survive in every resulting monomial.
     small = list(itertools.product(range(3), repeat=5))
     for k1 in small:
         for k2 in small:
-            for key, count in _normal_order_product(k1, k2):
+            for key, count in normal_order(k1, k2):
                 assert count > 0
                 assert key[0] >= k1[0] and key[1] >= k1[1], (k1, k2, key)
 
 
 def test_cross_coordinate_factors_commute():
-    dz = OperatorPoly({(0, 0, 0, 0, 1): F(1)})
-    dx = OperatorPoly({(0, 0, 1, 0, 0): F(1)})
-    x_mult = OperatorPoly({(1, 0, 0, 0, 0): F(1)})
-    y_mult = OperatorPoly({(0, 1, 0, 0, 0): F(1)})
-    assert (dz * x_mult).equals(x_mult * dz)
-    assert (dz * y_mult).equals(y_mult * dz)
-    assert (dx * y_mult).equals(y_mult * dx)
+    dz = op({(0, 0, 0, 0, 1): F(1)})
+    dx = op({(0, 0, 1, 0, 0): F(1)})
+    x_mult = op({(1, 0, 0, 0, 0): F(1)})
+    y_mult = op({(0, 1, 0, 0, 0): F(1)})
+    assert op_mul(dz, x_mult) == op_mul(x_mult, dz)
+    assert op_mul(dz, y_mult) == op_mul(y_mult, dz)
+    assert op_mul(dx, y_mult) == op_mul(y_mult, dx)
 
 
 @st.composite
-def time_polys(draw):
-    n_terms = draw(st.integers(0, 3))
+def operator_polys(draw, head=st.integers(0, 2)):
     terms = {}
-    for _ in range(n_terms):
-        powers = tuple(draw(st.integers(0, 2)) for _ in range(draw(st.integers(0, 3))))
-        terms[powers] = F(draw(st.integers(-4, 4)), draw(st.integers(1, 5)))
-    return TimePoly(terms)
-
-
-@st.composite
-def operator_polys(draw):
-    n_terms = draw(st.integers(0, 4))
-    terms = {}
-    for _ in range(n_terms):
-        key = tuple(draw(st.integers(0, 2)) for _ in range(5))
-        terms[key] = draw(time_polys())
-    return OperatorPoly(terms)
+    for _ in range(draw(st.integers(0, 4))):
+        key = tuple(draw(head) for _ in range(5))
+        key += tuple(draw(st.integers(0, 2)) for _ in range(draw(st.integers(0, 3))))
+        terms[key] = F(draw(st.integers(-4, 4)), draw(st.integers(1, 5)))
+    return op(terms)
 
 
 @settings(max_examples=60, deadline=None)
 @given(a=operator_polys(), b=operator_polys(), c=operator_polys())
 def test_ring_laws_exact(a, b, c):
-    assert ((a * b) * c).equals(a * (b * c))
-    assert (a * (b + c)).equals(a * b + a * c)
-    assert ((a + b) * c).equals(a * c + b * c)
-    assert (a + b).equals(b + a)
+    assert op_mul(op_mul(a, b), c) == op_mul(a, op_mul(b, c))
+    assert op_mul(a, op_add(b, c)) == op_add(op_mul(a, b), op_mul(a, c))
+    assert op_mul(op_add(a, b), c) == op_add(op_mul(a, c), op_mul(b, c))
+    assert op_add(a, b) == op_add(b, a)
 
 
 @settings(max_examples=60, deadline=None)
-@given(p=time_polys(), q=time_polys())
+@given(p=operator_polys(head=st.just(0)), q=operator_polys(head=st.just(0)))
 def test_time_layer_is_commutative(p, q):
-    assert (p * q - q * p).max_abs() == 0
-
-
-def test_timepoly_dump_is_canonical():
-    p = TimePoly({(0, 2): F(1, 2), (1,): F(-3), (): F(2)})
-    assert p.dump() == "2 + 1/2*u1^2 + -3*tau"
+    assert op_mul(p, q) == op_mul(q, p)
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +360,13 @@ def test_timepoly_dump_is_canonical():
 
 
 def test_simplex_examples():
-    tau = 0.7
-    one = TimePoly.constant(1)
-    u1 = TimePoly.variable(1)
-    u2 = TimePoly.variable(2)
-    assert simplex_integrate_poly(one, 2).evaluate(tau) == pytest.approx(tau**2 / 2, rel=1e-15)
-    assert simplex_integrate_poly(u1, 1).evaluate(tau) == pytest.approx(tau**2 / 2, rel=1e-15)
-    assert simplex_integrate_poly(u1 * u2, 2).evaluate(tau) == pytest.approx(
-        tau**4 / 8, rel=1e-15
-    )
+    tau2, tau4 = ONE + (2,), ONE + (4,)
+    assert simplex_integrate({ONE: 1}, 2) == {tau2: F(1, 2)}
+    assert simplex_integrate(u(1), 1) == {tau2: F(1, 2)}
+    assert simplex_integrate(op_mul(u(1), u(2)), 2) == {tau4: F(1, 8)}
 
 
 def test_simplex_constant_weight_is_inverse_factorial():
-    import math
-
     for k in range(1, 7):
         assert simplex_weight((0,) * k) == F(1, math.factorial(k))
 
@@ -241,29 +385,28 @@ def test_simplex_weight_matches_antiderivative_oracle():
 
 
 def test_simplex_poly_variant_keeps_tau_symbolic():
-    p = TimePoly({(0, 1, 1): F(3)})  # 3 u1 u2
-    out = simplex_integrate_poly(p, 2)
-    assert out.terms == {(4,): F(3, 8)}
+    p = op_scale(op_mul(u(1), u(2)), F(3))  # 3 u1 u2
+    assert simplex_integrate(p, 2) == {ONE + (4,): F(3, 8)}
 
 
 def test_simplex_rejects_existing_tau():
     with pytest.raises(StructuralError):
-        simplex_integrate_poly(TimePoly.variable(0), 1).evaluate(0.5)
+        simplex_integrate(u(0), 1)
 
 
 def test_simplex_rejects_excess_variables():
     with pytest.raises(StructuralError):
-        simplex_integrate_poly(TimePoly.variable(3), 2).evaluate(0.5)
+        simplex_integrate(u(3), 2)
 
 
 # ---------------------------------------------------------------------------
-# operator builders
+# the oracle's operator builders
 
 
 def test_build_Ank_a_only_table():
     table = cev_like_table(a00=F(1, 50))
-    got = build_Ank(table, 0, 0, beta=2.0)
-    want = OperatorPoly(
+    got = build_Ank(table, 0, 0, beta=2)
+    want = op(
         {
             (0, 0, 2, 0, 0): F(1, 50),
             (0, 0, 1, 0, 0): F(-1, 50),
@@ -272,14 +415,14 @@ def test_build_Ank_a_only_table():
             (0, 0, 1, 0, 1): F(2, 25),
         }
     )
-    assert got.equals(want)
+    assert got == want
 
 
 def test_build_Ank_full_table_has_all_blocks():
     table = full_table()
     o = build_Ank(table, 3, 1, beta=-2)
     a, b, c, f = (table.get(n, 2, 1) for n in "abcf")
-    want = OperatorPoly(
+    want = op(
         {
             (0, 0, 2, 0, 0): a,
             (0, 0, 1, 0, 0): -a,
@@ -292,7 +435,7 @@ def test_build_Ank_full_table_has_all_blocks():
             (0, 0, 0, 1, 1): -2 * f,
         }
     )
-    assert o.equals(want)
+    assert o == want
 
 
 def test_build_Ank_beyond_extent_errors():
@@ -303,27 +446,26 @@ def test_build_Ank_beyond_extent_errors():
 def test_build_M_shift_forms():
     table = full_table()
     a00, b00, c00, f00 = (table.get(n, 0, 0) for n in "abcf")
-    u1 = TimePoly.variable(1)
     got_x = build_M_shift("x", table, beta=2)
-    want_x = OperatorPoly({(1, 0, 0, 0, 0): 1}) + OperatorPoly(
-        {
-            (0, 0, 1, 0, 0): 2 * a00,
-            (0, 0, 0, 0, 1): 4 * a00,
-            (0, 0, 0, 0, 0): -a00,
-            (0, 0, 0, 1, 0): f00,
-        }
-    ).scale_poly(u1)
-    assert got_x.equals(want_x)
+    t1 = (0, 1)
+    want_x = {
+        (1, 0, 0, 0, 0): 1,
+        (0, 0, 1, 0, 0) + t1: 2 * a00,
+        (0, 0, 0, 0, 1) + t1: 4 * a00,
+        (0, 0, 0, 0, 0) + t1: -a00,
+        (0, 0, 0, 1, 0) + t1: f00,
+    }
+    assert got_x == want_x
     got_y = build_M_shift("y", table, beta=2, time_index=3)
-    want_y = OperatorPoly({(0, 1, 0, 0, 0): 1}) + OperatorPoly(
-        {
-            (0, 0, 1, 0, 0): f00,
-            (0, 0, 0, 0, 1): 2 * f00,
-            (0, 0, 0, 1, 0): 2 * b00,
-            (0, 0, 0, 0, 0): c00,
-        }
-    ).scale_poly(TimePoly.variable(3))
-    assert got_y.equals(want_y)
+    t3 = (0, 0, 0, 1)
+    want_y = {
+        (0, 1, 0, 0, 0): 1,
+        (0, 0, 1, 0, 0) + t3: f00,
+        (0, 0, 0, 0, 1) + t3: 2 * f00,
+        (0, 0, 0, 1, 0) + t3: 2 * b00,
+        (0, 0, 0, 0, 0) + t3: c00,
+    }
+    assert got_y == want_y
     with pytest.raises(DomainError):
         build_M_shift("z", table, beta=2)
 
@@ -334,7 +476,7 @@ def test_M_shifts_commute_at_equal_times():
     table = full_table()
     mx = build_M_shift("x", table, beta=-3, time_index=1)
     my = build_M_shift("y", table, beta=-3, time_index=1)
-    assert (mx * my - my * mx).equals(OperatorPoly.zero())
+    assert op_mul(mx, my) == op_mul(my, mx)
 
 
 def test_M_shift_commutator_across_times():
@@ -344,15 +486,13 @@ def test_M_shift_commutator_across_times():
     f00 = table.get("f", 0, 0)
     mx = build_M_shift("x", table, beta=-3, time_index=1)
     my = build_M_shift("y", table, beta=-3, time_index=2)
-    want = OperatorPoly(
-        {(0, 0, 0, 0, 0): TimePoly({(0, 1): f00, (0, 0, 1): -f00})}
-    )
-    assert (mx * my - my * mx).equals(want)
+    want = op({ONE + (0, 1): f00, ONE + (0, 0, 1): -f00})
+    assert op_add(op_mul(mx, my), op_scale(op_mul(my, mx), -1)) == want
 
 
 def test_build_Gn_order_zero_is_the_top_block():
     table = full_table()
-    assert build_Gn(table, 0, beta=-3).equals(build_Ank(table, 0, 0, beta=-3))
+    assert build_Gn(table, 0, beta=-3) == build_Ank(table, 0, 0, beta=-3)
 
 
 def test_build_Gn_order_one_cev_hand_expansion():
@@ -366,7 +506,7 @@ def test_build_Gn_order_one_cev_hand_expansion():
     beta = F(2)
     a10 = a00 * slope
     scale = a00 * a10
-    body = OperatorPoly(
+    body = op(
         {
             (0, 0, 3, 0, 0): 2 * scale,
             (0, 0, 2, 0, 0): -3 * scale,
@@ -378,8 +518,8 @@ def test_build_Gn_order_one_cev_hand_expansion():
             (0, 0, 0, 0, 2): (-2 * beta**3 - beta**2) * scale,
             (0, 0, 0, 0, 1): beta**2 * scale,
         }
-    ).scale_poly(TimePoly.variable(1))
-    carried = OperatorPoly(
+    )
+    carried = op(
         {
             (1, 0, 2, 0, 0): a10,
             (1, 0, 1, 0, 0): -a10,
@@ -388,16 +528,7 @@ def test_build_Gn_order_one_cev_hand_expansion():
             (1, 0, 1, 0, 1): 2 * beta * a10,
         }
     )
-    assert build_Gn(table, 1, beta=2).equals(body + carried)
-
-
-def test_build_Gn_a_part_only_keeps_pure_z_blocks():
-    table = full_table()
-    o = build_Gn(table, 2, beta=2, a_part_only=True)
-    # Every monomial traces back to a (Dz^2 - Dz) block times two shift
-    # factors, each contributing one multiplication or at most one
-    # derivative, so the total monomial degree never exceeds 4.
-    assert all(sum(key) <= 4 for key in o.terms)
+    assert build_Gn(table, 1, beta=2) == op_add(op_mul(body, u(1)), carried)
 
 
 def test_compositions_enumeration():
@@ -408,12 +539,18 @@ def test_compositions_enumeration():
     assert list(compositions(3, 4)) == []
 
 
+# ---------------------------------------------------------------------------
+# the generator against the oracle
+
+
 def test_build_Ln_order_bounds():
     table = full_table()
-    with pytest.raises(DomainError):
-        build_Ln(table, 0, beta=2)
-    with pytest.raises(DomainError):
-        build_Ln(table, N_MAX + 1, beta=2)
+    for n in (0, -1, 1.0):
+        with pytest.raises(DomainError):
+            build_Ln(table, n, beta=2)
+    # The table bounds the order: full_table() extends to order 4.
+    with pytest.raises(StructuralError):
+        build_Ln(table, table.extent + 1, beta=2)
 
 
 def test_build_Ln_order_one_reduction_matches_hand_values():
@@ -425,10 +562,9 @@ def test_build_Ln_order_one_reduction_matches_hand_values():
     a10 = a00 * slope
     beta = F(2)
     table = cev_like_table(a00=a00, slope=slope)
-    chi = reduce_to_z(build_Ln(table, 1, beta=2)).chi
-    assert set(chi) == {0, 1}
-    assert chi[0].terms == {(2,): -beta**2 * a00 * a10 / 2}
-    assert chi[1].terms == {(2,): beta**3 * a00 * a10}
+    want = {0: {2: -beta**2 * a00 * a10 / 2}, 1: {2: beta**3 * a00 * a10}}
+    assert reduce_to_z(build_Ln(table, 1, beta=2)) == want
+    assert divide_to_z(unpruned_Ln(table, 1, beta=2)) == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -437,11 +573,9 @@ def test_reduction_ignores_final_factor_restriction(n):
     # X/Y-carrying partial products change the operator but not its action
     # on functions of z alone.
     table = full_table()
-    full = reduce_to_z(unpruned_Ln(table, n, beta=-2))
-    restricted = reduce_to_z(build_Ln(table, n, beta=-2))
-    assert set(full.chi) == set(restricted.chi)
-    for m in full.chi:
-        assert (full.chi[m] - restricted.chi[m]).max_abs() == 0
+    full = divide_to_z(unpruned_Ln(table, n, beta=-2))
+    assert full
+    assert reduce_to_z(build_Ln(table, n, beta=-2)) == full
 
 
 MODEL_TABLES = {
@@ -457,13 +591,14 @@ def test_reduction_matches_unpruned_oracle_on_model_tables(kind, beta):
     model, x, y = MODEL_TABLES[kind]
     table = model.taylor_table(x, y, 3)
     for n in (1, 2, 3):
-        full = reduce_to_z(unpruned_Ln(table, n, beta)).chi
-        pruned = reduce_to_z(build_Ln(table, n, beta)).chi
-        scale = max(poly.max_abs() for poly in full.values())
+        full = divide_to_z(unpruned_Ln(table, n, beta))
+        pruned = reduce_to_z(build_Ln(table, n, beta))
+        scale = max(abs(c) for poly in full.values() for c in poly.values())
         assert scale > 0
         for m in set(full) | set(pruned):
-            diff = full.get(m, TimePoly()) - pruned.get(m, TimePoly())
-            assert diff.max_abs() <= 1e-12 * scale, (n, m)
+            f, p = full.get(m, {}), pruned.get(m, {})
+            diff = max(abs(f.get(k, 0.0) - p.get(k, 0.0)) for k in set(f) | set(p))
+            assert diff <= 1e-12 * scale, (n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -471,36 +606,33 @@ def test_reduction_matches_unpruned_oracle_on_model_tables(kind, beta):
 
 
 def test_reduce_drops_multiplication_prefixes():
-    o = OperatorPoly(
-        {(1, 0, 0, 0, 3): F(5), (0, 2, 0, 0, 1): F(-2), (2, 1, 0, 0, 2): F(7)}
-    )
-    assert reduce_to_z(o).is_zero()
+    o = op({(1, 0, 0, 0, 3): F(5), (0, 2, 0, 0, 1): F(-2), (2, 1, 0, 0, 2): F(7)})
+    assert divide_to_z(o) == {}
 
 
 def test_reduce_drops_x_and_y_derivatives():
-    o = OperatorPoly({(0, 0, 1, 0, 3): F(5), (0, 0, 0, 2, 1): F(-2)})
-    assert reduce_to_z(o).is_zero()
+    o = op({(0, 0, 1, 0, 3): F(5), (0, 0, 0, 2, 1): F(-2)})
+    assert divide_to_z(o) == {}
+    # The generator's form: (Dx, Dy, Dz, tau) powers, Dz^2 - Dz factored out.
+    assert reduce_to_z({(1, 0, 3, 2): F(5), (0, 2, 1, 0): F(-2)}) == {}
+    assert reduce_to_z({(0, 1, 1, 2): F(5), (0, 0, 1, 2): F(3)}) == {1: {2: F(3)}}
 
 
 def test_reduce_simple_block():
-    o = OperatorPoly({(0, 0, 0, 0, 2): 0.08, (0, 0, 0, 0, 1): -0.08})
-    chi = reduce_to_z(o).chi
-    assert set(chi) == {0}
-    assert chi[0].terms == {(): 0.08}
+    o = op({(0, 0, 0, 0, 2): 0.08, (0, 0, 0, 0, 1): -0.08})
+    assert divide_to_z(o) == {0: {0: 0.08}}
 
 
 def test_reduce_shifted_block():
-    o = OperatorPoly({(0, 0, 0, 0, 3): F(1), (0, 0, 0, 0, 2): F(-1)})
-    chi = reduce_to_z(o).chi
-    assert set(chi) == {1}
-    assert chi[1].terms == {(): F(1)}
+    o = op({(0, 0, 0, 0, 3): F(1), (0, 0, 0, 0, 2): F(-1)})
+    assert divide_to_z(o) == {1: {0: F(1)}}
 
 
 def test_reduce_rejects_nondivisible():
     with pytest.raises(StructuralError):
-        reduce_to_z(OperatorPoly({(0, 0, 0, 0, 1): F(1)}))
+        divide_to_z(op({(0, 0, 0, 0, 1): F(1)}))
     with pytest.raises(StructuralError):
-        reduce_to_z(OperatorPoly({(0, 0, 0, 0, 0): F(1)}))
+        divide_to_z(op({(0, 0, 0, 0, 0): F(1)}))
 
 
 def test_reduce_rejects_any_exact_remainder():
@@ -509,51 +641,15 @@ def test_reduce_rejects_any_exact_remainder():
     tiny = F(1, 10**12)
     dz2, dz, one = (0, 0, 0, 0, 2), (0, 0, 0, 0, 1), (0, 0, 0, 0, 0)
     with pytest.raises(StructuralError):
-        reduce_to_z(OperatorPoly({dz2: F(1), dz: F(-1), one: tiny}))
+        divide_to_z(op({dz2: F(1), dz: F(-1), one: tiny}))
     with pytest.raises(StructuralError):
-        reduce_to_z(OperatorPoly({dz2: F(1), dz: F(-1) + tiny}))
-    chi = reduce_to_z(OperatorPoly({dz2: 1.0, dz: -1.0, one: 1e-12})).chi
-    assert chi[0].terms == {(): 1.0}
+        divide_to_z(op({dz2: F(1), dz: F(-1) + tiny}))
+    assert divide_to_z(op({dz2: 1.0, dz: -1.0, one: 1e-12})) == {0: {0: 1.0}}
 
 
 def test_reduce_at_tau():
-    o = OperatorPoly(
-        {
-            (0, 0, 0, 0, 2): TimePoly({(2,): 3.0}),
-            (0, 0, 0, 0, 1): TimePoly({(2,): -3.0}),
-        }
-    )
-    values = reduce_to_z(o).at_tau(0.5)
-    assert values == {0: pytest.approx(0.75)}
-
-
-# ---------------------------------------------------------------------------
-# canonical dump
-
-
-def test_dump_golden():
-    table = full_table()
-    o = build_Ank(table, 0, 0, beta=2)
-    assert o.dump() == (
-        "Dz: -1/5\n"
-        "Dz^2: 1/5\n"
-        "Dy: -2/25\n"
-        "Dy*Dz: 2/35\n"
-        "Dy^2: 1/30\n"
-        "Dx: -1/20\n"
-        "Dx*Dz: 1/5\n"
-        "Dx*Dy: 1/35\n"
-        "Dx^2: 1/20"
-    )
-
-
-def test_dump_shift_golden():
-    table = full_table()
-    o = build_M_shift("x", table, beta=2)
-    assert o.dump() == (
-        "1: -1/20*u1\n"
-        "Dz: 1/5*u1\n"
-        "Dy: 1/35*u1\n"
-        "Dx: 1/10*u1\n"
-        "X: 1"
-    )
+    o = op({(0, 0, 0, 0, 2, 2): 3.0, (0, 0, 0, 0, 1, 2): -3.0})
+    chi = divide_to_z(o)
+    assert {m: sum(c * 0.5**p for p, c in w.items()) for m, w in chi.items()} == {
+        0: pytest.approx(0.75)
+    }
