@@ -6,14 +6,14 @@ integrated operators L_n of ``opalgebra``, reduced to z:
     u_n = sum_m chi_{n,m}(tau) Dz^m (Dz^2 - Dz) u_0,
 
 and each chi_{n,m} is a fixed polynomial in tau, the Taylor-table entries
-and the leverage ratio beta.  The algebra is therefore run once per order,
-with symbolic entries and beta (``letfvol.chi_compile``), and its result
-is committed as data in ``chi_programs.jsonl``, one order per line, which
-is read and parsed for an order on its first use.  ``reduced_Ln`` evaluates
-the order-n program for one table and beta, with that table's number
-type, as {m: {tau_power: coeff}}; it equals
-``reduce_to_z(build_Ln(table, n, beta))``, which the tests check along
-with the committed file itself.  Regenerate the file with
+and the leverage ratio beta.  ``build_Ln(n)`` generates those polynomials
+with integer coefficients, ``reduce_to_z`` gives them as chi weights over
+integer denominators, and ``letfvol.chi_compile`` commits them as data in
+``chi_programs.jsonl``, one order per line, which is read and parsed for
+an order on its first use.  ``reduced_Ln`` evaluates the order-n program
+for one table and beta, with that table's number type, as
+{m: {tau_power: coeff}}; the tests check it against the generator and the
+committed file against a regeneration.  Regenerate the file with
 
     PYTHONPATH=src python3 -m letfvol.chi_compile
 
@@ -105,11 +105,19 @@ def hermite_ratio_coeffs(m: int, sigma0: float) -> dict:
     argument is linear in (2*lam + sigma0^2*tau), so each Hermite term
     splits binomially into Laurent monomials with tau powers down to
     -(m + 1).
+
+    Raises:
+        DomainError: m < 0, sigma0 is not positive, or some value formed
+            would leave the normal float range.
     """
     if m < 0:
         raise DomainError(f"derivative order must be >= 0, got {m}")
     if not sigma0 > 0:
         raise DomainError(f"base volatility must be positive, got {sigma0}")
+    # Every value formed below is 2^f sigma0^e with |e| <= 2m + 1 and
+    # |f| <= 2m + log2(m!).
+    if not (2 * m + 1) * abs(math.log2(sigma0)) + 2 * m + math.log2(math.factorial(m)) < 1020:
+        raise DomainError(f"base volatility {sigma0} is out of float range for order {m}")
     out: dict = {}
     sig2 = sigma0 * sigma0
     for l in range(m // 2 + 1):
@@ -258,7 +266,7 @@ def _chi_program(n: int) -> dict:
 
 
 def reduced_Ln(table: TaylorTable, n: int, beta) -> dict:
-    """reduce_to_z(build_Ln(table, n, beta)), from the compiled order-n program.
+    """chi of ``reduce_to_z(build_Ln(n))`` at one table and beta, from the compiled program.
 
     Returns chi as {m: {tau_power: coeff}}, only nonzero weights kept.
     Coefficients inherit the number type of the table and beta, so a

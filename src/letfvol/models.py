@@ -93,7 +93,9 @@ class TaylorTable:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "f"):
-            self.entries.setdefault(name, {})
+            for key, value in self.entries.setdefault(name, {}).items():
+                if not math.isfinite(value):
+                    raise DomainError(f"table entry {name}{key} must be finite, got {value}")
         a00 = self.entries["a"].get((0, 0), 0.0)
         if not a00 > 0:
             raise DomainError(f"table needs a positive a(0,0), got {a00}")

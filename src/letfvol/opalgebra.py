@@ -26,33 +26,64 @@ algebra:
   only a_{p,q} beta^2 (Dz^2 - Dz) survives: every other monomial carries
   Dx or Dy.  Hence Dz^2 - Dz factors out of L_n to the right.
 
-A partial product is a dict {(Dx order, Dy order, Dz order, u_1 power, ...,
-u_j power): coeff}.  ``build_Ln`` returns L_n with Dz^2 - Dz factored out,
-as {(Dx order, Dy order, Dz order, tau power): coeff}, and ``reduce_to_z``
-keeps its Dx- and Dy-free part, chi as {m: {tau power: coeff}}.
+The weights of L_n are therefore fixed polynomials in tau, beta and the
+Taylor-table entries, which the generator forms directly.  A partial
+product is one flat dict
 
-Everything works with whatever number type the caller supplies: exact
-coefficients (``fractions.Fraction`` in the tests, polynomials in the
-table entries and beta when ``chi_compile`` compiles the chi programs) or
-floats.  Exponent bookkeeping is exact either way; only coefficient
-arithmetic inherits the input type.
+    {(Dx, Dy, Dz, beta power, entries, u_1 power, ..., u_j power): int},
+
+where ``entries`` is the sorted tuple of the table entries (name, i, j) in
+the product, one per unit of power; a Taylor block is a constant dict.
+
+Coefficients stay integers.  The simplex integral of prod_j u_j^(a_j) is
+tau^(k + sum a) / d, where d is a product of distinct depths
+j + a_1 + ... + a_j <= k + sum a <= 2n, so d divides (2n)!; ``build_Ln``
+scales every weight by (2n)! and returns that denominator with the
+operator, and ``reduce_to_z`` takes each chi weight to lowest terms.
+
+Only what can reach the expansion point is formed.  A shift lowers
+Dx + Dy by at most one and a block never lowers it, and the factors of a
+remaining order ``rest`` hold at most ``rest`` shifts, so a term with
+Dx + Dy > rest before them can never become Dx- and Dy-free; it is
+dropped, and after the last factor only Dx = Dy = 0 is kept.
 """
 
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
+import math
 
 from .errors import DomainError
 
+# Templates {(Dx, Dy, Dz, beta power, family): coeff}, placed at the entries
+# (family, i, j) by ``_at``.  The Taylor block A_{i,j}:
+_BLOCK = {
+    (2, 0, 0, 0, "a"): 1, (1, 0, 0, 0, "a"): -1,  # a (Dx^2 - Dx)
+    (0, 0, 2, 2, "a"): 1, (0, 0, 1, 2, "a"): -1,  # a beta^2 (Dz^2 - Dz)
+    (1, 0, 1, 1, "a"): 2,  # 2 a beta Dx Dz
+    (0, 2, 0, 0, "b"): 1, (0, 1, 0, 0, "c"): 1,  # b Dy^2 + c Dy
+    (1, 1, 0, 0, "f"): 1, (0, 1, 1, 1, "f"): 1,  # f (Dx Dy + beta Dy Dz)
+}
+# What acts of it in the last factor, with Dz^2 - Dz factored out.
+_LAST = {(0, 0, 0, 2, "a"): 1}
+# The shift bodies, at (0, 0): B_x = a (2 Dx + 2 beta Dz - 1) + f Dy and
+# B_y = f (Dx + beta Dz) + 2 b Dy + c.
+_BX = {(1, 0, 0, 0, "a"): 2, (0, 0, 1, 1, "a"): 2, (0, 0, 0, 0, "a"): -1, (0, 1, 0, 0, "f"): 1}
+_BY = {(1, 0, 0, 0, "f"): 1, (0, 0, 1, 1, "f"): 1, (0, 1, 0, 0, "b"): 2, (0, 0, 0, 0, "c"): 1}
+
+
+def _at(template: dict, i: int, j: int) -> dict:
+    """A template as a constant dict: each family letter becomes (family, i, j)."""
+    return {key[:4] + (((key[4], i, j),),): c for key, c in template.items()}
+
 
 @functools.lru_cache(maxsize=None)
-def simplex_weight(exponents: tuple) -> Fraction:
-    """Exact weight c with int_simplex prod u_j^(a_j) = c * tau^(k + sum a).
+def simplex_denominator(exponents: tuple) -> int:
+    """d with int_simplex prod u_j^(a_j) = tau^(k + sum a) / d.
 
     The iterated integral runs over 0 < u_1 < ... < u_k < tau with
     u_j = t_j - t.  Integrating u_1, then u_2, ... each from 0 to the next
-    variable up gives c = prod_j 1 / (j + a_1 + ... + a_j).  The exponent
+    variable up gives d = prod_j (j + a_1 + ... + a_j).  The exponent
     tuples are bounded by the expansion order, so the cache stays small.
     """
     denominator = 1
@@ -60,10 +91,10 @@ def simplex_weight(exponents: tuple) -> Fraction:
     for a in exponents:
         depth += a + 1
         denominator *= depth
-    return Fraction(1, denominator)
+    return denominator
 
 
-def _add(out: dict, key: tuple, value) -> None:
+def _add(out: dict, key: tuple, value: int) -> None:
     """out[key] += value; a zero sum removes the key."""
     acc = out.get(key, 0) + value
     if acc == 0:
@@ -72,18 +103,14 @@ def _add(out: dict, key: tuple, value) -> None:
         out[key] = acc
 
 
-def _nonzero(terms: dict) -> dict:
-    """A derivative polynomial {(Dx, Dy, Dz) orders: coeff}, zeros left out."""
-    return {key: c for key, c in terms.items() if c != 0}
-
-
 def _times(P: dict, B: dict, du: int) -> dict:
-    """P B for a derivative polynomial B, times u^du in the newest variable."""
+    """P B for a constant dict B, times u^du in the newest variable."""
     out: dict = {}
     for key, c in P.items():
-        us = key[3:-1] + (key[-1] + du,)
-        for (i, j, m), b in B.items():
-            _add(out, (key[0] + i, key[1] + j, key[2] + m) + us, c * b)
+        us = key[5:-1] + (key[-1] + du,)
+        for (i, j, m, p, entries), b in B.items():
+            merged = tuple(sorted(key[4] + entries))
+            _add(out, (key[0] + i, key[1] + j, key[2] + m, key[3] + p, merged) + us, c * b)
     return out
 
 
@@ -103,8 +130,6 @@ def _apply(P: dict, blocks: list, bx: dict, by: dict) -> dict:
     m = len(blocks) - 1
     out: dict = {}
     for q, block in enumerate(blocks):
-        if not block:
-            continue
         while len(x_powers) <= m - q:
             x_powers.append(_shift(x_powers[-1], 0, bx))
         piece = x_powers[m - q]
@@ -115,83 +140,56 @@ def _apply(P: dict, blocks: list, bx: dict, by: dict) -> dict:
     return out
 
 
-def _blocks(table, m: int, beta) -> list:
-    """The Taylor blocks A_{m-q,q}, q = 0..m, of the order-m generator.
-
-    A block couples the three log coordinates through the leverage ratio:
-    a-entries weight (Dx^2 - Dx) + beta^2 (Dz^2 - Dz) + 2 beta Dx Dz,
-    b-entries Dy^2, c-entries Dy, and f-entries Dx Dy + beta Dy Dz.
-    """
-    blocks = []
-    for q in range(m + 1):
-        a, b, c, f = (table.get(name, m - q, q) for name in "abcf")
-        blocks.append(
-            _nonzero(
-                {
-                    (2, 0, 0): a,
-                    (1, 0, 0): -a,
-                    (0, 0, 2): a * beta * beta,
-                    (0, 0, 1): -a * beta * beta,
-                    (1, 0, 1): 2 * beta * a,
-                    (0, 2, 0): b,
-                    (0, 1, 0): c,
-                    (1, 1, 0): f,
-                    (0, 1, 1): beta * f,
-                }
-            )
-        )
-    return blocks
-
-
-def build_Ln(table, n: int, beta) -> dict:
+def build_Ln(n: int) -> tuple:
     """Integrated order-n correction operator with Dz^2 - Dz factored out.
 
-    Returns {(Dx order, Dy order, Dz order, tau power): coeff}, the operator
-    sum coeff tau^p Dx^i Dy^j Dz^m (Dz^2 - Dz), as far as its action at the
-    expansion point on functions of z goes (see the module docstring).
-    Compositions sharing a prefix share its partial product.
+    Returns (terms, den): terms is {(Dz order, tau power, beta power,
+    entries): num} with integer num, and L_n acts on functions of z at the
+    expansion point as the sum of num / den * beta^p * prod(entries) *
+    tau^power Dz^m (Dz^2 - Dz) (see the module docstring).  Compositions
+    sharing a prefix share its partial product.
 
     Raises:
         DomainError: n is not an integer >= 1.
-        StructuralError: the table does not extend to order n.
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"correction order must be an integer >= 1, got {n}")
-    a00, b00, c00, f00 = (table.get(name, 0, 0) for name in "abcf")
-    bx = _nonzero(
-        {(1, 0, 0): 2 * a00, (0, 0, 1): 2 * beta * a00, (0, 0, 0): -a00, (0, 1, 0): f00}
-    )
-    by = _nonzero(
-        {(1, 0, 0): f00, (0, 0, 1): beta * f00, (0, 1, 0): 2 * b00, (0, 0, 0): c00}
-    )
-    beta2 = beta * beta
-    inner = {m: _blocks(table, m, beta) for m in range(1, n)}
-    last = {
-        m: [_nonzero({(0, 0, 0): table.get("a", m - q, q) * beta2}) for q in range(m + 1)]
-        for m in range(1, n + 1)
-    }
+    bx, by = _at(_BX, 0, 0), _at(_BY, 0, 0)
+    # The blocks A_{m-q,q}, q = 0..m, of each order-m generator.
+    inner = {m: [_at(_BLOCK, m - q, q) for q in range(m + 1)] for m in range(1, n)}
+    last = {m: [_at(_LAST, m - q, q) for q in range(m + 1)] for m in range(1, n + 1)}
+    den = math.factorial(2 * n)
     total: dict = {}
 
     def extend(P: dict, rest: int) -> None:
         # Every composition of the remaining order `rest` after the prefix P.
+        P = {key: c for key, c in P.items() if key[0] + key[1] <= rest}
         for key, c in _apply(P, last[rest], bx, by).items():
-            us = key[3:]
-            _add(total, key[:3] + (len(us) + sum(us),), c * simplex_weight(us))
+            if key[0] == key[1] == 0:
+                us = key[5:]
+                weight = den // simplex_denominator(us)
+                _add(total, (key[2], len(us) + sum(us), key[3], key[4]), c * weight)
         for m in range(1, rest):
             extend(_apply(P, inner[m], bx, by), rest - m)
 
-    extend({(0, 0, 0): 1}, n)
-    return total
+    extend({(0, 0, 0, 0, ()): 1}, n)
+    return total, den
 
 
-def reduce_to_z(op: dict) -> dict:
-    """chi of a ``build_Ln`` operator: {m: {tau power: coeff}}.
+def reduce_to_z(op: tuple) -> dict:
+    """chi of a ``build_Ln`` operator, in lowest terms.
 
-    The weight of Dz^m (Dz^2 - Dz) in the action on functions of z alone;
-    terms carrying Dx or Dy annihilate those functions and are dropped.
+    Returns {m: {tau power: (den, {(beta power, entries): num})}}: the
+    weight of Dz^m (Dz^2 - Dz) at that power of tau is
+    sum(num * beta^p * prod(entries)) / den, with integer num and den and
+    no common factor left.
     """
+    terms, den = op
     chi: dict = {}
-    for (i, j, m, p), c in op.items():
-        if i == 0 and j == 0:
-            chi.setdefault(m, {})[p] = c
+    for (m, tau_pow, p, entries), num in terms.items():
+        chi.setdefault(m, {}).setdefault(tau_pow, {})[p, entries] = num
+    for weights in chi.values():
+        for tau_pow, poly in weights.items():
+            g = math.gcd(den, *poly.values())
+            weights[tau_pow] = (den // g, {key: num // g for key, num in poly.items()})
     return chi

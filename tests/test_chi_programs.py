@@ -3,9 +3,9 @@
 ``letfvol/chi_programs.jsonl`` holds, per correction order, chi_{n,m} as
 polynomials in the Taylor-table entries and beta.  It must be exactly what
 the generator gives today, and evaluating it for a table must give what
-``reduce_to_z(build_Ln(...))`` gives for that table: exactly on Fraction
-tables, to 1e-12 of the largest chi coefficient on float model tables.
-Both return chi as {m: {tau_power: coeff}}.
+the generator's polynomials give for that table (``evaluate_Ln``):
+exactly on Fraction tables, to 1e-12 of the largest chi coefficient on
+float model tables.  Both return chi as {m: {tau_power: coeff}}.
 """
 
 import json
@@ -16,8 +16,7 @@ import pytest
 from letfvol.chi_compile import REGENERATE, compile_chi_programs
 from letfvol.errors import DomainError
 from letfvol.expansion import CHI_PROGRAMS, MAX_ORDER, reduced_Ln
-from letfvol.opalgebra import build_Ln, reduce_to_z
-from test_opalgebra import MODEL_TABLES, cev_like_table, full_table
+from test_opalgebra import MODEL_TABLES, cev_like_table, evaluate_Ln, full_table
 
 ORDERS = range(1, MAX_ORDER + 1)
 
@@ -38,7 +37,7 @@ def test_programs_equal_the_algebra_on_fraction_tables(make_table, beta):
     table = make_table(extent=MAX_ORDER)
     for n in ORDERS:
         got = reduced_Ln(table, n, beta)
-        assert got == reduce_to_z(build_Ln(table, n, beta)), n
+        assert got == evaluate_Ln(table, n, beta), n
         assert all(isinstance(c, Fraction) for w in got.values() for c in w.values())
 
 
@@ -48,7 +47,7 @@ def test_programs_match_the_algebra_on_model_tables(kind, beta):
     model, x, y = MODEL_TABLES[kind]
     table = model.taylor_table(x, y, MAX_ORDER)
     for n in ORDERS:
-        want = reduce_to_z(build_Ln(table, n, beta))
+        want = evaluate_Ln(table, n, beta)
         got = reduced_Ln(table, n, beta)
         scale = max(abs(c) for poly in want.values() for c in poly.values())
         assert scale > 0
@@ -59,7 +58,7 @@ def test_programs_match_the_algebra_on_model_tables(kind, beta):
 
 
 def test_programs_read_only_entries_within_the_order():
-    # An order-n program must serve a table of extent n, as build_Ln does.
+    # An order-n program must serve a table of extent n, as the generator does.
     for n in ORDERS:
         reduced_Ln(full_table(extent=n), n, beta=-2)
 

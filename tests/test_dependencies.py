@@ -1,7 +1,8 @@
 """The package runs on the standard library alone.
 
 ``pyproject.toml`` declares ``dependencies = []``: importing the runtime
-modules must not pull in numpy or scipy, which only the tests use.
+modules must not pull in numpy, scipy or ``fractions`` (with ``decimal``),
+which only the tests use: the chi generator works on integers.
 """
 
 import subprocess
@@ -13,7 +14,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 PROBE = """
 import sys
 import letfvol.blackscholes, letfvol.closedform, letfvol.expansion
-print(sorted(name for name in ("numpy", "scipy") if name in sys.modules))
+print(sorted(name for name in ("numpy", "scipy", "fractions") if name in sys.modules))
 """
 
 

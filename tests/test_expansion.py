@@ -98,6 +98,17 @@ def test_hermite_ratio_coeffs_rejects_bad_inputs():
         hermite_ratio_coeffs(2, 0.0)
 
 
+@pytest.mark.parametrize(
+    "model, y",
+    [(HestonModel(1.5, 0.04, 0.3, -0.6), 100.0), (SabrModel(0.3, 0.5, -0.3), -120.0)],
+)
+def test_extreme_states_raise_domain_error(model, y):
+    # sigma0 = 1e22 overflows a power of sigma0^2, sigma0 = 1.5e-52 underflows one.
+    point = make_point(beta=-2.0, tau=0.25, k=0.1, x=0.0, y=y)
+    with pytest.raises(DomainError):
+        iv_approx(point, model, 3)
+
+
 def test_vega_ratio_coeffs_match_finite_differences():
     sigma0, tau, z = 0.27, 0.6, -0.02
     for order in (2, 3):

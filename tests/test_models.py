@@ -145,6 +145,16 @@ def test_table_requires_positive_a00():
         TaylorTable(extent=1, entries={"a": {(0, 0): 0.0}})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("family", ["a", "b", "c", "f"])
+def test_table_rejects_non_finite_entries(family, value):
+    # Unchecked, a NaN f(0,0) left iv_approx at the flat sigma0 and price_uN at NaN.
+    entries = {"a": {(0, 0): 0.02}, "b": {}, "c": {}, "f": {}}
+    entries[family][(0, 1)] = value
+    with pytest.raises(DomainError):
+        TaylorTable(extent=3, entries=entries)
+
+
 def test_gamma_one_collapses_to_flat_vol():
     table = CevModel(delta=0.3, gamma=1.0).taylor_table(0.0, 0.0, 3)
     assert table.get("a", 0, 0) == pytest.approx(0.045)

@@ -3,9 +3,10 @@
 The oracle below forms the full, unpruned product of the expansion
 generators in normal order and divides its pure-z part exactly by
 Dz^2 - Dz.  It shares no code with ``letfvol.opalgebra``, which forms only
-what that division reads, on commuting symbols.
+what that division reads, on commuting symbols, with the table entries
+and beta as symbols; ``evaluate_Ln`` evaluates that for one table.
 
-Exact-arithmetic fixtures use Fraction coefficients throughout, so every
+Exact fixtures use Fraction or integer coefficients throughout, so every
 equality below is exact unless a tolerance is spelled out.
 """
 
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from letfvol.errors import DomainError, StructuralError
 from letfvol.models import CevModel, HestonModel, SabrModel, TaylorTable
-from letfvol.opalgebra import build_Ln, reduce_to_z, simplex_weight
+from letfvol.opalgebra import build_Ln, reduce_to_z, simplex_denominator
 
 F = Fraction
 
@@ -48,9 +49,37 @@ def full_table(extent=4):
     return TaylorTable(extent=extent, entries=entries)
 
 
+def integer_table(extent=4):
+    """Dense integer table: every entry nonzero and distinct, a(0,0) = 1."""
+    keys = [(i, j) for i in range(extent + 1) for j in range(extent + 1 - i)]
+    entries = {
+        name: {key: (-1) ** k * (k + 1) for k, key in enumerate(keys, f * len(keys))}
+        for f, name in enumerate("abcf")
+    }
+    return TaylorTable(extent=extent, entries=entries)
+
+
+def evaluate_Ln(table, n, beta):
+    """chi of reduce_to_z(build_Ln(n)) at one table and beta: {m: {tau power: coeff}}.
+
+    Exact on exact tables and beta, float on float ones; zero weights are
+    left out.
+    """
+    chi = {}
+    for m, weights in reduce_to_z(build_Ln(n)).items():
+        for tau_pow, (den, poly) in weights.items():
+            total = sum(
+                num * beta**p * math.prod(table.get(*entry) or 0 for entry in entries)
+                for (p, entries), num in poly.items()
+            )
+            if total:
+                chi.setdefault(m, {})[tau_pow] = total * F(1, den)
+    return chi
+
+
 @functools.lru_cache(maxsize=None)
 def antiderivative_simplex_weight(exponents: tuple) -> Fraction:
-    """Oracle for ``simplex_weight``: antidifferentiate one variable at a time.
+    """Oracle for 1 / ``simplex_denominator``: antidifferentiate one variable at a time.
 
     Innermost first, carrying a bivariate polynomial in the current lower
     limit and tau, over t < t_1 < ... < t_k < T with u_j = t_j - t.
@@ -368,20 +397,23 @@ def test_simplex_examples():
 
 def test_simplex_constant_weight_is_inverse_factorial():
     for k in range(1, 7):
-        assert simplex_weight((0,) * k) == F(1, math.factorial(k))
+        assert simplex_denominator((0,) * k) == math.factorial(k)
 
 
 def test_simplex_weight_examples():
-    assert simplex_weight((1,)) == F(1, 2)
-    assert simplex_weight((1, 1)) == F(1, 8)
+    assert simplex_denominator((1,)) == 2
+    assert simplex_denominator((1, 1)) == 8
     # int_0^tau dv1 v1^2 int_{v1}^tau dv2 = tau^4/3 - tau^4/4 = tau^4/12.
-    assert simplex_weight((2, 0)) == F(1, 12)
+    assert simplex_denominator((2, 0)) == 12
 
 
 def test_simplex_weight_matches_antiderivative_oracle():
     for k in range(5):
         for exponents in itertools.product(range(5), repeat=k):
-            assert simplex_weight(exponents) == antiderivative_simplex_weight(exponents)
+            den = simplex_denominator(exponents)
+            assert F(1, den) == antiderivative_simplex_weight(exponents)
+            # So (2n)!, which build_Ln scales by, is a multiple for k + sum a <= 2n.
+            assert math.factorial(k + sum(exponents)) % den == 0
 
 
 def test_simplex_poly_variant_keeps_tau_symbolic():
@@ -544,13 +576,14 @@ def test_compositions_enumeration():
 
 
 def test_build_Ln_order_bounds():
-    table = full_table()
     for n in (0, -1, 1.0):
         with pytest.raises(DomainError):
-            build_Ln(table, n, beta=2)
-    # The table bounds the order: full_table() extends to order 4.
-    with pytest.raises(StructuralError):
-        build_Ln(table, table.extent + 1, beta=2)
+            build_Ln(n)
+    # Order n reads the entries (name, i, j) with i + j <= n: a table of
+    # extent n serves it.
+    for n in (1, 2, 3):
+        terms, _ = build_Ln(n)
+        assert max(i + j for *_, entries in terms for _, i, j in entries) == n
 
 
 def test_build_Ln_order_one_reduction_matches_hand_values():
@@ -563,7 +596,7 @@ def test_build_Ln_order_one_reduction_matches_hand_values():
     beta = F(2)
     table = cev_like_table(a00=a00, slope=slope)
     want = {0: {2: -beta**2 * a00 * a10 / 2}, 1: {2: beta**3 * a00 * a10}}
-    assert reduce_to_z(build_Ln(table, 1, beta=2)) == want
+    assert evaluate_Ln(table, 1, beta=2) == want
     assert divide_to_z(unpruned_Ln(table, 1, beta=2)) == want
 
 
@@ -571,11 +604,12 @@ def test_build_Ln_order_one_reduction_matches_hand_values():
 def test_reduction_ignores_final_factor_restriction(n):
     # Restricting the last generator factor to its pure-z block and dropping
     # X/Y-carrying partial products change the operator but not its action
-    # on functions of z alone.
-    table = full_table()
+    # on functions of z alone.  Integer entries keep the oracle's products
+    # in integers; its simplex weights are exact fractions.
+    table = integer_table()
     full = divide_to_z(unpruned_Ln(table, n, beta=-2))
     assert full
-    assert reduce_to_z(build_Ln(table, n, beta=-2)) == full
+    assert evaluate_Ln(table, n, beta=-2) == full
 
 
 MODEL_TABLES = {
@@ -592,7 +626,7 @@ def test_reduction_matches_unpruned_oracle_on_model_tables(kind, beta):
     table = model.taylor_table(x, y, 3)
     for n in (1, 2, 3):
         full = divide_to_z(unpruned_Ln(table, n, beta))
-        pruned = reduce_to_z(build_Ln(table, n, beta))
+        pruned = evaluate_Ln(table, n, beta)
         scale = max(abs(c) for poly in full.values() for c in poly.values())
         assert scale > 0
         for m in set(full) | set(pruned):
@@ -613,9 +647,15 @@ def test_reduce_drops_multiplication_prefixes():
 def test_reduce_drops_x_and_y_derivatives():
     o = op({(0, 0, 1, 0, 3): F(5), (0, 0, 0, 2, 1): F(-2)})
     assert divide_to_z(o) == {}
-    # The generator's form: (Dx, Dy, Dz, tau) powers, Dz^2 - Dz factored out.
-    assert reduce_to_z({(1, 0, 3, 2): F(5), (0, 2, 1, 0): F(-2)}) == {}
-    assert reduce_to_z({(0, 1, 1, 2): F(5), (0, 0, 1, 2): F(3)}) == {1: {2: F(3)}}
+
+
+def test_reduce_to_z_gives_lowest_terms():
+    # (Dz, tau, beta) powers and entries over one denominator, 24 here.
+    a, b = ("a", 0, 0), ("b", 0, 0)
+    terms = {(1, 2, 0, (a,)): 6, (1, 2, 1, (a, b)): -4, (0, 2, 2, (a,)): 5}
+    assert reduce_to_z((terms, 24)) == {
+        1: {2: (12, {(0, (a,)): 3, (1, (a, b)): -2})}, 0: {2: (24, {(2, (a,)): 5})}
+    }
 
 
 def test_reduce_simple_block():
