@@ -17,8 +17,10 @@ committed file against a regeneration.  Regenerate the file with
 
     PYTHONPATH=src python3 -m letfvol.chi_compile
 
-Each z-derivative/vega ratio is a Laurent monomial in log-moneyness
-lam = k - z and maturity tau, so every implied-vol correction sigma_n
+Conjugated by vega, Dz becomes D = -d/dlam + lam / (sigma0^2 tau) + 1/2, so
+U_n = u_n / vega = sum_m chi_{n,m}(tau) D^m (1 / (sigma0 tau)) is a Laurent
+polynomial in log-moneyness lam = k - z and maturity tau.  ``price_uN``
+evaluates it times vega, and from it every implied-vol correction sigma_n
 assembles into a polynomial in (lam, tau) whose coefficients depend only
 on the Taylor table and beta.  Assembly is symbolic; evaluation at a
 concrete (lam, tau) is a separate, cheap step, which lets one assembly
@@ -35,6 +37,8 @@ import os
 from dataclasses import dataclass
 from types import SimpleNamespace
 
+# hermite_vega_ratio, build_Ln, reduce_to_z: unused here, kept as attributes
+# the benchmark's tracing wraps.
 from .blackscholes import (
     BsInputs,
     bs_call_price,
@@ -44,7 +48,6 @@ from .blackscholes import (
 )
 from .errors import ConfigError, DomainError, StructuralError
 from .models import CevModel, HestonModel, SabrModel, TaylorTable
-# build_Ln, reduce_to_z: unused here, kept as attributes the benchmark's tracing wraps.
 from .opalgebra import build_Ln, reduce_to_z
 
 # Largest correction order carried by the series machinery.
@@ -98,40 +101,6 @@ def lp_eval(a: dict, lam: float, tau: float) -> float:
     return sum(v * lam**lp * tau**tp for (lp, tp), v in a.items())
 
 
-def hermite_ratio_coeffs(m: int, sigma0: float) -> dict:
-    """Laurent coefficients of the order-m z-derivative/vega ratio.
-
-    Expands hermite_vega_ratio(m) exactly in (lam, tau): the Hermite
-    argument is linear in (2*lam + sigma0^2*tau), so each Hermite term
-    splits binomially into Laurent monomials with tau powers down to
-    -(m + 1).
-
-    Raises:
-        DomainError: m < 0, sigma0 is not positive, or some value formed
-            would leave the normal float range.
-    """
-    if m < 0:
-        raise DomainError(f"derivative order must be >= 0, got {m}")
-    if not sigma0 > 0:
-        raise DomainError(f"base volatility must be positive, got {sigma0}")
-    # Every value formed below is 2^f sigma0^e with |e| <= 2m + 1 and
-    # |f| <= 2m + log2(m!).
-    if not (2 * m + 1) * abs(math.log2(sigma0)) + 2 * m + math.log2(math.factorial(m)) < 1020:
-        raise DomainError(f"base volatility {sigma0} is out of float range for order {m}")
-    out: dict = {}
-    sig2 = sigma0 * sigma0
-    for l in range(m // 2 + 1):
-        outer = (-1) ** l * math.factorial(m) // (
-            math.factorial(l) * math.factorial(m - 2 * l)
-        )
-        base = outer / (sigma0 * (2.0 * sig2) ** (m - l))
-        for j in range(m - 2 * l + 1):
-            coeff = base * math.comb(m - 2 * l, j) * 2.0**j * sig2 ** (m - 2 * l - j)
-            key = (j, -(l + j + 1))
-            out[key] = out.get(key, 0.0) + coeff
-    return out
-
-
 def vega_ratio_coeffs(k: int, sigma0: float) -> dict:
     """Laurent coefficients of R_k = (d^k u/dsigma^k) / vega at sigma0, k >= 1.
 
@@ -164,10 +133,6 @@ class PriceApprox:
     u0: float
     terms: tuple
     total: float
-
-    @property
-    def order(self) -> int:
-        return len(self.terms)
 
 
 @dataclass(frozen=True)
@@ -259,10 +224,19 @@ def _check_payoff(payoff: str) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def _chi_program(n: int) -> dict:
-    """The order-n program, parsed on first use; callers must not mutate it."""
+def _chi_program(n: int) -> tuple:
+    """The order-n program, parsed on first use; callers must not mutate it.
+
+    ``uses`` holds each monomial's variable indices, as a list and as a
+    set, with the (weight index, num, beta power) of every term it enters.
+    """
     with open(CHI_PROGRAMS, encoding="utf-8") as fh:
-        return json.loads(fh.read().splitlines()[n])
+        program = json.loads(fh.read().splitlines()[n])
+    uses = [(mono, frozenset(mono), []) for mono in program["monomials"]]
+    for w, (*_, terms) in enumerate(program["weights"]):
+        for num, p, k in terms:
+            uses[k][2].append((w, num, p))
+    return program["variables"], program["beta_degree"], program["weights"], uses
 
 
 def reduced_Ln(table: TaylorTable, n: int, beta) -> dict:
@@ -270,20 +244,24 @@ def reduced_Ln(table: TaylorTable, n: int, beta) -> dict:
 
     Returns chi as {m: {tau_power: coeff}}, only nonzero weights kept.
     Coefficients inherit the number type of the table and beta, so a
-    Fraction table gives the exact reduction.
+    Fraction table gives the exact reduction.  A monomial with a zero
+    entry is skipped: model tables leave most products zero.
     """
     if not 1 <= n <= MAX_ORDER:
         raise DomainError(f"correction order must be in 1..{MAX_ORDER}, got {n}")
-    program = _chi_program(n)
+    variables, beta_degree, weights, uses = _chi_program(n)
     # An absent entry reads as 0.0; an int 0 keeps exact tables exact.
-    values = [table.get(*entry) or 0 for entry in program["variables"]]
-    products = [
-        math.prod(map(values.__getitem__, mono)) for mono in program["monomials"]
-    ]
-    beta_powers = [beta**p for p in range(program["beta_degree"] + 1)]
+    values = [table.get(*entry) or 0 for entry in variables]
+    beta_powers = [beta**p for p in range(beta_degree + 1)]
+    live = {i for i, value in enumerate(values) if value}
+    totals = [0] * len(weights)
+    for mono, entries, terms in uses:
+        if entries <= live:
+            product = math.prod(map(values.__getitem__, mono))
+            for w, num, p in terms:
+                totals[w] += num * beta_powers[p] * product
     chi: dict = {}
-    for m, tau_pow, den, terms in program["weights"]:
-        total = sum(num * beta_powers[p] * products[k] for num, p, k in terms)
+    for (m, tau_pow, den, _), total in zip(weights, totals):
         if total:
             chi.setdefault(m, {})[tau_pow] = total / den
     return chi
@@ -295,19 +273,47 @@ def base_sigma(table: TaylorTable, beta: float) -> float:
 
 
 def _correction_dicts(table: TaylorTable, beta: float, order: int) -> list:
-    """Vega-relative correction terms U_n as Laurent dicts, n = 1..order."""
+    """Vega-relative correction terms U_n = u_n / vega as Laurent dicts, n = 1..order.
+
+    With r_m = Dz^m (Dz^2 - Dz) u_0 / vega, U_n = sum_m chi_{n,m}(tau) r_m.
+    Since (Dz^2 - Dz) u_0 = vega / (sigma0 tau) and Dz log vega =
+    lam / (sigma0^2 tau) + 1/2,
+
+        r_0 = 1 / (sigma0 tau),   r_{m+1} = D r_m,
+        D = -d/dlam + lam / (sigma0^2 tau) + 1/2,
+
+    and D commutes with chi(tau), so U_n is summed by Horner's rule in D.
+
+    Raises DomainError when sigma0 is not positive or leaves the float
+    range of the order (see the check below).
+    """
     sigma0 = base_sigma(table, beta)
-    ratios: dict = {}
+    if not sigma0 > 0:
+        raise DomainError(f"base volatility must be positive, got {sigma0}")
+    chis = [reduced_Ln(table, n, beta) for n in range(1, order + 1)]
+    top = max((m for chi in chis for m in chi), default=0)
+    # Each coefficient Horner forms is a sum of chi coefficients times
+    # coefficients of D^j r_0, j <= top.  The coefficient of D^j r_0 at key
+    # (l, t) is q sigma0^(2t+1), with |2t+1| <= 2 top + 1 and q a nonzero
+    # dyadic, 2^-top <= |q| <= (top+1)!: a D step multiplies q by an integer
+    # or by 1/2, and the sum of |q| by at most j + 3/2.  The check keeps
+    # every such q sigma0^(2t+1) a normal float; it does not bound chi.
+    if not (2 * top + 1) * abs(math.log2(sigma0)) + math.log2(math.factorial(top + 1)) < 1020:
+        raise DomainError(f"base volatility {sigma0} is out of float range for order {order}")
+    inv_sigma0, inv_var = 1.0 / sigma0, 1.0 / (sigma0 * sigma0)
     out = []
-    for n in range(1, order + 1):
+    for chi in chis:
         U: dict = {}
-        for m, chi in reduced_Ln(table, n, beta).items():
-            if m not in ratios:
-                ratios[m] = hermite_ratio_coeffs(m, sigma0)
-            for tau_pow, coeff in chi.items():
-                for (lp, tp), value in ratios[m].items():
-                    key = (lp, tp + tau_pow)
-                    U[key] = U.get(key, 0.0) + float(coeff) * value
+        for m in range(max(chi, default=-1), -1, -1):
+            step: dict = {}
+            for (lp, tp), value in U.items():
+                if lp:
+                    step[lp - 1, tp] = step.get((lp - 1, tp), 0.0) - lp * value
+                step[lp + 1, tp - 1] = step.get((lp + 1, tp - 1), 0.0) + value * inv_var
+                step[lp, tp] = step.get((lp, tp), 0.0) + 0.5 * value
+            for tau_pow, coeff in chi.get(m, {}).items():
+                step[0, tau_pow - 1] = step.get((0, tau_pow - 1), 0.0) + float(coeff) * inv_sigma0
+            U = step
         out.append(U)
     return out
 
@@ -387,26 +393,18 @@ def price_u0(point, table: TaylorTable, payoff: str = "call") -> float:
 def price_uN(point, table: TaylorTable, order: int, payoff: str = "call") -> PriceApprox:
     """Order-N price: base price plus the reduced-operator corrections.
 
-    Corrections apply the z-weights chi_{n,m} to the Hermite-form
-    z-derivative ratios times vega, so the cost stays comparable to a
-    Black-Scholes evaluation.  Call and put share the correction terms
-    because the parity difference is annihilated by Dz^2 - Dz.
+    The order-n term is vega times U_n(lam, tau), the correction the
+    implied-vol series is built from (``_correction_dicts``), so both
+    routes share one definition and the same input checks.  Each call
+    assembles U_1..U_N for the table, at about the cost of an engine call.
+    Call and put share the correction terms because the parity difference
+    is annihilated by Dz^2 - Dz.
     """
     _check_order(order, table)
-    _check_payoff(payoff)
     u0 = price_u0(point, table, payoff)
-    tau = point.tau
-    inputs = BsInputs(
-        sigma=base_sigma(table, point.beta), tau=tau, z=point.z, k=point.k
-    )
-    vega = bs_vega(inputs)
-    terms = []
-    for n in range(1, order + 1):
-        value = 0.0
-        for m, chi in reduced_Ln(table, n, point.beta).items():
-            weight = sum(coeff * tau**p for p, coeff in chi.items())
-            value += weight * hermite_vega_ratio(m, inputs)
-        terms.append(vega * value)
+    tau, lam = point.tau, point.lam
+    vega = bs_vega(BsInputs(base_sigma(table, point.beta), tau, point.z, point.k))
+    terms = [vega * lp_eval(U, lam, tau) for U in _correction_dicts(table, point.beta, order)]
     return PriceApprox(u0=u0, terms=tuple(terms), total=u0 + math.fsum(terms))
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,6 @@ from letfvol.expansion import (
     SERIES_CACHE_SIZE,
     IvSeries,
     base_sigma,
-    hermite_ratio_coeffs,
     iv_approx,
     iv_series_engine,
     lp_add,
@@ -27,6 +27,7 @@ from letfvol.expansion import (
     lp_mul,
     price_u0,
     price_uN,
+    reduced_Ln,
     vega_ratio_coeffs,
 )
 from letfvol.models import (
@@ -78,35 +79,80 @@ def test_lp_helpers_round_trip():
     assert acc == {}
 
 
-def test_hermite_ratio_coeffs_match_direct_values():
-    sigma0, tau, z = 0.31, 0.85, 0.04
-    inputs_at = lambda k: BsInputs(sigma=sigma0, tau=tau, z=z, k=k)
-    for m in range(7):
-        coeffs = hermite_ratio_coeffs(m, sigma0)
-        assert all(tp < 0 for (_, tp) in coeffs)
-        assert max(lp for (lp, _) in coeffs) == m
-        for k in (-0.2, 0.02, 0.33):
-            lam = k - z
-            direct = hermite_vega_ratio(m, inputs_at(k))
-            assert lp_eval(coeffs, lam, tau) == pytest.approx(direct, rel=1e-11, abs=1e-11)
+def float_route_terms(point, table, order):
+    """Oracle: price corrections as chi weights times hermite_vega_ratio values times vega.
+
+    Shares reduced_Ln with price_uN, but none of its Laurent assembly.
+    """
+    inputs = BsInputs(sigma=base_sigma(table, point.beta), tau=point.tau, z=point.z, k=point.k)
+    return [
+        bs_vega(inputs) * sum(
+            sum(coeff * point.tau**p for p, coeff in chi.items()) * hermite_vega_ratio(m, inputs)
+            for m, chi in reduced_Ln(table, n, point.beta).items()
+        )
+        for n in range(1, order + 1)
+    ]
 
 
-def test_hermite_ratio_coeffs_rejects_bad_inputs():
+@pytest.mark.parametrize("beta", [2.0, -3.0])
+def test_correction_dicts_match_the_float_route(beta):
+    # U_n summed by Horner's rule in D, as Laurent dicts, against chi times
+    # Hermite values at points.
+    table = rich_table()
+    corrections = expansion._correction_dicts(table, beta, MAX_ORDER)
+    for n, U in enumerate(corrections, 1):
+        # r_m has lam-degree m and tau powers down to -(m + 1).
+        top = max(reduced_Ln(table, n, beta))
+        assert max(lp for lp, _ in U) == top
+        assert min(tp for _, tp in U) >= -(top + 1)
+    for tau, k in ((0.05, -0.2), (0.85, 0.02), (2.0, 0.33)):
+        point = make_point(beta=beta, tau=tau, k=k, z=0.04)
+        vega = bs_vega(BsInputs(sigma=base_sigma(table, beta), tau=tau, z=point.z, k=k))
+        for U, want in zip(corrections, float_route_terms(point, table, MAX_ORDER)):
+            assert lp_eval(U, point.lam, tau) == pytest.approx(want / vega, rel=1e-11, abs=1e-11)
+
+
+@pytest.mark.parametrize("beta", [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("kind", sorted(MODEL_TABLES))
+def test_price_uN_terms_match_the_float_route(kind, beta):
+    model, x, y = MODEL_TABLES[kind]
+    table = model.taylor_table(x, y, MAX_ORDER)
+    sigma0 = base_sigma(table, beta)
+    for tau, d in itertools.product((1 / 52, 0.25, 1.0), (-2.0, 0.0, 2.0)):
+        k = d * sigma0 * math.sqrt(tau)
+        point = MarketPoint(t=0.0, T=tau, x=x, y=y, z=0.0, k=k, beta=beta)
+        vega = bs_vega(BsInputs(sigma=sigma0, tau=tau, z=0.0, k=k))
+        want = float_route_terms(point, table, MAX_ORDER)
+        for order in range(1, MAX_ORDER + 1):
+            got = price_uN(point, table, order).terms
+            assert got == pytest.approx(want[:order], rel=0.0, abs=1e-12 * vega), (tau, d, order)
+
+
+@pytest.mark.parametrize("beta", [0.0, float("nan")])
+def test_engine_rejects_a_base_volatility_that_is_not_positive(beta):
     with pytest.raises(DomainError):
-        hermite_ratio_coeffs(-1, 0.3)
-    with pytest.raises(DomainError):
-        hermite_ratio_coeffs(2, 0.0)
+        iv_series_engine(SimpleNamespace(beta=beta), rich_table(), 3)
 
 
 @pytest.mark.parametrize(
+    "route",
+    [
+        lambda point, model: iv_approx(point, model, 3),
+        lambda point, model: price_uN(point, model.taylor_table(point.x, point.y, 3), 3),
+    ],
+    ids=["iv_approx", "price_uN"],
+)
+@pytest.mark.parametrize(
     "model, y",
     [(HestonModel(1.5, 0.04, 0.3, -0.6), 100.0), (SabrModel(0.3, 0.5, -0.3), -120.0)],
+    ids=["heston", "sabr"],
 )
-def test_extreme_states_raise_domain_error(model, y):
-    # sigma0 = 1e22 overflows a power of sigma0^2, sigma0 = 1.5e-52 underflows one.
+def test_extreme_states_raise_domain_error(model, y, route):
+    # sigma0 = 1e22 overflows a power of sigma0^2, sigma0 = 1.5e-52 underflows
+    # one; on the price route vega underflows to 0 while the corrections grow.
     point = make_point(beta=-2.0, tau=0.25, k=0.1, x=0.0, y=y)
     with pytest.raises(DomainError):
-        iv_approx(point, model, 3)
+        route(point, model)
 
 
 def test_vega_ratio_coeffs_match_finite_differences():
@@ -409,14 +455,14 @@ def test_engine_matches_general_forms_on_random_tables(
 @pytest.mark.parametrize("beta", [2.0, -3.0])
 def test_engine_terms_solve_the_composition_sum_pointwise(beta):
     # Each sigma_n against the recursion written over explicit compositions,
-    # fed by the price route's corrections U_n = u_n / vega (Hermite values,
-    # not Laurent dicts) and the written-out vega ratios.
+    # fed by the corrections U_n = u_n / vega of the float route (Hermite
+    # values, not Laurent dicts) and the written-out vega ratios.
     table = rich_table()
     for tau, k in ((0.4, -0.08), (0.9, 0.15)):
         point = make_point(beta=beta, tau=tau, k=k)
         series = iv_series_engine(point, table, MAX_ORDER)
         inputs = BsInputs(sigma=series.sigma0, tau=tau, z=point.z, k=k)
-        corrections = [u / bs_vega(inputs) for u in price_uN(point, table, MAX_ORDER).terms]
+        corrections = [u / bs_vega(inputs) for u in float_route_terms(point, table, MAX_ORDER)]
         sigmas = [lp_eval(series.term(n), point.lam, tau) for n in range(1, MAX_ORDER + 1)]
         for n in range(1, MAX_ORDER + 1):
             want = corrections[n - 1]
