@@ -2,8 +2,8 @@
 
 Everything here works in log coordinates: ``z`` is the log of the spot,
 ``k`` the log of the strike, and prices are undiscounted.  The normal CDF
-goes through ``math.erf`` so results are reproducible to ~1e-16 without
-pulling in a stats dependency.
+goes through ``math.erfc``, which keeps its left tail to full relative
+precision, without pulling in a stats dependency.
 """
 
 from __future__ import annotations
@@ -14,16 +14,16 @@ from dataclasses import dataclass
 from .errors import DomainError, NoArbitrageError, SolverError
 
 SQRT2 = math.sqrt(2.0)
+INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # Implied-vol solver controls.
-IV_BRACKET_LO = 1e-6
-IV_BRACKET_HI = 5.0
 IV_MAX_ITER = 100
+IV_MAX_VOL = 1e3
 
 
 def norm_cdf(x: float) -> float:
     """Standard normal CDF."""
-    return 0.5 * (1.0 + math.erf(x / SQRT2))
+    return 0.5 * math.erfc(-x / SQRT2)
 
 
 def norm_pdf(x: float) -> float:
@@ -72,11 +72,19 @@ class ImpliedVol:
     iterations: int = 0
 
 
+def _call(spot: float, strike: float, x: float, s: float) -> tuple:
+    """Undiscounted call price and d+, from e^z, e^k, x = z - k and s = sigma sqrt(tau)."""
+    a, h = x / s, 0.5 * s
+    d_plus = a + h
+    erfc = math.erfc
+    return 0.5 * (spot * erfc(-d_plus / SQRT2) - strike * erfc((h - a) / SQRT2)), d_plus
+
+
 def bs_call_price(inputs: BsInputs) -> float:
     """Undiscounted European call price e^z N(d+) - e^k N(d-)."""
-    return math.exp(inputs.z) * norm_cdf(inputs.d_plus()) - math.exp(
-        inputs.k
-    ) * norm_cdf(inputs.d_minus())
+    return _call(
+        math.exp(inputs.z), math.exp(inputs.k), inputs.z - inputs.k, inputs.total_std
+    )[0]
 
 
 def bs_put_price(inputs: BsInputs) -> float:
@@ -92,56 +100,62 @@ def bs_vega(inputs: BsInputs) -> float:
 def implied_vol(price: float, tau: float, z: float, k: float) -> ImpliedVol:
     """Invert an undiscounted call price to a Black-Scholes volatility.
 
-    Uses Newton steps safeguarded by a bisection bracket, starting from
-    [1e-6, 5].  The stopping rule is on price: |model - target| below
-    1e-12 * e^z.
+    Starts from Manaster and Koehler's sigma = sqrt(2 |z - k| / tau), the
+    inflection point of the price in sigma, or at the money from
+    sqrt(2 pi) price / (e^z sqrt(tau)).  Takes Halley steps (volga / vega
+    = d+ d- / sigma), or Newton steps where Halley's denominator is small.
+    The bracket starts as (0, inf) and is narrowed by the sign of each
+    price gap; a step that leaves it bisects, or doubles sigma while the
+    top is still inf.  The stopping rule is on price: |model - target| at
+    most 1e-12 * e^z.
 
     Raises:
+        DomainError: a non-finite input, or tau <= 0.
         NoArbitrageError: price is outside ((e^z - e^k)+, e^z).
-        SolverError: no convergence within the iteration budget.
+        SolverError: the vol exceeds IV_MAX_VOL, or no convergence within
+            IV_MAX_ITER price evaluations.
     """
+    isfinite = math.isfinite
+    if not (isfinite(price) and isfinite(tau) and isfinite(z) and isfinite(k)):
+        raise DomainError(f"inputs must be finite, got {(price, tau, z, k)}")
     if tau <= 0.0:
         raise DomainError(f"tau must be positive, got {tau}")
-    spot = math.exp(z)
-    intrinsic = max(spot - math.exp(k), 0.0)
+    spot, strike = math.exp(z), math.exp(k)
+    intrinsic = max(spot - strike, 0.0)
     if not (intrinsic < price < spot):
         raise NoArbitrageError(
             f"call price {price} outside arbitrage bounds ({intrinsic}, {spot})"
         )
     tol = 1e-12 * spot
-
-    lo, hi = IV_BRACKET_LO, IV_BRACKET_HI
-    f_lo = bs_call_price(BsInputs(lo, tau, z, k)) - price
-    if f_lo > 0.0:
-        # Target sits below the smallest bracketed price; the bound check
-        # above means this can only happen within the price tolerance.
-        return ImpliedVol(value=lo, iterations=0)
-    f_hi = bs_call_price(BsInputs(hi, tau, z, k)) - price
-    while f_hi < 0.0:
-        # Price achievable only above the default bracket; widen it.
-        hi *= 2.0
-        if hi > 1e3:
-            raise SolverError(f"implied vol exceeds {hi}; price {price} too close to spot")
-        f_hi = bs_call_price(BsInputs(hi, tau, z, k)) - price
-
-    sigma = 0.5 * (lo + hi)
+    x, root_tau = z - k, math.sqrt(tau)
+    vega_scale = INV_SQRT_2PI * spot * root_tau
+    sigma = math.sqrt(2.0 * abs(x) / tau)
+    if sigma == 0.0:
+        # The floor keeps sigma > 0 where price / e^z underflows.
+        sigma = max(price / vega_scale, 1e-300)
+    lo, hi = 0.0, math.inf
     for iteration in range(1, IV_MAX_ITER + 1):
-        trial = BsInputs(sigma, tau, z, k)
-        diff = bs_call_price(trial) - price
-        if abs(diff) <= tol:
+        s = sigma * root_tau
+        model, d_plus = _call(spot, strike, x, s)
+        diff = model - price
+        if -tol <= diff <= tol:
             return ImpliedVol(value=sigma, iterations=iteration)
         if diff > 0.0:
             hi = sigma
-        else:
+        elif sigma < IV_MAX_VOL:
             lo = sigma
-        vega = bs_vega(trial)
-        if vega > 1e-300:
-            step = sigma - diff / vega
         else:
-            step = math.nan
-        if not (lo < step < hi):
-            step = 0.5 * (lo + hi)
-        sigma = step
+            raise SolverError(f"implied vol exceeds {IV_MAX_VOL}; price {price} too close to spot")
+        vega = vega_scale * math.exp(-0.5 * d_plus * d_plus)
+        step = math.nan
+        if vega > 0.0:
+            newton = diff / vega
+            # Halley's denominator, with volga / vega = d+ d- / sigma.
+            halley = 1.0 - 0.5 * newton * d_plus * (d_plus - s) / sigma
+            step = sigma - (newton / halley if halley > 0.5 else newton)
+        if not lo < step < hi:
+            step = 2.0 * sigma if hi == math.inf else 0.5 * (lo + hi)
+        sigma = step if step < IV_MAX_VOL else IV_MAX_VOL
     raise SolverError(
         f"implied vol did not converge in {IV_MAX_ITER} iterations; "
         f"bracket [{lo}, {hi}]"

@@ -16,6 +16,7 @@ from scipy import integrate
 from scipy.stats import norm
 
 from letfvol.blackscholes import (
+    IV_MAX_VOL,
     BsInputs,
     bs_call_price,
     bs_put_price,
@@ -25,7 +26,7 @@ from letfvol.blackscholes import (
     implied_vol,
     norm_cdf,
 )
-from letfvol.errors import DomainError, NoArbitrageError
+from letfvol.errors import DomainError, NoArbitrageError, SolverError
 
 def vega_ratio(order: int, inputs: BsInputs) -> float:
     """Oracle: ratio of the order-2, 3 or 4 sigma-derivative of the call
@@ -87,9 +88,48 @@ def fd_derivative(f, x0, order, h, half_points):
     return coeffs[order] * math.factorial(order) / h**order
 
 
+def bisection_implied_vol(price, tau, z, k):
+    """Oracle: bisect ``bs_call_price`` in sigma on (0, IV_MAX_VOL] until
+    the price gap meets the solver's stopping rule, 1e-12 * e^z."""
+    spot = math.exp(z)
+    if not max(spot - math.exp(k), 0.0) < price < spot:
+        raise NoArbitrageError(f"price {price} outside arbitrage bounds")
+    tol = 1e-12 * spot
+
+    def gap(sigma):
+        return bs_call_price(BsInputs(sigma, tau, z, k)) - price
+
+    if gap(IV_MAX_VOL) < -tol:
+        raise SolverError(f"implied vol exceeds {IV_MAX_VOL}")
+    lo, hi = 0.0, IV_MAX_VOL
+    for _ in range(1100):  # enough halvings to reach the smallest float
+        mid = 0.5 * (lo + hi)
+        g = gap(mid)
+        if abs(g) <= tol:
+            return mid
+        lo, hi = (mid, hi) if g < 0.0 else (lo, mid)
+    raise SolverError("bisection stalled")
+
+
 def test_norm_cdf_matches_scipy():
-    for x in np.linspace(-6, 6, 25):
-        assert math.isclose(norm_cdf(x), norm.cdf(x), rel_tol=0, abs_tol=1e-14)
+    # 1e-14 relative, widened by the condition number |x| pdf / cdf where it
+    # exceeds 1: at x = -30 it is 900, and rounding x/sqrt(2) alone moves
+    # the value by about 1e-13 relative.
+    for x in np.linspace(-30, 8, 153):
+        want = norm.cdf(x)
+        kappa = abs(x) * norm.pdf(x) / want
+        assert abs(norm_cdf(x) - want) <= 1e-14 * max(1.0, kappa) * want
+
+
+@pytest.mark.parametrize(
+    "sigma, tau, z, k",
+    [(0.2, 0.25, 0.0, 1.0), (0.1, 1.0, 0.0, 0.8), (0.5, 0.02, -0.2, 0.9)],
+)
+def test_deep_otm_call_keeps_the_left_tail(sigma, tau, z, k):
+    inputs = BsInputs(sigma, tau, z, k)
+    want = math.exp(z) * norm.sf(-inputs.d_plus()) - math.exp(k) * norm.sf(-inputs.d_minus())
+    assert want < 1e-15
+    assert math.isclose(bs_call_price(inputs), want, rel_tol=1e-10)
 
 
 def test_atm_call_matches_quadrature_oracle():
@@ -164,6 +204,80 @@ def test_implied_vol_rejects_out_of_bounds_prices():
         implied_vol(math.exp(0.2) - math.exp(0.1), 1.0, 0.2, 0.1)  # at intrinsic
     with pytest.raises(NoArbitrageError):
         implied_vol(-0.01, 1.0, 0.0, 0.1)
+
+
+@pytest.mark.parametrize("price, tau, z, k", [(1e-10, 1.0, 0.0, 0.0), (1e-20, 1.0, 700.0, 700.0)])
+def test_implied_vol_solves_tiny_atm_prices_to_the_rule(price, tau, z, k):
+    # Below the price at sigma = 1e-6: such a price must still be solved
+    # to the stopping rule, not answered with a bracket end.
+    result = implied_vol(price, tau, z, k)
+    again = bs_call_price(BsInputs(result.value, tau, z, k))
+    assert abs(again - price) <= 1e-12 * math.exp(z)
+    assert result.iterations >= 1
+    if z == 0.0:
+        assert math.isclose(result.value, math.sqrt(2.0 * math.pi) * price, rel_tol=1e-2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", range(4))
+def test_implied_vol_rejects_non_finite_inputs(position, bad):
+    args = [0.08, 1.0, 0.0, 0.0]
+    args[position] = bad
+    with pytest.raises(DomainError):
+        implied_vol(*args)
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except (NoArbitrageError, SolverError) as exc:
+        return type(exc)
+
+
+def test_implied_vol_matches_bisection_oracle_on_grid():
+    z = 0.1
+    for sigma in (0.005, 0.02, 0.1, 0.3, 0.7, 1.5, 3.0, 6.0):
+        for tau in (1 / 365, 1 / 52, 0.25, 1.0, 5.0):
+            for x in np.linspace(-3.0, 3.0, 13):
+                k = z - x
+                inputs = BsInputs(sigma, tau, z, k)
+                price = bs_call_price(inputs)
+                got = _outcome(implied_vol, price, tau, z, k)
+                want = _outcome(bisection_implied_vol, price, tau, z, k)
+                if isinstance(want, type):
+                    assert got is want
+                    continue
+                gap = bs_call_price(BsInputs(got.value, tau, z, k)) - price
+                assert abs(gap) <= 1e-12 * math.exp(z)
+                if bs_vega(inputs) > 1e-4:
+                    assert abs(got.value - sigma) < 1e-7
+                    assert abs(want - sigma) < 1e-7
+
+
+def test_implied_vol_far_above_the_first_guess():
+    # A price a hair below the spot needs sigma ~ 12, far above the start.
+    price = 0.999999999
+    result = implied_vol(price, 1.0, 0.0, 0.0)
+    assert abs(result.value - 12.2188) < 1e-3
+    assert abs(bs_call_price(BsInputs(result.value, 1.0, 0.0, 0.0)) - price) <= 1e-12
+
+
+def test_implied_vol_caps_the_vol():
+    # At tau = 1e-12 this price needs sigma ~ 2.5e5, above IV_MAX_VOL.
+    with pytest.raises(SolverError):
+        implied_vol(0.1, 1e-12, 0.0, 0.0)
+
+
+def test_implied_vol_iteration_budget_on_quote_grid():
+    iterations = []
+    for sigma in np.linspace(0.1, 0.9, 9):
+        for tau in np.linspace(1 / 52, 1.0, 8):
+            for d in np.linspace(-2.5, 2.5, 41):
+                lam = d * sigma * math.sqrt(tau)
+                price = bs_call_price(BsInputs(sigma, tau, 0.0, lam))
+                iterations.append(implied_vol(price, tau, 0.0, lam).iterations)
+    assert sum(iterations) / len(iterations) <= 6.0
+    assert max(iterations) <= 10
 
 
 def test_vega_positive():
