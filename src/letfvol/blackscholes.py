@@ -9,12 +9,15 @@ precision, without pulling in a stats dependency.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, NoArbitrageError, SolverError
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# Largest z or k whose exponential is a finite float.
+MAX_LOG = math.log(sys.float_info.max)
 
 # Implied-vol solver controls.
 IV_MAX_ITER = 100
@@ -38,8 +41,8 @@ class BsInputs:
     Attributes:
         sigma: volatility, must be positive.
         tau: time to expiry in years, must be positive.
-        z: log spot.
-        k: log strike.
+        z: log spot, above -inf and at most MAX_LOG.
+        k: log strike, above -inf and at most MAX_LOG.
     """
 
     sigma: float
@@ -52,6 +55,10 @@ class BsInputs:
             raise DomainError(f"sigma must be positive, got {self.sigma}")
         if not (self.tau > 0.0) or not math.isfinite(self.tau):
             raise DomainError(f"tau must be positive, got {self.tau}")
+        if not -math.inf < self.z <= MAX_LOG:
+            raise DomainError(f"z must be finite and at most {MAX_LOG}, got {self.z}")
+        if not -math.inf < self.k <= MAX_LOG:
+            raise DomainError(f"k must be finite and at most {MAX_LOG}, got {self.k}")
 
     @property
     def total_std(self) -> float:
@@ -110,7 +117,7 @@ def implied_vol(price: float, tau: float, z: float, k: float) -> ImpliedVol:
     most 1e-12 * e^z.
 
     Raises:
-        DomainError: a non-finite input, or tau <= 0.
+        DomainError: a non-finite input, z or k above MAX_LOG, or tau <= 0.
         NoArbitrageError: price is outside ((e^z - e^k)+, e^z).
         SolverError: the vol exceeds IV_MAX_VOL, or no convergence within
             IV_MAX_ITER price evaluations.
@@ -118,6 +125,8 @@ def implied_vol(price: float, tau: float, z: float, k: float) -> ImpliedVol:
     isfinite = math.isfinite
     if not (isfinite(price) and isfinite(tau) and isfinite(z) and isfinite(k)):
         raise DomainError(f"inputs must be finite, got {(price, tau, z, k)}")
+    if z > MAX_LOG or k > MAX_LOG:
+        raise DomainError(f"z and k must be at most {MAX_LOG}, got {(z, k)}")
     if tau <= 0.0:
         raise DomainError(f"tau must be positive, got {tau}")
     spot, strike = math.exp(z), math.exp(k)

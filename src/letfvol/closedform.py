@@ -1,16 +1,11 @@
 """Hand-transcribed implied-vol series for the named models.
 
-These closed forms were worked out once by hand for each supported model
-and are kept as an independent check on the mechanical assembly in
+These closed forms were worked out once by hand for each named model and
+are kept as an independent check on the mechanical assembly in
 ``expansion``: both routes must produce identical coefficients wherever a
 closed form exists.  Availability: CEV and Heston through order 3, SABR
-through order 2, a Taylor table given directly through order 2 via the
-general local-stochastic-vol forms.
-
-Convention note: the general forms are written against the quadratic-form
-weights of the degree-2 Taylor block, so every normalized degree-2 table
-entry is doubled on the way in (for the pure entries that recovers the raw
-second derivative; the mixed entry carries both cross orderings).
+through order 2.  The general local-stochastic-vol forms, written against a
+Taylor table, serve only as a test oracle and live with the tests.
 """
 
 from __future__ import annotations
@@ -18,10 +13,10 @@ from __future__ import annotations
 import math
 
 from .errors import ConfigError, DomainError
-from .expansion import MAX_ORDER, IvSeries, _check_order
-from .models import CevModel, HestonModel, SabrModel, TaylorTable
+from .expansion import MAX_ORDER, IvSeries, lp_add
+from .models import CevModel, HestonModel, SabrModel
 
-PRINTED_MAX_ORDER = {CevModel: 3, HestonModel: 3, SabrModel: 2, TaylorTable: 2}
+PRINTED_MAX_ORDER = {CevModel: 3, HestonModel: 3, SabrModel: 2}
 
 
 def _clean(term: dict) -> dict:
@@ -146,34 +141,19 @@ def _heston_sigma_terms(model: HestonModel, sigma0: float, beta: float, order: i
 
 
 def _sabr_sigma_terms(model: SabrModel, sigma0: float, beta: float, order: int) -> list:
+    # The pure-gamma parts are CEV's forms at the same sigma0; add the delta parts.
     g = model.gamma - 1.0
     dl, rho = model.delta, model.rho
     sgn = math.copysign(1.0, beta)
     ab = abs(beta)
-    terms = []
+    terms = _cev_sigma_terms(sigma0, model.gamma, beta, order)
     if order >= 1:
-        s10 = {
-            (0, 1): (beta - 1.0) * g * sigma0**3 / (4.0 * beta**2),
-            (1, 0): g * sigma0 / (2.0 * beta),
-        }
         s01 = {
             (0, 1): -0.25 * dl * sigma0 * (dl - rho * sigma0 * sgn),
             (1, 0): 0.5 * dl * rho * sgn,
         }
-        term = dict(s10)
-        for key, value in s01.items():
-            term[key] = term.get(key, 0.0) + value
-        terms.append(term)
+        lp_add(terms[0], s01)
     if order >= 2:
-        s20 = {
-            (0, 1): g**2 * sigma0**3 / (24.0 * beta**2),
-            (0, 2): (2.0 * beta * (6.0 * beta - 13.0) + 13.0)
-            * g**2
-            * sigma0**5
-            / (96.0 * beta**4),
-            (1, 1): 7.0 * (beta - 1.0) * g**2 * sigma0**3 / (24.0 * beta**3),
-            (2, 0): g**2 * sigma0 / (12.0 * beta**2),
-        }
         s11 = {
             (0, 1): g * dl * rho * sigma0**2 / (4.0 * ab),
             (0, 2): g
@@ -197,138 +177,19 @@ def _sabr_sigma_terms(model: SabrModel, sigma0: float, beta: float, order: int) 
             (1, 1): -(dl**2) * rho * (dl - 3.0 * rho * sigma0 * sgn) / (24.0 * sgn),
             (2, 0): dl**2 * (2.0 - 3.0 * rho**2) / (12.0 * sigma0),
         }
-        term = {}
-        for part in (s20, s11, s02):
-            for key, value in part.items():
-                term[key] = term.get(key, 0.0) + value
-        terms.append(term)
-    return terms
-
-
-def _general_sigma_terms(table, sigma0: float, beta: float, order: int) -> list:
-    """Time-homogeneous forms written against raw coefficient derivatives."""
-    a10 = table.get("a", 1, 0)
-    a01 = table.get("a", 0, 1)
-    c00 = table.get("c", 0, 0)
-    f00 = table.get("f", 0, 0)
-    terms = []
-    if order >= 1:
-        s10 = {
-            (0, 1): (beta - 1.0) * sigma0 * a10 / 4.0,
-            (1, 0): beta * a10 / (2.0 * sigma0),
-        }
-        s01 = {
-            (0, 1): beta**2 * a01 * (2.0 * c00 + beta * f00) / (4.0 * sigma0),
-            (1, 0): beta**3 * a01 * f00 / (2.0 * sigma0**3),
-        }
-        term = dict(s10)
-        for key, value in s01.items():
-            term[key] = term.get(key, 0.0) + value
-        terms.append(term)
-    if order >= 2:
-        A11 = 2.0 * table.get("a", 1, 1)
-        A20 = 2.0 * table.get("a", 2, 0)
-        A02 = 2.0 * table.get("a", 0, 2)
-        b00 = table.get("b", 0, 0)
-        c10 = table.get("c", 1, 0)
-        c01 = table.get("c", 0, 1)
-        f10 = table.get("f", 1, 0)
-        f01 = table.get("f", 0, 1)
-        s20 = {
-            (0, 1): (2.0 * sigma0**2 * A20 - 3.0 * beta**2 * a10**2) / (24.0 * sigma0),
-            (0, 2): (
-                beta**2 * (2.0 * beta * (2.0 * beta - 5.0) + 5.0) * sigma0 * a10**2
-                + 4.0 * (beta - 1.0) ** 2 * sigma0**3 * A20
-            )
-            / (96.0 * beta**2),
-            (1, 1): -(beta - 1.0)
-            * (beta**2 * a10**2 - 4.0 * sigma0**2 * A20)
-            / (24.0 * beta * sigma0),
-            (2, 0): (2.0 * sigma0**2 * A20 - 3.0 * beta**2 * a10**2) / (12.0 * sigma0**3),
-        }
-        s11 = {
-            (0, 1): beta**2
-            * (a01 * (beta**2 * a10 * f00 - 2.0 * sigma0**2 * f10) + sigma0**2 * A11 * f00)
-            / (12.0 * sigma0**3),
-            (0, 2): (
-                a01
-                * (
-                    beta**2 * a10 * (2.0 * (beta - 1.0) * c00 - beta * f00)
-                    + 2.0 * (beta - 1.0) * sigma0**2 * (2.0 * c10 + beta * f10)
-                )
-                + 2.0 * (beta - 1.0) * sigma0**2 * A11 * (2.0 * c00 + beta * f00)
-            )
-            / (48.0 * sigma0),
-            (1, 1): beta
-            * (
-                a01
-                * (
-                    5.0 * beta**2 * a10 * ((1.0 - 2.0 * beta) * f00 - 2.0 * c00)
-                    + 2.0 * sigma0**2 * (2.0 * c10 + (2.0 * beta - 1.0) * f10)
-                )
-                + 2.0 * sigma0**2 * A11 * (2.0 * c00 + (2.0 * beta - 1.0) * f00)
-            )
-            / (24.0 * sigma0**3),
-            (2, 0): beta**2
-            * (a01 * (sigma0**2 * f10 - 5.0 * beta**2 * a10 * f00) + sigma0**2 * A11 * f00)
-            / (6.0 * sigma0**5),
-        }
-        s02 = {
-            (0, 1): (
-                12.0 * beta**2 * sigma0**4 * A02 * b00
-                - 4.0
-                * beta**4
-                * sigma0**2
-                * (2.0 * a01**2 * b00 + a01 * f00 * f01 + A02 * f00**2)
-                + 9.0 * beta**6 * a01**2 * f00**2
-            )
-            / (24.0 * sigma0**5),
-            (0, 2): beta**2
-            * (
-                sigma0**2
-                * (
-                    -2.0 * beta**2 * a01**2 * b00
-                    + a01 * (2.0 * c00 + beta * f00) * (2.0 * c01 + beta * f01)
-                    + A02 * (2.0 * c00 + beta * f00) ** 2
-                )
-                - 3.0 * beta**2 * a01**2 * c00 * (c00 + beta * f00)
-            )
-            / (24.0 * sigma0**3),
-            (1, 1): beta**3
-            * (
-                -9.0 * beta**2 * a01**2 * f00 * (2.0 * c00 + beta * f00)
-                + 4.0 * sigma0**2 * A02 * f00 * (2.0 * c00 + beta * f00)
-                + 4.0 * sigma0**2 * a01 * (f01 * (c00 + beta * f00) + c01 * f00)
-            )
-            / (24.0 * sigma0**5),
-            (2, 0): beta**4
-            * (
-                2.0 * sigma0**2 * (2.0 * a01**2 * b00 + a01 * f00 * f01 + A02 * f00**2)
-                - 9.0 * beta**2 * a01**2 * f00**2
-            )
-            / (12.0 * sigma0**7),
-        }
-        term = {}
-        for part in (s20, s11, s02):
-            for key, value in part.items():
-                term[key] = term.get(key, 0.0) + value
-        terms.append(term)
+        lp_add(terms[1], s11)
+        lp_add(terms[1], s02)
     return terms
 
 
 def iv_series_printed(model, point, order: int) -> IvSeries:
     """Implied-vol series from the hand-transcribed closed forms.
 
-    ``model`` is a named model, expanded at (point.x, point.y), or a
-    TaylorTable.  Supported (type, order) pairs are listed in
-    PRINTED_MAX_ORDER; a SABR request at order 3 is rejected because no
-    third-order closed form is available for it, only the engine route
-    covers that case.
-
-    A TaylorTable is used as given, exactly as the engine uses it: its
-    entries are the expansion, so point.x and point.y are not consulted
-    for it (only point.beta is), and a table whose extent is below
-    ``order`` raises DomainError, as in the engine.
+    ``model`` is a named model (CEV, Heston or SABR), expanded at
+    (point.x, point.y); any other type, a TaylorTable included, raises
+    ConfigError.  Supported orders are listed in PRINTED_MAX_ORDER; a SABR
+    request at order 3 is rejected because no third-order closed form is
+    available for it, only the engine route covers that case.
     """
     cap = PRINTED_MAX_ORDER.get(type(model))
     if cap is None:
@@ -349,13 +210,9 @@ def iv_series_printed(model, point, order: int) -> IvSeries:
     elif isinstance(model, HestonModel):
         sigma0 = abs(beta) * math.sqrt(math.exp(point.y))
         terms = _heston_sigma_terms(model, sigma0, beta, order)
-    elif isinstance(model, SabrModel):
+    else:
         sigma0 = abs(beta) * math.sqrt(
             math.exp(2.0 * point.y + 2.0 * point.x * (model.gamma - 1.0))
         )
         terms = _sabr_sigma_terms(model, sigma0, beta, order)
-    else:
-        _check_order(order, model)
-        sigma0 = abs(beta) * math.sqrt(2.0 * model.get("a", 0, 0))
-        terms = _general_sigma_terms(model, sigma0, beta, order)
     return IvSeries(sigma0=sigma0, terms=tuple(_clean(term) for term in terms))

@@ -170,6 +170,24 @@ def test_domain_validation():
         BsInputs(-0.1, 1.0, 0.0, 0.0)
     with pytest.raises(DomainError):
         BsInputs(0.2, 0.0, 0.0, 0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            BsInputs(0.2, 1.0, bad, 0.0)
+        with pytest.raises(DomainError):
+            BsInputs(0.2, 1.0, 0.0, bad)
+
+
+@pytest.mark.parametrize("z,k", [(710.0, 0.0), (0.0, 710.0)])
+@pytest.mark.parametrize(
+    "fn", [bs_call_price, bs_put_price, bs_vega, implied_vol], ids=lambda fn: fn.__name__
+)
+def test_logs_above_the_exp_range_raise_domain_error(fn, z, k):
+    # e^710 overflows a float.
+    with pytest.raises(DomainError):
+        if fn is implied_vol:
+            implied_vol(0.5, 1.0, z, k)
+        else:
+            fn(BsInputs(0.2, 1.0, z, k))
 
 
 def test_implied_vol_recovers_frozen_atm_value():

@@ -376,8 +376,7 @@ def hand_beta1_terms(table):
     }
     term2 = {}
     for part in (s20, s11, s02):
-        for key, value in part.items():
-            term2[key] = term2.get(key, 0.0) + value
+        lp_add(term2, part)
     return s0, term1, term2
 
 
@@ -405,7 +404,7 @@ def test_beta_one_matches_hand_folded_single_asset_forms():
         (SabrModel(delta=0.45, gamma=0.4, rho=-0.3), 2),
     ],
 )
-@pytest.mark.parametrize("beta", [2.0, -2.0])
+@pytest.mark.parametrize("beta", [1.0, -1.0, 2.0, -2.0, 3.0, -3.0])
 def test_engine_matches_printed_forms(model, order, beta):
     point = make_point(beta=beta, tau=0.6, y=-2.6 if isinstance(model, HestonModel) else -1.1)
     table = model.taylor_table(point.x, point.y, order)
@@ -417,6 +416,129 @@ def test_engine_matches_printed_forms(model, order, beta):
         for key in keys:
             e, p = eng.term(n).get(key, 0.0), pr.term(n).get(key, 0.0)
             assert e == pytest.approx(p, rel=1e-10, abs=1e-12), (n, key)
+
+
+def general_sigma_terms(table, sigma0, beta, order):
+    """Time-homogeneous forms written against raw coefficient derivatives.
+
+    Convention note: the forms are written against the quadratic-form
+    weights of the degree-2 Taylor block, so every normalized degree-2
+    table entry is doubled on the way in (for the pure entries that
+    recovers the raw second derivative; the mixed entry carries both cross
+    orderings).
+    """
+    a10 = table.get("a", 1, 0)
+    a01 = table.get("a", 0, 1)
+    c00 = table.get("c", 0, 0)
+    f00 = table.get("f", 0, 0)
+    terms = []
+    if order >= 1:
+        s10 = {
+            (0, 1): (beta - 1.0) * sigma0 * a10 / 4.0,
+            (1, 0): beta * a10 / (2.0 * sigma0),
+        }
+        s01 = {
+            (0, 1): beta**2 * a01 * (2.0 * c00 + beta * f00) / (4.0 * sigma0),
+            (1, 0): beta**3 * a01 * f00 / (2.0 * sigma0**3),
+        }
+        term = {}
+        for part in (s10, s01):
+            lp_add(term, part)
+        terms.append(term)
+    if order >= 2:
+        A11 = 2.0 * table.get("a", 1, 1)
+        A20 = 2.0 * table.get("a", 2, 0)
+        A02 = 2.0 * table.get("a", 0, 2)
+        b00 = table.get("b", 0, 0)
+        c10 = table.get("c", 1, 0)
+        c01 = table.get("c", 0, 1)
+        f10 = table.get("f", 1, 0)
+        f01 = table.get("f", 0, 1)
+        s20 = {
+            (0, 1): (2.0 * sigma0**2 * A20 - 3.0 * beta**2 * a10**2) / (24.0 * sigma0),
+            (0, 2): (
+                beta**2 * (2.0 * beta * (2.0 * beta - 5.0) + 5.0) * sigma0 * a10**2
+                + 4.0 * (beta - 1.0) ** 2 * sigma0**3 * A20
+            )
+            / (96.0 * beta**2),
+            (1, 1): -(beta - 1.0)
+            * (beta**2 * a10**2 - 4.0 * sigma0**2 * A20)
+            / (24.0 * beta * sigma0),
+            (2, 0): (2.0 * sigma0**2 * A20 - 3.0 * beta**2 * a10**2) / (12.0 * sigma0**3),
+        }
+        s11 = {
+            (0, 1): beta**2
+            * (a01 * (beta**2 * a10 * f00 - 2.0 * sigma0**2 * f10) + sigma0**2 * A11 * f00)
+            / (12.0 * sigma0**3),
+            (0, 2): (
+                a01
+                * (
+                    beta**2 * a10 * (2.0 * (beta - 1.0) * c00 - beta * f00)
+                    + 2.0 * (beta - 1.0) * sigma0**2 * (2.0 * c10 + beta * f10)
+                )
+                + 2.0 * (beta - 1.0) * sigma0**2 * A11 * (2.0 * c00 + beta * f00)
+            )
+            / (48.0 * sigma0),
+            (1, 1): beta
+            * (
+                a01
+                * (
+                    5.0 * beta**2 * a10 * ((1.0 - 2.0 * beta) * f00 - 2.0 * c00)
+                    + 2.0 * sigma0**2 * (2.0 * c10 + (2.0 * beta - 1.0) * f10)
+                )
+                + 2.0 * sigma0**2 * A11 * (2.0 * c00 + (2.0 * beta - 1.0) * f00)
+            )
+            / (24.0 * sigma0**3),
+            (2, 0): beta**2
+            * (a01 * (sigma0**2 * f10 - 5.0 * beta**2 * a10 * f00) + sigma0**2 * A11 * f00)
+            / (6.0 * sigma0**5),
+        }
+        s02 = {
+            (0, 1): (
+                12.0 * beta**2 * sigma0**4 * A02 * b00
+                - 4.0
+                * beta**4
+                * sigma0**2
+                * (2.0 * a01**2 * b00 + a01 * f00 * f01 + A02 * f00**2)
+                + 9.0 * beta**6 * a01**2 * f00**2
+            )
+            / (24.0 * sigma0**5),
+            (0, 2): beta**2
+            * (
+                sigma0**2
+                * (
+                    -2.0 * beta**2 * a01**2 * b00
+                    + a01 * (2.0 * c00 + beta * f00) * (2.0 * c01 + beta * f01)
+                    + A02 * (2.0 * c00 + beta * f00) ** 2
+                )
+                - 3.0 * beta**2 * a01**2 * c00 * (c00 + beta * f00)
+            )
+            / (24.0 * sigma0**3),
+            (1, 1): beta**3
+            * (
+                -9.0 * beta**2 * a01**2 * f00 * (2.0 * c00 + beta * f00)
+                + 4.0 * sigma0**2 * A02 * f00 * (2.0 * c00 + beta * f00)
+                + 4.0 * sigma0**2 * a01 * (f01 * (c00 + beta * f00) + c01 * f00)
+            )
+            / (24.0 * sigma0**5),
+            (2, 0): beta**4
+            * (
+                2.0 * sigma0**2 * (2.0 * a01**2 * b00 + a01 * f00 * f01 + A02 * f00**2)
+                - 9.0 * beta**2 * a01**2 * f00**2
+            )
+            / (12.0 * sigma0**7),
+        }
+        term = {}
+        for part in (s20, s11, s02):
+            lp_add(term, part)
+        terms.append(term)
+    return terms
+
+
+def general_series_printed(table, beta, order):
+    """The general forms' series for a table used as given, at leverage beta."""
+    sigma0 = abs(beta) * math.sqrt(2.0 * table.get("a", 0, 0))
+    return IvSeries(sigma0=sigma0, terms=tuple(general_sigma_terms(table, sigma0, beta, order)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -444,7 +566,7 @@ def test_engine_matches_general_forms_on_random_tables(
     table = TaylorTable(extent=2, entries=entries)
     point = make_point(beta=beta, tau=0.9)
     eng = iv_series_engine(point, table, 2)
-    pr = iv_series_printed(table, point, 2)
+    pr = general_series_printed(table, beta, 2)
     for n in (1, 2):
         keys = set(eng.term(n)) | set(pr.term(n))
         for key in keys:
@@ -480,18 +602,14 @@ def test_printed_order_cap_points_to_engine():
     model = SabrModel(delta=0.4, gamma=0.5, rho=-0.2)
     with pytest.raises(ConfigError, match="engine"):
         iv_series_printed(model, make_point(y=-1.3), 3)
-    with pytest.raises(ConfigError, match="engine"):
-        iv_series_printed(rich_table(), make_point(), 3)
 
 
 def test_printed_dispatches_on_the_type():
-    # Only the named model classes and TaylorTable have closed forms.
-    for model in (object(), rich_table().entries):
+    # Only the named model classes have closed forms; a TaylorTable goes
+    # to the engine.
+    for model in (object(), rich_table().entries, rich_table()):
         with pytest.raises(ConfigError):
             iv_series_printed(model, make_point(), 1)
-    # A table one short of the order: the same DomainError as the engine.
-    with pytest.raises(DomainError):
-        iv_series_printed(rich_table(extent=1), make_point(), 2)
 
 
 def test_iv_approx_rejects_what_is_not_an_expansion_input():
@@ -511,11 +629,11 @@ def test_iv_approx_routes_agree():
     table = model.taylor_table(point.x, point.y, 3)
     assert iv_approx(point, table, 3) == pytest.approx(engine, rel=1e-14)
     # A table is used as given: the point it was built at, not (point.x,
-    # point.y), is the expansion point, on both routes.
+    # point.y), is the expansion point.
     elsewhere = model.taylor_table(0.0, -2.6, 3)
     from_table = iv_approx(point, elsewhere, 2)
     assert from_table != pytest.approx(iv_approx(point, model, 2), rel=1e-10)
-    printed = iv_series_printed(elsewhere, point, 2).evaluate(point.lam, point.tau)
+    printed = general_series_printed(elsewhere, point.beta, 2).evaluate(point.lam, point.tau)
     assert printed == pytest.approx(from_table, rel=1e-10)
     moved = make_point(beta=-2.0, tau=0.5, x=0.0, y=-2.6)
     printed = iv_series_printed(model, moved, 2).evaluate(moved.lam, moved.tau)
@@ -523,8 +641,6 @@ def test_iv_approx_routes_agree():
     short = model.taylor_table(0.0, -2.6, 1)
     with pytest.raises(DomainError):
         iv_approx(point, short, 2)
-    with pytest.raises(DomainError):
-        iv_series_printed(short, point, 2)
 
 
 # ---------------------------------------------------------------------------
