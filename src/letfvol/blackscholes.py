@@ -1,9 +1,11 @@
 """Black-Scholes prices, greeks ratios, and a robust implied-vol inverter.
 
 Everything here works in log coordinates: ``z`` is the log of the spot,
-``k`` the log of the strike, and prices are undiscounted.  The normal CDF
-goes through ``math.erfc``, which keeps its left tail to full relative
-precision, without pulling in a stats dependency.
+``k`` the log of the strike, and prices are undiscounted.  One kernel,
+``_call``, forms every price and its d+, through ``math.erfc``, which keeps
+the left tail to full relative precision.  The put is the call with spot
+and strike swapped, P(e^z, e^k) = C(e^k, e^z), so no parity subtraction
+turns a worthless put into rounding residue.
 """
 
 from __future__ import annotations
@@ -22,16 +24,6 @@ MAX_LOG = math.log(sys.float_info.max)
 # Implied-vol solver controls.
 IV_MAX_ITER = 100
 IV_MAX_VOL = 1e3
-
-
-def norm_cdf(x: float) -> float:
-    """Standard normal CDF."""
-    return 0.5 * math.erfc(-x / SQRT2)
-
-
-def norm_pdf(x: float) -> float:
-    """Standard normal density."""
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -60,16 +52,6 @@ class BsInputs:
         if not -math.inf < self.k <= MAX_LOG:
             raise DomainError(f"k must be finite and at most {MAX_LOG}, got {self.k}")
 
-    @property
-    def total_std(self) -> float:
-        return self.sigma * math.sqrt(self.tau)
-
-    def d_plus(self) -> float:
-        return (self.z - self.k) / self.total_std + 0.5 * self.total_std
-
-    def d_minus(self) -> float:
-        return (self.z - self.k) / self.total_std - 0.5 * self.total_std
-
 
 @dataclass(frozen=True)
 class ImpliedVol:
@@ -81,27 +63,30 @@ class ImpliedVol:
 
 def _call(spot: float, strike: float, x: float, s: float) -> tuple:
     """Undiscounted call price and d+, from e^z, e^k, x = z - k and s = sigma sqrt(tau)."""
+    # Each leg is halved first: spot * erfc would overflow near e^MAX_LOG.
     a, h = x / s, 0.5 * s
     d_plus = a + h
     erfc = math.erfc
-    return 0.5 * (spot * erfc(-d_plus / SQRT2) - strike * erfc((h - a) / SQRT2)), d_plus
+    return 0.5 * spot * erfc(-d_plus / SQRT2) - 0.5 * strike * erfc((h - a) / SQRT2), d_plus
 
 
 def bs_call_price(inputs: BsInputs) -> float:
     """Undiscounted European call price e^z N(d+) - e^k N(d-)."""
-    return _call(
-        math.exp(inputs.z), math.exp(inputs.k), inputs.z - inputs.k, inputs.total_std
-    )[0]
+    z, k = inputs.z, inputs.k
+    return _call(math.exp(z), math.exp(k), z - k, inputs.sigma * math.sqrt(inputs.tau))[0]
 
 
 def bs_put_price(inputs: BsInputs) -> float:
-    """Undiscounted European put price via parity with the call."""
-    return bs_call_price(inputs) - math.exp(inputs.z) + math.exp(inputs.k)
+    """Undiscounted European put price: the call with spot and strike swapped."""
+    z, k = inputs.z, inputs.k
+    return _call(math.exp(k), math.exp(z), k - z, inputs.sigma * math.sqrt(inputs.tau))[0]
 
 
 def bs_vega(inputs: BsInputs) -> float:
-    """Derivative of the call (or put) price with respect to sigma."""
-    return math.exp(inputs.z) * norm_pdf(inputs.d_plus()) * math.sqrt(inputs.tau)
+    """Derivative of the call (or put) price with respect to sigma: e^z phi(d+) sqrt(tau)."""
+    spot, root_tau = math.exp(inputs.z), math.sqrt(inputs.tau)
+    d_plus = _call(spot, math.exp(inputs.k), inputs.z - inputs.k, inputs.sigma * root_tau)[1]
+    return INV_SQRT_2PI * spot * root_tau * math.exp(-0.5 * d_plus * d_plus)
 
 
 def implied_vol(price: float, tau: float, z: float, k: float) -> ImpliedVol:

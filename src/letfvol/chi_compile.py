@@ -15,11 +15,11 @@ def compile_chi_programs() -> list:
 
     Formats ``reduce_to_z(build_Ln(n))`` for n = 1..MAX_ORDER.  Order n
     holds the table entries (name, i, j) with i + j <= n (``variables``),
-    the distinct products of them that occur (``monomials``, lists of
-    variable indices, one per unit of power), and one weight
-    [m, tau_power, den, terms] per power of tau in chi_{n,m}: the weight is
-    sum(num * beta^p * monomials[k]) / den over [num, p, k] in terms, with
-    integer num and den.
+    one weight [m, tau_power, den] per power of tau in chi_{n,m}
+    (``weights``), and each product of entries that occurs (``products``:
+    variable indices, one per unit of power) with the terms [w, num, p] it
+    enters.  Weight w is sum(num * beta^p * product) / den over its terms,
+    with integer num and den; they are listed by descending p, then product.
     """
     lines = [
         {
@@ -34,28 +34,22 @@ def compile_chi_programs() -> list:
         ]
         index = {entry: k for k, entry in enumerate(variables)}
         chi = reduce_to_z(build_Ln(n))
-        weights = []
+        weights, products = [], {}
         for m in sorted(chi):
             for tau_pow, (den, poly) in sorted(chi[m].items()):
-                # Keyed (-beta power, variable indices), so terms sort by
-                # descending beta power, then by monomial.
-                terms = {
-                    (-p, tuple(sorted(map(index.__getitem__, entries)))): num
+                terms = sorted(
+                    (-p, tuple(sorted(map(index.__getitem__, entries))), num)
                     for (p, entries), num in poly.items()
-                }
-                weights.append((m, tau_pow, den, sorted(terms.items())))
-        monomials = sorted({mono for *_, terms in weights for (_, mono), _ in terms})
-        position = {mono: k for k, mono in enumerate(monomials)}
+                )
+                for neg, mono, num in terms:
+                    products.setdefault(mono, []).append([len(weights), num, -neg])
+                weights.append([m, tau_pow, den])
         lines.append(
             {
                 "n": n,
-                "beta_degree": max(-neg for *_, terms in weights for (neg, _), _ in terms),
                 "variables": [list(entry) for entry in variables],
-                "monomials": [list(mono) for mono in monomials],
-                "weights": [
-                    [m, tau_pow, den, [[num, -neg, position[mono]] for (neg, mono), num in terms]]
-                    for m, tau_pow, den, terms in weights
-                ],
+                "weights": weights,
+                "products": [[list(mono), products[mono]] for mono in sorted(products)],
             }
         )
     return lines

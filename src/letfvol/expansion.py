@@ -227,16 +227,14 @@ def _check_payoff(payoff: str) -> None:
 def _chi_program(n: int) -> tuple:
     """The order-n program, parsed on first use; callers must not mutate it.
 
-    ``uses`` holds each monomial's variable indices, as a list and as a
-    set, with the (weight index, num, beta power) of every term it enters.
+    ``products`` holds each product's variable indices, as a list and as a
+    set, with the [weight index, num, beta power] of every term it enters.
     """
     with open(CHI_PROGRAMS, encoding="utf-8") as fh:
         program = json.loads(fh.read().splitlines()[n])
-    uses = [(mono, frozenset(mono), []) for mono in program["monomials"]]
-    for w, (*_, terms) in enumerate(program["weights"]):
-        for num, p, k in terms:
-            uses[k][2].append((w, num, p))
-    return program["variables"], program["beta_degree"], program["weights"], uses
+    products = [(mono, frozenset(mono), terms) for mono, terms in program["products"]]
+    beta_degree = max(p for *_, terms in products for *_, p in terms)
+    return program["variables"], beta_degree, program["weights"], products
 
 
 def reduced_Ln(table: TaylorTable, n: int, beta) -> dict:
@@ -244,24 +242,24 @@ def reduced_Ln(table: TaylorTable, n: int, beta) -> dict:
 
     Returns chi as {m: {tau_power: coeff}}, only nonzero weights kept.
     Coefficients inherit the number type of the table and beta, so a
-    Fraction table gives the exact reduction.  A monomial with a zero
+    Fraction table gives the exact reduction.  A product with a zero
     entry is skipped: model tables leave most products zero.
     """
     if not 1 <= n <= MAX_ORDER:
         raise DomainError(f"correction order must be in 1..{MAX_ORDER}, got {n}")
-    variables, beta_degree, weights, uses = _chi_program(n)
+    variables, beta_degree, weights, products = _chi_program(n)
     # An absent entry reads as 0.0; an int 0 keeps exact tables exact.
     values = [table.get(*entry) or 0 for entry in variables]
     beta_powers = [beta**p for p in range(beta_degree + 1)]
     live = {i for i, value in enumerate(values) if value}
     totals = [0] * len(weights)
-    for mono, entries, terms in uses:
+    for mono, entries, terms in products:
         if entries <= live:
             product = math.prod(map(values.__getitem__, mono))
             for w, num, p in terms:
                 totals[w] += num * beta_powers[p] * product
     chi: dict = {}
-    for (m, tau_pow, den, _), total in zip(weights, totals):
+    for (m, tau_pow, den), total in zip(weights, totals):
         if total:
             chi.setdefault(m, {})[tau_pow] = total / den
     return chi
@@ -373,21 +371,18 @@ def iv_series_engine(point, table: TaylorTable, order: int) -> IvSeries:
     return IvSeries(sigma0=sigma0, terms=tuple(terms))
 
 
+def _base_price(point, table: TaylorTable, payoff: str) -> tuple:
+    """Black-Scholes inputs at the flat volatility base_sigma(table, beta), and their price."""
+    _check_payoff(payoff)
+    if not point.tau >= MIN_TAU:
+        raise DomainError(f"maturity must be >= {MIN_TAU}, got {point.tau}")
+    inputs = BsInputs(base_sigma(table, point.beta), point.tau, point.z, point.k)
+    return inputs, (bs_call_price if payoff == "call" else bs_put_price)(inputs)
+
+
 def price_u0(point, table: TaylorTable, payoff: str = "call") -> float:
     """Base price: Black-Scholes at the flat volatility |beta| sqrt(2 a00)."""
-    _check_payoff(payoff)
-    tau = point.T - point.t
-    if not tau >= MIN_TAU:
-        raise DomainError(f"maturity must be >= {MIN_TAU}, got {tau}")
-    variance = 2.0 * point.beta**2 * table.get("a", 0, 0) * tau
-    if not variance > 0 or not math.isfinite(variance):
-        raise DomainError(f"degenerate base variance {variance}")
-    inputs = BsInputs(
-        sigma=math.sqrt(variance / tau), tau=tau, z=point.z, k=point.k
-    )
-    if payoff == "call":
-        return bs_call_price(inputs)
-    return bs_put_price(inputs)
+    return _base_price(point, table, payoff)[1]
 
 
 def price_uN(point, table: TaylorTable, order: int, payoff: str = "call") -> PriceApprox:
@@ -401,10 +396,10 @@ def price_uN(point, table: TaylorTable, order: int, payoff: str = "call") -> Pri
     is annihilated by Dz^2 - Dz.
     """
     _check_order(order, table)
-    u0 = price_u0(point, table, payoff)
-    tau, lam = point.tau, point.lam
-    vega = bs_vega(BsInputs(base_sigma(table, point.beta), tau, point.z, point.k))
-    terms = [vega * lp_eval(U, lam, tau) for U in _correction_dicts(table, point.beta, order)]
+    inputs, u0 = _base_price(point, table, payoff)
+    vega = bs_vega(inputs)
+    terms = [vega * lp_eval(U, point.lam, inputs.tau)
+             for U in _correction_dicts(table, point.beta, order)]
     return PriceApprox(u0=u0, terms=tuple(terms), total=u0 + math.fsum(terms))
 
 

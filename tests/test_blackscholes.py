@@ -17,6 +17,7 @@ from scipy.stats import norm
 
 from letfvol.blackscholes import (
     IV_MAX_VOL,
+    MAX_LOG,
     BsInputs,
     bs_call_price,
     bs_put_price,
@@ -24,7 +25,6 @@ from letfvol.blackscholes import (
     hermite_poly_value,
     hermite_vega_ratio,
     implied_vol,
-    norm_cdf,
 )
 from letfvol.errors import DomainError, NoArbitrageError, SolverError
 
@@ -111,14 +111,10 @@ def bisection_implied_vol(price, tau, z, k):
     raise SolverError("bisection stalled")
 
 
-def test_norm_cdf_matches_scipy():
-    # 1e-14 relative, widened by the condition number |x| pdf / cdf where it
-    # exceeds 1: at x = -30 it is 900, and rounding x/sqrt(2) alone moves
-    # the value by about 1e-13 relative.
-    for x in np.linspace(-30, 8, 153):
-        want = norm.cdf(x)
-        kappa = abs(x) * norm.pdf(x) / want
-        assert abs(norm_cdf(x) - want) <= 1e-14 * max(1.0, kappa) * want
+def d_plus_minus(sigma, tau, z, k):
+    """Oracle: the Black-Scholes d+ and d-, written out."""
+    std = sigma * math.sqrt(tau)
+    return (z - k) / std + 0.5 * std, (z - k) / std - 0.5 * std
 
 
 @pytest.mark.parametrize(
@@ -127,9 +123,38 @@ def test_norm_cdf_matches_scipy():
 )
 def test_deep_otm_call_keeps_the_left_tail(sigma, tau, z, k):
     inputs = BsInputs(sigma, tau, z, k)
-    want = math.exp(z) * norm.sf(-inputs.d_plus()) - math.exp(k) * norm.sf(-inputs.d_minus())
+    d_plus, d_minus = d_plus_minus(sigma, tau, z, k)
+    want = math.exp(z) * norm.sf(-d_plus) - math.exp(k) * norm.sf(-d_minus)
     assert want < 1e-15
     assert math.isclose(bs_call_price(inputs), want, rel_tol=1e-10)
+
+
+def deep_otm_put(sigma, tau, z, k):
+    """Oracle: e^k N(-d-) - e^z N(-d+) from scipy's survival function."""
+    d_plus, d_minus = d_plus_minus(sigma, tau, z, k)
+    return math.exp(k) * norm.sf(d_minus) - math.exp(z) * norm.sf(d_plus)
+
+
+@pytest.mark.parametrize(
+    "sigma, tau, z, k", [(0.2, 1.0, 40.0, 0.0), (0.2, 1.0, 5.0, 0.0), (0.5, 0.02, 0.9, -0.2)]
+)
+def test_deep_otm_put_keeps_the_left_tail(sigma, tau, z, k):
+    # Parity, call - e^z + e^k, loses the whole strike once e^z / e^k
+    # passes 2^53: at z = 40 it returned 1.0 for a put worth 0.
+    want = deep_otm_put(sigma, tau, z, k)
+    assert want < 1e-15
+    assert math.isclose(bs_put_price(BsInputs(sigma, tau, z, k)), want, rel_tol=1e-10)
+
+
+def test_prices_near_the_exp_range_stay_finite():
+    # e^z * erfc(.) overflows before the halving for z within log 2 of
+    # MAX_LOG; the price e^z - 1 itself is finite.
+    inputs = BsInputs(0.2, 1.0, MAX_LOG - 0.5, 0.0)
+    call = bs_call_price(inputs)
+    assert math.isfinite(call)
+    assert math.isclose(call, math.expm1(inputs.z), rel_tol=1e-12)
+    put = bs_put_price(inputs)
+    assert math.isfinite(put) and put >= 0.0
 
 
 def test_atm_call_matches_quadrature_oracle():

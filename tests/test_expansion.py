@@ -37,7 +37,7 @@ from letfvol.models import (
     SabrModel,
     TaylorTable,
 )
-from test_blackscholes import vega_ratio
+from test_blackscholes import deep_otm_put, vega_ratio
 from test_opalgebra import MODEL_TABLES
 
 
@@ -248,6 +248,13 @@ def test_base_price_put_and_parity():
     call = price_u0(point, table, payoff="call")
     put = price_u0(point, table, payoff="put")
     assert call - put == pytest.approx(math.exp(point.z) - math.exp(point.k), abs=1e-14)
+
+
+def test_deep_otm_base_put_is_worthless():
+    # sigma0 = 2 sqrt(2 * 0.005) = 0.2; parity returned 1.0 here.
+    point = make_point(beta=2.0, tau=1.0, k=0.0, z=40.0)
+    want = deep_otm_put(0.2, 1.0, 40.0, 0.0)
+    assert math.isclose(price_u0(point, flat_table(a00=0.005), payoff="put"), want, rel_tol=1e-10)
 
 
 def test_base_price_guards():
