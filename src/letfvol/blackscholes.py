@@ -67,7 +67,9 @@ def _call(spot: float, strike: float, x: float, s: float) -> tuple:
     a, h = x / s, 0.5 * s
     d_plus = a + h
     erfc = math.erfc
-    return 0.5 * spot * erfc(-d_plus / SQRT2) - 0.5 * strike * erfc((h - a) / SQRT2), d_plus
+    price = 0.5 * spot * erfc(-d_plus / SQRT2) - 0.5 * strike * erfc((h - a) / SQRT2)
+    # Subnormal erfc legs carry no relative precision; their difference can dip below 0.
+    return (0.0 if price < 0.0 else price), d_plus
 
 
 def bs_call_price(inputs: BsInputs) -> float:
@@ -83,10 +85,13 @@ def bs_put_price(inputs: BsInputs) -> float:
 
 
 def bs_vega(inputs: BsInputs) -> float:
-    """Derivative of the call (or put) price with respect to sigma: e^z phi(d+) sqrt(tau)."""
-    spot, root_tau = math.exp(inputs.z), math.sqrt(inputs.tau)
-    d_plus = _call(spot, math.exp(inputs.k), inputs.z - inputs.k, inputs.sigma * root_tau)[1]
-    return INV_SQRT_2PI * spot * root_tau * math.exp(-0.5 * d_plus * d_plus)
+    """Derivative of the call (or put) price with respect to sigma: e^z phi(d+) sqrt(tau).
+
+    e^z and phi(d+) share one exponential, which stays finite where e^z alone does not.
+    """
+    z, root_tau = inputs.z, math.sqrt(inputs.tau)
+    d_plus = _call(math.exp(z), math.exp(inputs.k), z - inputs.k, inputs.sigma * root_tau)[1]
+    return INV_SQRT_2PI * root_tau * math.exp(z - 0.5 * d_plus * d_plus)
 
 
 def implied_vol(price: float, tau: float, z: float, k: float) -> ImpliedVol:

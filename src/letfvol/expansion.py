@@ -7,15 +7,15 @@ integrated operators L_n of ``opalgebra``, reduced to z:
 
 and each chi_{n,m} is a fixed polynomial in tau, the Taylor-table entries
 and the leverage ratio beta.  ``build_Ln(n)`` generates those polynomials
-with integer coefficients, ``reduce_to_z`` gives them as chi weights over
-integer denominators, and ``letfvol.chi_compile`` commits them as data in
-``chi_programs.jsonl``, one order per line, which is read and parsed for
-an order on its first use.  ``reduced_Ln`` evaluates the order-n program
-for one table and beta, with that table's number type, as
-{m: {tau_power: coeff}}; the tests check it against the generator and the
-committed file against a regeneration.  Regenerate the file with
+with integer coefficients and ``reduce_to_z`` as chi weights over integer
+denominators.  This module alone knows their committed form, one order
+per line of ``chi_programs.jsonl``: ``chi_programs_text`` writes it and
+``reduced_Ln`` evaluates the order-n program, read on first use, for one
+table and beta, with that table's number type, as {m: {tau_power: coeff}};
+the tests check it against the generator and the file against the writer.
+Regenerate the file with
 
-    PYTHONPATH=src python3 -m letfvol.chi_compile
+    PYTHONPATH=src python3 -m letfvol.expansion
 
 Conjugated by vega, Dz becomes D = -d/dlam + lam / (sigma0^2 tau) + 1/2, so
 U_n = u_n / vega = sum_m chi_{n,m}(tau) D^m (1 / (sigma0 tau)) is a Laurent
@@ -37,8 +37,8 @@ import os
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-# hermite_vega_ratio, build_Ln, reduce_to_z: unused here, kept as attributes
-# the benchmark's tracing wraps.
+# hermite_vega_ratio: unused here, kept as an attribute the benchmark's
+# tracing wraps.
 from .blackscholes import (
     BsInputs,
     bs_call_price,
@@ -156,8 +156,10 @@ class IvSeries:
         return self.terms[n - 1]
 
     def evaluate(self, lam: float, tau: float) -> float:
-        if not tau >= MIN_TAU:
-            raise DomainError(f"maturity must be >= {MIN_TAU}, got {tau}")
+        if not -math.inf < lam < math.inf:
+            raise DomainError(f"log-moneyness must be finite, got {lam}")
+        if not MIN_TAU <= tau < math.inf:
+            raise DomainError(f"maturity must be finite and >= {MIN_TAU}, got {tau}")
         return self.sigma0 + sum(lp_eval(term, lam, tau) for term in self.terms)
 
     def to_json(self) -> str:
@@ -223,6 +225,43 @@ def _check_payoff(payoff: str) -> None:
         raise ConfigError(f"payoff must be one of {PAYOFFS}, got {payoff!r}")
 
 
+def _chi_variables(n: int) -> list:
+    """The table entries (name, i, j) with i + j <= n that order-n programs index."""
+    return [(name, i, d - i) for name in "abcf" for d in range(n + 1) for i in range(d, -1, -1)]
+
+
+def chi_programs_text() -> str:
+    """Text of CHI_PROGRAMS: a header line, then the chi program of order n on line n.
+
+    Formats ``reduce_to_z(build_Ln(n))`` for n = 1..MAX_ORDER.  Order n
+    holds one weight [m, tau_power, den] per power of tau in chi_{n,m}
+    (``weights``), and each product of table entries that occurs
+    (``products``: indices into ``_chi_variables(n)``, one per unit of
+    power) with the terms [w, num, p] it enters.  Weight w is
+    sum(num * beta^p * product) / den over its terms, with integer num and
+    den; they are listed by descending p, then product.
+    """
+    lines = [{"about": "chi programs of letfvol.expansion, one order per line, written by its "
+              "chi_programs_text(); regenerate with `PYTHONPATH=src python3 -m letfvol.expansion`;"
+              " tests/test_chi_programs.py compares the text"}]
+    for n in range(1, MAX_ORDER + 1):
+        index = {entry: k for k, entry in enumerate(_chi_variables(n))}
+        chi = reduce_to_z(build_Ln(n))
+        weights, products = [], {}
+        for m in sorted(chi):
+            for tau_pow, (den, poly) in sorted(chi[m].items()):
+                terms = sorted(
+                    (-p, tuple(sorted(map(index.__getitem__, entries))), num)
+                    for (p, entries), num in poly.items()
+                )
+                for neg, mono, num in terms:
+                    products.setdefault(mono, []).append([len(weights), num, -neg])
+                weights.append([m, tau_pow, den])
+        lines.append({"n": n, "weights": weights,
+                      "products": [[list(mono), products[mono]] for mono in sorted(products)]})
+    return "".join(json.dumps(line, separators=(",", ":")) + "\n" for line in lines)
+
+
 @functools.lru_cache(maxsize=None)
 def _chi_program(n: int) -> tuple:
     """The order-n program, parsed on first use; callers must not mutate it.
@@ -234,7 +273,7 @@ def _chi_program(n: int) -> tuple:
         program = json.loads(fh.read().splitlines()[n])
     products = [(mono, frozenset(mono), terms) for mono, terms in program["products"]]
     beta_degree = max(p for *_, terms in products for *_, p in terms)
-    return program["variables"], beta_degree, program["weights"], products
+    return _chi_variables(n), beta_degree, program["weights"], products
 
 
 def reduced_Ln(table: TaylorTable, n: int, beta) -> dict:
@@ -432,3 +471,8 @@ def iv_approx(point, model_or_table, order: int) -> float:
             f"expected a TaylorTable or a named model, got {type(model_or_table).__name__}"
         )
     return series.evaluate(point.lam, point.tau)
+
+
+if __name__ == "__main__":
+    with open(CHI_PROGRAMS, "w", encoding="utf-8", newline="") as fh:
+        fh.write(chi_programs_text())

@@ -110,6 +110,23 @@ class TaylorTable:
         return self.entries[name].get((i, j), 0.0)
 
 
+def _taylor_table(order: int, **families) -> TaylorTable:
+    """The table of families that are sums of terms w e^(p x + q y), given as
+    (w, p, q) with w the term's value at the expansion point: each term adds
+    w p^i q^j / (i! j!) to entry (i, j), i + j <= order, unless that is 0.
+    """
+    entries: dict = {}
+    for name, terms in families.items():
+        family = entries[name] = {}
+        for w, p, q in terms:
+            for i in range(order + 1):
+                for j in range(order + 1 - i):
+                    value = w * p**i * q**j / (math.factorial(i) * math.factorial(j))
+                    if value:
+                        family[i, j] = family.get((i, j), 0.0) + value
+    return TaylorTable(extent=order, entries=entries)
+
+
 @dataclass(frozen=True)
 class CevModel:
     """Constant-elasticity local volatility: sigma(x) = delta e^((gamma-1) x)."""
@@ -124,14 +141,8 @@ class CevModel:
             raise DomainError(f"gamma must be finite and <= 1, got {self.gamma}")
 
     def taylor_table(self, x: float, y: float, order: int) -> TaylorTable:
-        a00 = 0.5 * self.delta**2 * math.exp(2.0 * (self.gamma - 1.0) * x)
         slope = 2.0 * (self.gamma - 1.0)
-        a = {
-            (i, 0): a00 * slope**i / math.factorial(i)
-            for i in range(order + 1)
-            if a00 * slope**i != 0.0
-        }
-        return TaylorTable(extent=order, entries={"a": a})
+        return _taylor_table(order, a=[(0.5 * self.delta**2 * math.exp(slope * x), slope, 0)])
 
 
 @dataclass(frozen=True)
@@ -154,20 +165,10 @@ class HestonModel:
             raise DomainError(f"rho must lie in (-1, 1), got {self.rho}")
 
     def taylor_table(self, x: float, y: float, order: int) -> TaylorTable:
-        a00 = 0.5 * math.exp(y)
-        b00 = 0.5 * self.delta**2 * math.exp(-y)
-        c_exp = (self.kappa * self.theta - 0.5 * self.delta**2) * math.exp(-y)
-        entries: dict = {"a": {}, "b": {}, "c": {}, "f": {}}
-        for j in range(order + 1):
-            norm = math.factorial(j)
-            sign = (-1.0) ** j
-            entries["a"][(0, j)] = a00 / norm
-            entries["b"][(0, j)] = b00 * sign / norm
-            entries["c"][(0, j)] = c_exp * sign / norm
-        entries["c"][(0, 0)] -= self.kappa
-        if self.rho:
-            entries["f"][(0, 0)] = self.rho * self.delta
-        return TaylorTable(extent=order, entries=entries)
+        half_var, inv_var = 0.5 * self.delta**2, math.exp(-y)
+        drift = [((self.kappa * self.theta - half_var) * inv_var, 0, -1), (-self.kappa, 0, 0)]
+        return _taylor_table(order, a=[(0.5 * math.exp(y), 0, 1)], b=[(half_var * inv_var, 0, -1)],
+                             c=drift, f=[(self.rho * self.delta, 0, 0)])
 
 
 @dataclass(frozen=True)
@@ -187,19 +188,10 @@ class SabrModel:
             raise DomainError(f"rho must lie in (-1, 1), got {self.rho}")
 
     def taylor_table(self, x: float, y: float, order: int) -> TaylorTable:
-        a00 = 0.5 * math.exp(2.0 * y + 2.0 * (self.gamma - 1.0) * x)
-        f00 = self.rho * self.delta * math.exp(y + (self.gamma - 1.0) * x)
-        sx = 2.0 * (self.gamma - 1.0)
-        entries: dict = {"a": {}, "b": {}, "c": {}, "f": {}}
-        for i in range(order + 1):
-            for j in range(order + 1 - i):
-                norm = math.factorial(i) * math.factorial(j)
-                entries["a"][(i, j)] = a00 * sx**i * 2.0**j / norm
-                if f00 and (self.gamma - 1.0) ** i != 0.0:
-                    entries["f"][(i, j)] = f00 * (self.gamma - 1.0) ** i / norm
-        entries["b"][(0, 0)] = 0.5 * self.delta**2
-        entries["c"][(0, 0)] = -0.5 * self.delta**2
-        return TaylorTable(extent=order, entries=entries)
+        g, half_var = self.gamma - 1.0, 0.5 * self.delta**2
+        return _taylor_table(order, a=[(0.5 * math.exp(2.0 * y + 2.0 * g * x), 2.0 * g, 2.0)],
+                             b=[(half_var, 0, 0)], c=[(-half_var, 0, 0)],
+                             f=[(self.rho * self.delta * math.exp(y + g * x), g, 1)])
 
 
 def heston_beta_map(model: HestonModel, y: float, beta: float) -> tuple[HestonModel, float]:

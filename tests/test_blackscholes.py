@@ -157,6 +157,32 @@ def test_prices_near_the_exp_range_stay_finite():
     assert math.isfinite(put) and put >= 0.0
 
 
+@pytest.mark.parametrize(
+    "sigma, tau, z, k",
+    [
+        (0.0003788161680109165, 0.34471653407482455, 42.94875415817356, 42.957258247684265),
+        (0.04189317719376227, 0.0004217333724127191, 354.38464574815066, 354.41765828069276),
+    ],
+)
+def test_subnormal_legs_never_price_below_zero(sigma, tau, z, k):
+    # Both erfc legs are subnormal here, so their difference has no
+    # relative precision left: it came out as -8.2e-307 and -1.2e-170, for
+    # calls worth 9.4e-307 and 3.5e-173.
+    call = bs_call_price(BsInputs(sigma, tau, z, k))
+    assert 0.0 <= call < 1e-170
+    # The put with spot and strike swapped is the same call.
+    assert bs_put_price(BsInputs(sigma, tau, k, z)) == call
+
+
+def test_vega_stays_finite_where_spot_times_root_tau_overflows():
+    sigma, tau, z = 0.2, 25.0, MAX_LOG - 0.1
+    k = z - 8.0
+    s = sigma * math.sqrt(tau)
+    d_plus = (z - k) / s + 0.5 * s
+    log_vega = z + 0.5 * math.log(tau / (2.0 * math.pi)) - 0.5 * d_plus * d_plus
+    assert math.isclose(bs_vega(BsInputs(sigma, tau, z, k)), math.exp(log_vega), rel_tol=1e-12)
+
+
 def test_atm_call_matches_quadrature_oracle():
     oracle = quadrature_call_price(0.2, 1.0, 0.0, 0.0)
     assert abs(oracle - ATM_CALL_02_1Y) < 1e-6

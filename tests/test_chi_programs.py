@@ -8,26 +8,24 @@ exactly on Fraction tables, to 1e-12 of the largest chi coefficient on
 float model tables.  Both return chi as {m: {tau_power: coeff}}.
 """
 
-import json
 from fractions import Fraction
 
 import pytest
 
-from letfvol.chi_compile import REGENERATE, compile_chi_programs
 from letfvol.errors import DomainError
-from letfvol.expansion import CHI_PROGRAMS, MAX_ORDER, reduced_Ln
+from letfvol.expansion import CHI_PROGRAMS, MAX_ORDER, chi_programs_text, reduced_Ln
 from test_opalgebra import MODEL_TABLES, cev_like_table, evaluate_Ln, full_table
 
 ORDERS = range(1, MAX_ORDER + 1)
 
 
 def test_committed_programs_are_the_regenerated_ones():
-    with open(CHI_PROGRAMS, encoding="utf-8") as fh:
-        committed = [json.loads(line) for line in fh]
-    # Integer numerators over integer denominators: equal lists are equal
-    # Fractions.
-    assert committed == compile_chi_programs(), (
-        f"{CHI_PROGRAMS} is stale; regenerate it with `{REGENERATE}`"
+    # Text, not parsed lines: the header, separators and newlines count too.
+    with open(CHI_PROGRAMS, encoding="utf-8", newline="") as fh:
+        committed = fh.read()
+    assert committed == chi_programs_text(), (
+        f"{CHI_PROGRAMS} is stale; regenerate it with "
+        "`PYTHONPATH=src python3 -m letfvol.expansion`"
     )
 
 

@@ -816,6 +816,9 @@ def test_series_evaluate_guards_tiny_tau():
         series.evaluate(0.1, 0.0)
     with pytest.raises(DomainError):
         series.evaluate(0.1, MIN_TAU / 10.0)
+    for lam, tau in ((math.nan, 0.25), (math.inf, 0.25), (-math.inf, 0.25), (0.1, math.inf)):
+        with pytest.raises(DomainError):
+            series.evaluate(lam, tau)
 
 
 def test_series_term_bounds():
