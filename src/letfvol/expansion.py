@@ -23,9 +23,10 @@ polynomial in log-moneyness lam = k - z and maturity tau.  ``price_uN``
 evaluates it times vega, and from it every implied-vol correction sigma_n
 assembles into a polynomial in (lam, tau) whose coefficients depend only
 on the Taylor table and beta.  Assembly is symbolic; evaluation at a
-concrete (lam, tau) is a separate, cheap step, which lets one assembly
-serve a whole smile (``iv_approx`` reuses a named model's series across
-strikes) and makes coefficient-level testing possible.
+concrete (lam, tau) is a separate, cheap step (Horner's rule on one table
+of the corrections summed over orders, built with the series), which lets
+one assembly serve a whole smile (``iv_approx`` reuses a named model's
+series across strikes) and makes coefficient-level testing possible.
 """
 
 from __future__ import annotations
@@ -140,11 +141,32 @@ class IvSeries:
     """Implied-vol series: sigma0 plus (lam, tau)-polynomial corrections.
 
     ``terms[i]`` holds the order-(i+1) correction as a coefficient dict
-    {(lam_power, tau_power): value}.
+    {(lam_power, tau_power): value}.  Every key of an order-n series has
+    nonnegative powers of total degree lam_power + tau_power <= n, or
+    construction raises DomainError.  The constructor sums the terms into
+    one table, row tau_power, column lam_power, which ``evaluate`` reads by
+    Horner's rule; the table is private, so equality, repr and JSON see
+    only sigma0 and terms.
     """
 
     sigma0: float
     terms: tuple
+
+    def __post_init__(self):
+        n = len(self.terms)
+        # Row tp holds lam powers n - tp down to 0, the cells total degree
+        # n allows; rows run from tau power n down to 0.
+        rows = [[0.0] * (n + 1 - tp) for tp in range(n + 1)]
+        for term in self.terms:
+            for (lp, tp), value in term.items():
+                if not (0 <= tp and 0 <= lp <= n - tp):
+                    raise DomainError(
+                        f"order-{n} series holds lam^{lp} tau^{tp}: powers must be "
+                        f">= 0 with total degree <= {n}"
+                    )
+                rows[tp][n - tp - lp] += value
+        rows.reverse()
+        self.__dict__["_horner"] = rows
 
     @property
     def order(self) -> int:
@@ -160,7 +182,16 @@ class IvSeries:
             raise DomainError(f"log-moneyness must be finite, got {lam}")
         if not MIN_TAU <= tau < math.inf:
             raise DomainError(f"maturity must be finite and >= {MIN_TAU}, got {tau}")
-        return self.sigma0 + sum(lp_eval(term, lam, tau) for term in self.terms)
+        value = 0.0
+        for row in self._horner:
+            acc = 0.0
+            for coeff in row:
+                acc = acc * lam + coeff
+            value = value * tau + acc
+        value += self.sigma0
+        if not math.isfinite(value):
+            raise DomainError(f"series value overflows at lam={lam}, tau={tau}")
+        return value
 
     def to_json(self) -> str:
         payload = {
@@ -182,8 +213,9 @@ class IvSeries:
     def from_json(cls, text: str) -> "IvSeries":
         """Read ``to_json`` output; anything else raises ConfigError.
 
-        Powers must be nonnegative integers, each (lam_pow, tau_pow) at most
-        once per term, values finite, and sigma0 finite and positive.
+        Powers must be nonnegative integers of total degree at most the
+        series order, each (lam_pow, tau_pow) at most once per term, values
+        finite, and sigma0 finite and positive.
         """
         try:
             payload = json.loads(text)
@@ -191,14 +223,17 @@ class IvSeries:
             if not 0.0 < sigma0 < math.inf:
                 raise ValueError(f"sigma0 must be finite and positive, got {sigma0}")
             terms = []
+            order = len(payload["terms"])
             for i, entry in enumerate(payload["terms"]):
                 if entry["n"] != i + 1:
                     raise ValueError(f"term {i} labeled n={entry['n']}")
                 term: dict = {}
                 for c in entry["coeffs"]:
                     lp, tp = key = (c["lam_pow"], c["tau_pow"])
-                    if type(lp) is not int or type(tp) is not int or lp < 0 or tp < 0:
-                        raise ValueError(f"term n={i + 1}: powers {key} must be integers >= 0")
+                    if type(lp) is not int or type(tp) is not int or lp < 0 or tp < 0 \
+                            or lp + tp > order:
+                        raise ValueError(f"term n={i + 1}: powers {key} must be integers >= 0 "
+                                         f"with sum <= {order}")
                     if key in term:
                         raise ValueError(f"term n={i + 1} repeats powers {key}")
                     value = float(c["value"])
@@ -359,12 +394,12 @@ def _finalize_term(n: int, raw: dict) -> dict:
     """Drop cancelled Laurent dust; reject genuine structural leftovers.
 
     A finished correction is polynomial: no negative tau powers and
-    lam-degree at most n may survive assembly.
+    total degree lam_power + tau_power at most n may survive assembly.
     """
     scale = max(1.0, lp_max_abs(raw))
     out = {}
     for (lp, tp), value in raw.items():
-        if lp > n or tp < 0:
+        if tp < 0 or lp + tp > n:
             if abs(value) > CANCEL_TOL * scale:
                 raise StructuralError(
                     f"order-{n} term keeps lam^{lp} tau^{tp} "
@@ -388,7 +423,7 @@ def iv_series_engine(point, table: TaylorTable, order: int) -> IvSeries:
                 = sum_i sigma_i C(n - i, k - 1),   C(n, 1) = sigma_n,
 
     with R_k the sigma-derivative/vega ratios.  Negative tau powers and
-    lam-degrees above n arise mid-assembly and must cancel; leftovers
+    total degrees above n arise mid-assembly and must cancel; leftovers
     raise StructuralError.
     """
     _check_order(order, table)
@@ -432,14 +467,23 @@ def price_uN(point, table: TaylorTable, order: int, payoff: str = "call") -> Pri
     routes share one definition and the same input checks.  Each call
     assembles U_1..U_N for the table, at about the cost of an engine call.
     Call and put share the correction terms because the parity difference
-    is annihilated by Dz^2 - Dz.
+    is annihilated by Dz^2 - Dz.  A term or total outside the float range
+    raises DomainError.
     """
     _check_order(order, table)
     inputs, u0 = _base_price(point, table, payoff)
     vega = bs_vega(inputs)
-    terms = [vega * lp_eval(U, point.lam, inputs.tau)
-             for U in _correction_dicts(table, point.beta, order)]
-    return PriceApprox(u0=u0, terms=tuple(terms), total=u0 + math.fsum(terms))
+    corrections = _correction_dicts(table, point.beta, order)
+    try:
+        terms = tuple(vega * lp_eval(U, point.lam, inputs.tau) for U in corrections)
+        total = u0 + math.fsum(terms) if all(map(math.isfinite, terms)) else math.nan
+    except OverflowError:  # float ** in lp_eval, or fsum's partial sums
+        total = math.nan
+    if not math.isfinite(total):
+        raise DomainError(
+            f"order-{order} corrections leave the float range at lam={point.lam}, tau={inputs.tau}"
+        )
+    return PriceApprox(u0=u0, terms=terms, total=total)
 
 
 @functools.lru_cache(maxsize=SERIES_CACHE_SIZE)

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 from letfvol.blackscholes import BsInputs, bs_call_price, bs_put_price, bs_vega, hermite_vega_ratio
 from letfvol import expansion
 from letfvol.closedform import iv_series_printed
-from letfvol.errors import ConfigError, DomainError
+from letfvol.errors import ConfigError, DomainError, StructuralError
 from letfvol.expansion import (
+    CANCEL_TOL,
     MAX_ORDER,
     MIN_TAU,
     SERIES_CACHE_SIZE,
@@ -287,8 +289,22 @@ def test_lambda_degree_and_tau_positivity(beta):
     series = iv_series_engine(make_point(beta=beta), table, MAX_ORDER)
     for n in range(1, MAX_ORDER + 1):
         for lp, tp in series.term(n):
-            assert 0 <= lp <= n
-            assert tp >= 0
+            assert lp >= 0 and tp >= 0
+            assert lp + tp <= n
+
+
+def test_finalize_term_drops_residue_beyond_total_degree():
+    # This table's order-3 term kept lam^3 tau^1 = -1.24e-14, just above
+    # TRIM_TOL of its scale, though lam^lp tau^tp with lp + tp > n cancels.
+    model = HestonModel(kappa=1.0461014306228213, theta=0.03346278457002082,
+                        delta=0.47436308102028435, rho=-0.76253376325581)
+    table = model.taylor_table(0.09416031888210169, -3.0277118787958623, 3)
+    series = iv_series_engine(make_point(beta=-1.0), table, 3)
+    for n in range(1, 4):
+        assert all(lp + tp <= n for lp, tp in series.term(n)), series.term(n)
+    assert expansion._finalize_term(3, {(0, 1): 1.0, (3, 1): 1e-14}) == {(0, 1): 1.0}
+    with pytest.raises(StructuralError):
+        expansion._finalize_term(3, {(0, 1): 1.0, (3, 1): 10 * CANCEL_TOL})
 
 
 def test_sigma0_depends_only_on_abs_beta():
@@ -810,6 +826,69 @@ def test_price_uN_rejects_bad_payoff_and_order():
 # series container
 
 
+def sabr_series():
+    """The order-3 SABR(0.4, 0.5, -0.3) series at (x, y) = (0, -1), beta = -2."""
+    table = SabrModel(0.4, 0.5, -0.3).taylor_table(0.0, -1.0, 3)
+    return iv_series_engine(make_point(beta=-2.0), table, 3)
+
+
+def canonical_series():
+    root = Path(__file__).resolve().parent.parent / "perfbench" / "canonical"
+    return [IvSeries.from_json(path.read_text()) for path in sorted(root.glob("*.json"))]
+
+
+def test_series_evaluate_matches_the_term_sum():
+    # Horner on the summed table against sigma0 + sum of lp_eval per term,
+    # on a quotes-like grid: lam = d sigma0 sqrt(tau), |d| <= 2.5.
+    series_list = canonical_series() + [sabr_series()]
+    assert len(series_list) == 58
+    taus = [1.0 / 52.0, 1.0 / 12.0, 0.1, 0.25, 0.4, 0.5, 0.75, 1.0]
+    worst = 0.0
+    for series in series_list:
+        for tau in taus:
+            for i in range(41):
+                lam = (-2.5 + 0.125 * i) * series.sigma0 * math.sqrt(tau)
+                want = series.sigma0 + sum(lp_eval(term, lam, tau) for term in series.terms)
+                worst = max(worst, abs(series.evaluate(lam, tau) - want) / abs(want))
+    assert worst <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [({(1, 1): 0.1},), ({(0, 1): 0.1}, {(3, 0): 0.2}), ({(-1, 1): 0.1},), ({(1, -1): 0.1},)],
+    ids=["degree-2-in-order-1", "degree-3-in-order-2", "negative-lam", "negative-tau"],
+)
+def test_series_rejects_keys_beyond_total_degree(terms):
+    with pytest.raises(DomainError):
+        IvSeries(sigma0=0.2, terms=terms)
+
+
+def test_series_overflow_raises_domain_error():
+    series = sabr_series()
+    for lam, tau in [(1e200, 0.25), (0.1, 1e200)]:
+        with pytest.raises(DomainError):
+            series.evaluate(lam, tau)
+    with pytest.raises(DomainError):
+        iv_approx(make_point(beta=-2.0, tau=1e200, y=-1.0, x=0.0), SabrModel(0.4, 0.5, -0.3), 3)
+
+
+@pytest.mark.parametrize(
+    "model, y, beta, tau",
+    [
+        # lam**lp * tau**tp overflows and raises inside lp_eval.
+        (SabrModel(0.4, 0.5, -0.3), -1.0, -2.0, 1e200),
+        # tau^5 stays finite, its product with the coefficient does not,
+        # and vega is 0: 0 * inf gives a nan term.
+        (SabrModel(2.0, 0.9, -0.9), 1.0, 3.0, 4e61),
+    ],
+    ids=["overflow", "nan"],
+)
+def test_price_uN_out_of_float_range_raises_domain_error(model, y, beta, tau):
+    point = make_point(beta=beta, tau=tau, k=0.0, x=0.0, y=y)
+    with pytest.raises(DomainError):
+        price_uN(point, model.taylor_table(0.0, y, 3), 3)
+
+
 def test_series_evaluate_guards_tiny_tau():
     series = iv_series_engine(make_point(), rich_table(), 2)
     with pytest.raises(DomainError):
@@ -832,6 +911,7 @@ def test_series_term_bounds():
 def test_series_json_round_trip():
     series = iv_series_engine(make_point(beta=-3.0), rich_table(), MAX_ORDER)
     back = IvSeries.from_json(series.to_json())
+    assert back == series
     assert back.sigma0 == series.sigma0
     assert back.terms == series.terms
     payload = json.loads(series.to_json())
@@ -854,6 +934,7 @@ def test_series_json_round_trip():
         '{"lam_pow": 1, "tau_pow": 0, "value": 0.2}]}]}',
         '{"sigma0": 0.4, "terms": [{"n": 1, "coeffs": [{"lam_pow": 1, "tau_pow": -1, "value": 0.1}]}]}',
         '{"sigma0": 0.4, "terms": [{"n": 1, "coeffs": [{"lam_pow": -1, "tau_pow": 0, "value": 0.1}]}]}',
+        '{"sigma0": 0.4, "terms": [{"n": 1, "coeffs": [{"lam_pow": 1, "tau_pow": 1, "value": 0.1}]}]}',
         '{"sigma0": NaN, "terms": []}',
         '{"sigma0": -0.2, "terms": []}',
         '{"sigma0": 0.4, "terms": [{"n": 1, "coeffs": [{"lam_pow": 1, "tau_pow": 0, "value": Infinity}]}]}',
