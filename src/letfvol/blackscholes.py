@@ -6,13 +6,16 @@ Everything here works in log coordinates: ``z`` is the log of the spot,
 the left tail to full relative precision.  The put is the call with spot
 and strike swapped, P(e^z, e^k) = C(e^k, e^z), so no parity subtraction
 turns a worthless put into rounding residue.
+
+The value objects, ``BsInputs`` and ``ImpliedVol``, are immutable named
+tuples; ``BsInputs`` validates its fields on construction.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, NoArbitrageError, SolverError
 
@@ -26,36 +29,43 @@ IV_MAX_ITER = 100
 IV_MAX_VOL = 1e3
 
 
-@dataclass(frozen=True)
-class BsInputs:
+class BsInputs(
+    NamedTuple("BsInputs", [("sigma", float), ("tau", float), ("z", float), ("k", float)])
+):
     """Inputs for a Black-Scholes evaluation in log coordinates.
 
+    A validated named tuple: every construction, ``_make`` and ``_replace``
+    included, checks each field's range; the fields cannot be reassigned,
+    and the instance unpacks as (sigma, tau, z, k).
+
     Attributes:
-        sigma: volatility, must be positive.
-        tau: time to expiry in years, must be positive.
+        sigma: volatility, positive and finite.
+        tau: time to expiry in years, positive and finite.
         z: log spot, above -inf and at most MAX_LOG.
         k: log strike, above -inf and at most MAX_LOG.
     """
 
-    sigma: float
-    tau: float
-    z: float
-    k: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
-        if not (self.tau > 0.0) or not math.isfinite(self.tau):
-            raise DomainError(f"tau must be positive, got {self.tau}")
-        if not -math.inf < self.z <= MAX_LOG:
-            raise DomainError(f"z must be finite and at most {MAX_LOG}, got {self.z}")
-        if not -math.inf < self.k <= MAX_LOG:
-            raise DomainError(f"k must be finite and at most {MAX_LOG}, got {self.k}")
+    def __new__(cls, sigma: float, tau: float, z: float, k: float):
+        if not 0.0 < sigma < math.inf:
+            raise DomainError(f"sigma must be positive, got {sigma}")
+        if not 0.0 < tau < math.inf:
+            raise DomainError(f"tau must be positive, got {tau}")
+        if not -math.inf < z <= MAX_LOG:
+            raise DomainError(f"z must be finite and at most {MAX_LOG}, got {z}")
+        if not -math.inf < k <= MAX_LOG:
+            raise DomainError(f"k must be finite and at most {MAX_LOG}, got {k}")
+        return tuple.__new__(cls, (sigma, tau, z, k))
+
+    @classmethod
+    def _make(cls, iterable):
+        # The inherited _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ImpliedVol:
-    """Result of an implied-vol inversion."""
+class ImpliedVol(NamedTuple):
+    """Result of an implied-vol inversion, as an immutable named tuple."""
 
     value: float
     iterations: int = 0
@@ -138,7 +148,7 @@ def implied_vol(price: float, tau: float, z: float, k: float) -> ImpliedVol:
         model, d_plus = _call(spot, strike, x, s)
         diff = model - price
         if -tol <= diff <= tol:
-            return ImpliedVol(value=sigma, iterations=iteration)
+            return ImpliedVol(sigma, iteration)
         if diff > 0.0:
             hi = sigma
         elif sigma < IV_MAX_VOL:

@@ -194,7 +194,7 @@ def iv_series_printed(model, point, order: int) -> IvSeries:
     cap = PRINTED_MAX_ORDER.get(type(model))
     if cap is None:
         raise ConfigError(f"no closed forms for {type(model).__name__}")
-    if not isinstance(order, int) or not 0 <= order <= MAX_ORDER:
+    if type(order) is not int or not 0 <= order <= MAX_ORDER:
         raise DomainError(f"order must be an integer in 0..{MAX_ORDER}, got {order}")
     if order > cap:
         raise ConfigError(

@@ -113,7 +113,7 @@ def vega_ratio_coeffs(k: int, sigma0: float) -> dict:
     coefficient carries sigma^(2t + 1 - k) and dR_k/dsigma multiplies it by
     (2t + 1 - k) / sigma0.
     """
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise DomainError(f"vega ratio order must be an integer >= 1, got {k}")
     if not sigma0 > 0:
         raise DomainError(f"base volatility must be positive, got {sigma0}")
@@ -215,18 +215,25 @@ class IvSeries:
 
         Powers must be nonnegative integers of total degree at most the
         series order, each (lam_pow, tau_pow) at most once per term, values
-        finite, and sigma0 finite and positive.
+        finite numbers, sigma0 a finite positive number, and each term's n
+        an int equal to its position, counted from 1.  A JSON number is an
+        int or a float; true, false and strings are not numbers.
         """
         try:
             payload = json.loads(text)
-            sigma0 = float(payload["sigma0"])
-            if not 0.0 < sigma0 < math.inf:
-                raise ValueError(f"sigma0 must be finite and positive, got {sigma0}")
+            # json.loads gives a JSON number as an int or a float.  Exact
+            # type tests leave out bool, a subclass of int.
+            sigma0 = payload["sigma0"]
+            if type(sigma0) is int:
+                sigma0 = float(sigma0)
+            if type(sigma0) is not float or not 0.0 < sigma0 < math.inf:
+                raise ValueError(f"sigma0 must be a finite positive number, got {sigma0!r}")
             terms = []
             order = len(payload["terms"])
             for i, entry in enumerate(payload["terms"]):
-                if entry["n"] != i + 1:
-                    raise ValueError(f"term {i} labeled n={entry['n']}")
+                n = entry["n"]
+                if type(n) is not int or n != i + 1:
+                    raise ValueError(f"term {i} labeled n={n!r}")
                 term: dict = {}
                 for c in entry["coeffs"]:
                     lp, tp = key = (c["lam_pow"], c["tau_pow"])
@@ -236,18 +243,21 @@ class IvSeries:
                                          f"with sum <= {order}")
                     if key in term:
                         raise ValueError(f"term n={i + 1} repeats powers {key}")
-                    value = float(c["value"])
-                    if not math.isfinite(value):
-                        raise ValueError(f"term n={i + 1}: value {value} at {key}")
+                    value = c["value"]
+                    if type(value) is int:
+                        value = float(value)
+                    if type(value) is not float or not -math.inf < value < math.inf:
+                        raise ValueError(f"term n={i + 1}: value {value!r} at {key}")
                     term[key] = value
                 terms.append(term)
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed series payload: {exc}") from exc
         return cls(sigma0=sigma0, terms=tuple(terms))
 
 
 def _check_order(order: int, table: TaylorTable | None = None) -> None:
-    if not isinstance(order, int) or not 0 <= order <= MAX_ORDER:
+    # type(), not isinstance: True is an int equal to 1.
+    if type(order) is not int or not 0 <= order <= MAX_ORDER:
         raise DomainError(f"order must be an integer in 0..{MAX_ORDER}, got {order}")
     if table is not None and table.extent < order:
         raise DomainError(
@@ -507,7 +517,7 @@ def iv_approx(point, model_or_table, order: int) -> float:
     if isinstance(model_or_table, TaylorTable):
         series = iv_series_engine(point, model_or_table, order)
     elif isinstance(model_or_table, (CevModel, HestonModel, SabrModel)):
-        # Before the lookup: 1.0 == 1 would otherwise hit the order-1 series.
+        # Before the lookup: 1.0 and True equal 1 and would hit the order-1 series.
         _check_order(order)
         series = _model_series(model_or_table, point.x, point.y, point.beta, order)
     else:

@@ -152,7 +152,7 @@ def build_Ln(n: int) -> tuple:
     Raises:
         DomainError: n is not an integer >= 1.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise DomainError(f"correction order must be an integer >= 1, got {n}")
     bx, by = _at(_BX, 0, 0), _at(_BY, 0, 0)
     # The blocks A_{m-q,q}, q = 0..m, of each order-m generator.

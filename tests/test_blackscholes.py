@@ -19,6 +19,7 @@ from letfvol.blackscholes import (
     IV_MAX_VOL,
     MAX_LOG,
     BsInputs,
+    ImpliedVol,
     bs_call_price,
     bs_put_price,
     bs_vega,
@@ -217,15 +218,52 @@ def test_call_price_bounds_and_monotonicity():
 
 
 def test_domain_validation():
-    with pytest.raises(DomainError):
-        BsInputs(-0.1, 1.0, 0.0, 0.0)
-    with pytest.raises(DomainError):
-        BsInputs(0.2, 0.0, 0.0, 0.0)
+    for bad in (-0.1, 0.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="sigma"):
+            BsInputs(bad, 1.0, 0.0, 0.0)
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="tau"):
+            BsInputs(0.2, bad, 0.0, 0.0)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             BsInputs(0.2, 1.0, bad, 0.0)
         with pytest.raises(DomainError):
             BsInputs(0.2, 1.0, 0.0, bad)
+
+
+# The value objects: immutable named tuples in field order.
+
+
+def test_bs_inputs_contract():
+    inputs = BsInputs(0.2, 1.0, 0.1, -0.05)
+    assert inputs == BsInputs(sigma=0.2, tau=1.0, z=0.1, k=-0.05)
+    assert (inputs.sigma, inputs.tau, inputs.z, inputs.k) == (0.2, 1.0, 0.1, -0.05)
+    sigma, tau, z, k = inputs
+    assert (sigma, tau, z, k) == (0.2, 1.0, 0.1, -0.05)
+    with pytest.raises(AttributeError):
+        inputs.sigma = 0.3
+    assert repr(inputs).startswith("BsInputs(")
+
+
+def test_bs_inputs_validates_every_construction_route():
+    inputs = BsInputs(0.2, 1.0, 0.1, -0.05)
+    assert inputs._replace(k=0.0) == BsInputs(0.2, 1.0, 0.1, 0.0)
+    with pytest.raises(DomainError):
+        inputs._replace(sigma=-0.2)
+    with pytest.raises(DomainError):
+        BsInputs._make((0.2, math.nan, 0.0, 0.0))
+
+
+def test_implied_vol_result_contract():
+    result = ImpliedVol(0.25, 4)
+    assert result == ImpliedVol(value=0.25, iterations=4)
+    assert (result.value, result.iterations) == (0.25, 4)
+    value, iterations = result
+    assert (value, iterations) == (0.25, 4)
+    assert ImpliedVol(0.25).iterations == 0
+    with pytest.raises(AttributeError):
+        result.iterations = 5
+    assert repr(result).startswith("ImpliedVol(")
 
 
 @pytest.mark.parametrize("z,k", [(710.0, 0.0), (0.0, 710.0)])

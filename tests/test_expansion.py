@@ -713,6 +713,25 @@ def test_iv_approx_checks_the_order_before_reuse(series_cache):
             iv_approx(point, model, MAX_ORDER + 1)
 
 
+def bool_order_calls():
+    model = SabrModel(0.4, 0.5, -0.3)
+    point = make_point(beta=-2.0, x=0.0, y=-1.0)
+    return {
+        "iv_approx": lambda: iv_approx(point, model, True),
+        "iv_series_engine": lambda: iv_series_engine(point, model.taylor_table(0.0, -1.0, 1), True),
+        "vega_ratio_coeffs": lambda: vega_ratio_coeffs(True, 0.3),
+        "iv_series_printed": lambda: iv_series_printed(model, point, True),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(bool_order_calls()))
+def test_bool_order_raises_domain_error(series_cache, name):
+    # True is an int equal to 1, and hashes like 1 in the series cache.
+    iv_approx(make_point(beta=-2.0, x=0.0, y=-1.0), SabrModel(0.4, 0.5, -0.3), 1)
+    with pytest.raises(DomainError):
+        bool_order_calls()[name]()
+
+
 def test_iv_approx_follows_every_key_component(series_cache):
     model, x, y = MODEL_TABLES["sabr"]
     base = MarketPoint(t=0.0, T=0.25, x=x, y=y, z=0.0, k=0.1, beta=-2.0)
@@ -944,3 +963,52 @@ def test_series_json_round_trip():
 def test_series_json_rejects_malformed(text):
     with pytest.raises(ConfigError):
         IvSeries.from_json(text)
+
+
+def canonical_payload():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "canonical" / "sabr_m2_o1.json"
+    return json.loads(path.read_text())
+
+
+def set_sigma0(payload, bad):
+    payload["sigma0"] = bad
+
+
+def set_value(payload, bad):
+    payload["terms"][0]["coeffs"][0]["value"] = bad
+
+
+def set_n(payload, bad):
+    payload["terms"][0]["n"] = bad
+
+
+@pytest.mark.parametrize(
+    "mutate, bad",
+    [
+        (set_sigma0, True),
+        (set_sigma0, "0.3"),
+        (set_sigma0, 10**400),
+        (set_value, "1e-3"),
+        (set_value, True),
+        (set_value, 10**400),
+        (set_n, 1.0),
+        (set_n, True),
+    ],
+    ids=["sigma0-true", "sigma0-string", "sigma0-huge-int", "value-string", "value-true",
+         "value-huge-int", "n-float", "n-true"],
+)
+def test_series_json_rejects_what_to_json_never_writes(mutate, bad):
+    payload = canonical_payload()
+    IvSeries.from_json(json.dumps(payload))
+    mutate(payload, bad)
+    with pytest.raises(ConfigError):
+        IvSeries.from_json(json.dumps(payload))
+
+
+def test_series_json_reads_integer_numbers_as_floats():
+    payload = canonical_payload()
+    set_sigma0(payload, 1)
+    set_value(payload, 0)
+    series = IvSeries.from_json(json.dumps(payload))
+    assert type(series.sigma0) is float and series.sigma0 == 1.0
+    assert all(type(v) is float for v in series.terms[0].values())

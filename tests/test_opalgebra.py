@@ -576,7 +576,7 @@ def test_compositions_enumeration():
 
 
 def test_build_Ln_order_bounds():
-    for n in (0, -1, 1.0):
+    for n in (0, -1, 1.0, True):
         with pytest.raises(DomainError):
             build_Ln(n)
     # Order n reads the entries (name, i, j) with i + j <= n: a table of
