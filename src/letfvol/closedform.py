@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConfigError, DomainError
-from .expansion import MAX_ORDER, IvSeries, lp_add
+from .errors import ConfigError
+from .expansion import IvSeries, _check_order, lp_add
 from .models import CevModel, HestonModel, SabrModel
 
 PRINTED_MAX_ORDER = {CevModel: 3, HestonModel: 3, SabrModel: 2}
@@ -194,8 +194,7 @@ def iv_series_printed(model, point, order: int) -> IvSeries:
     cap = PRINTED_MAX_ORDER.get(type(model))
     if cap is None:
         raise ConfigError(f"no closed forms for {type(model).__name__}")
-    if type(order) is not int or not 0 <= order <= MAX_ORDER:
-        raise DomainError(f"order must be an integer in 0..{MAX_ORDER}, got {order}")
+    _check_order(order)
     if order > cap:
         raise ConfigError(
             f"no order-{order} closed form is available for {type(model).__name__} "

@@ -115,8 +115,8 @@ def vega_ratio_coeffs(k: int, sigma0: float) -> dict:
     """
     if type(k) is not int or k < 1:
         raise DomainError(f"vega ratio order must be an integer >= 1, got {k}")
-    if not sigma0 > 0:
-        raise DomainError(f"base volatility must be positive, got {sigma0}")
+    if not 0 < sigma0 < math.inf:
+        raise DomainError(f"base volatility must be positive and finite, got {sigma0}")
     r2 = {(2, -1): 1.0 / sigma0**3, (0, 1): -sigma0 / 4.0}
     ratio = {(0, 0): 1.0}
     for j in range(1, k):
@@ -141,18 +141,21 @@ class IvSeries:
     """Implied-vol series: sigma0 plus (lam, tau)-polynomial corrections.
 
     ``terms[i]`` holds the order-(i+1) correction as a coefficient dict
-    {(lam_power, tau_power): value}.  Every key of an order-n series has
-    nonnegative powers of total degree lam_power + tau_power <= n, or
-    construction raises DomainError.  The constructor sums the terms into
-    one table, row tau_power, column lam_power, which ``evaluate`` reads by
-    Horner's rule; the table is private, so equality, repr and JSON see
-    only sigma0 and terms.
+    {(lam_power, tau_power): value}.  sigma0 must be finite and positive,
+    every value finite, and every key of an order-n series nonnegative
+    powers of total degree lam_power + tau_power <= n, or construction
+    raises DomainError.  The constructor sums the terms into one table, row
+    tau_power, column lam_power, which ``evaluate`` reads by Horner's rule;
+    the table is private, so equality, repr and JSON see only sigma0 and
+    terms.
     """
 
     sigma0: float
     terms: tuple
 
     def __post_init__(self):
+        if not 0 < self.sigma0 < math.inf:
+            raise DomainError(f"sigma0 must be finite and positive, got {self.sigma0}")
         n = len(self.terms)
         # Row tp holds lam powers n - tp down to 0, the cells total degree
         # n allows; rows run from tau power n down to 0.
@@ -164,6 +167,8 @@ class IvSeries:
                         f"order-{n} series holds lam^{lp} tau^{tp}: powers must be "
                         f">= 0 with total degree <= {n}"
                     )
+                if not -math.inf < value < math.inf:
+                    raise DomainError(f"value {value} at lam^{lp} tau^{tp} must be finite")
                 rows[tp][n - tp - lp] += value
         rows.reverse()
         self.__dict__["_horner"] = rows
@@ -171,11 +176,6 @@ class IvSeries:
     @property
     def order(self) -> int:
         return len(self.terms)
-
-    def term(self, n: int) -> dict:
-        if not 1 <= n <= len(self.terms):
-            raise DomainError(f"series holds orders 1..{len(self.terms)}, got {n}")
-        return self.terms[n - 1]
 
     def evaluate(self, lam: float, tau: float) -> float:
         if not -math.inf < lam < math.inf:
@@ -213,61 +213,49 @@ class IvSeries:
     def from_json(cls, text: str) -> "IvSeries":
         """Read ``to_json`` output; anything else raises ConfigError.
 
-        Powers must be nonnegative integers of total degree at most the
-        series order, each (lam_pow, tau_pow) at most once per term, values
-        finite numbers, sigma0 a finite positive number, and each term's n
-        an int equal to its position, counted from 1.  A JSON number is an
-        int or a float; true, false and strings are not numbers.
+        Powers must be integers, each (lam_pow, tau_pow) at most once per
+        term, sigma0 and values numbers, and each term's n an int equal to
+        its position, counted from 1; the constructor checks the rest.  A
+        JSON number is an int or a float; true, false and strings are not.
         """
         try:
             payload = json.loads(text)
-            # json.loads gives a JSON number as an int or a float.  Exact
-            # type tests leave out bool, a subclass of int.
-            sigma0 = payload["sigma0"]
-            if type(sigma0) is int:
-                sigma0 = float(sigma0)
-            if type(sigma0) is not float or not 0.0 < sigma0 < math.inf:
-                raise ValueError(f"sigma0 must be a finite positive number, got {sigma0!r}")
             terms = []
-            order = len(payload["terms"])
             for i, entry in enumerate(payload["terms"]):
                 n = entry["n"]
                 if type(n) is not int or n != i + 1:
                     raise ValueError(f"term {i} labeled n={n!r}")
                 term: dict = {}
                 for c in entry["coeffs"]:
-                    lp, tp = key = (c["lam_pow"], c["tau_pow"])
-                    if type(lp) is not int or type(tp) is not int or lp < 0 or tp < 0 \
-                            or lp + tp > order:
-                        raise ValueError(f"term n={i + 1}: powers {key} must be integers >= 0 "
-                                         f"with sum <= {order}")
-                    if key in term:
-                        raise ValueError(f"term n={i + 1} repeats powers {key}")
-                    value = c["value"]
-                    if type(value) is int:
-                        value = float(value)
-                    if type(value) is not float or not -math.inf < value < math.inf:
-                        raise ValueError(f"term n={i + 1}: value {value!r} at {key}")
-                    term[key] = value
+                    key = (c["lam_pow"], c["tau_pow"])
+                    if type(key[0]) is not int or type(key[1]) is not int or key in term:
+                        raise ValueError(f"term n={n}: powers {key} are not integers or repeat")
+                    term[key] = _json_number(c["value"])
                 terms.append(term)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            return cls(sigma0=_json_number(payload["sigma0"]), terms=tuple(terms))
+        except (KeyError, TypeError, ValueError, OverflowError, DomainError) as exc:
             raise ConfigError(f"malformed series payload: {exc}") from exc
-        return cls(sigma0=sigma0, terms=tuple(terms))
 
 
-def _check_order(order: int, table: TaylorTable | None = None) -> None:
-    # type(), not isinstance: True is an int equal to 1.
-    if type(order) is not int or not 0 <= order <= MAX_ORDER:
-        raise DomainError(f"order must be an integer in 0..{MAX_ORDER}, got {order}")
+def _json_number(value) -> float:
+    # json.loads gives a JSON number as an int or a float.  Exact type
+    # tests leave out bool, a subclass of int.
+    if type(value) is float:
+        return value
+    if type(value) is int:
+        return float(value)
+    raise ValueError(f"{value!r} is not a number")
+
+
+def _check_order(order: int, table: TaylorTable | None = None, lowest: int = 0) -> None:
+    """The order rule of the series API: an int in lowest..MAX_ORDER that the table serves."""
+    # type(), not isinstance: True is an int equal to 1, and 1.0 equals 1.
+    if type(order) is not int or not lowest <= order <= MAX_ORDER:
+        raise DomainError(f"order must be an integer in {lowest}..{MAX_ORDER}, got {order}")
     if table is not None and table.extent < order:
         raise DomainError(
             f"table extends to order {table.extent}, cannot serve order {order}"
         )
-
-
-def _check_payoff(payoff: str) -> None:
-    if payoff not in PAYOFFS:
-        raise ConfigError(f"payoff must be one of {PAYOFFS}, got {payoff!r}")
 
 
 def _chi_variables(n: int) -> list:
@@ -329,8 +317,7 @@ def reduced_Ln(table: TaylorTable, n: int, beta) -> dict:
     Fraction table gives the exact reduction.  A product with a zero
     entry is skipped: model tables leave most products zero.
     """
-    if not 1 <= n <= MAX_ORDER:
-        raise DomainError(f"correction order must be in 1..{MAX_ORDER}, got {n}")
+    _check_order(n, table, lowest=1)
     variables, beta_degree, weights, products = _chi_program(n)
     # An absent entry reads as 0.0; an int 0 keeps exact tables exact.
     values = [table.get(*entry) or 0 for entry in variables]
@@ -455,23 +442,11 @@ def iv_series_engine(point, table: TaylorTable, order: int) -> IvSeries:
     return IvSeries(sigma0=sigma0, terms=tuple(terms))
 
 
-def _base_price(point, table: TaylorTable, payoff: str) -> tuple:
-    """Black-Scholes inputs at the flat volatility base_sigma(table, beta), and their price."""
-    _check_payoff(payoff)
-    if not point.tau >= MIN_TAU:
-        raise DomainError(f"maturity must be >= {MIN_TAU}, got {point.tau}")
-    inputs = BsInputs(base_sigma(table, point.beta), point.tau, point.z, point.k)
-    return inputs, (bs_call_price if payoff == "call" else bs_put_price)(inputs)
-
-
-def price_u0(point, table: TaylorTable, payoff: str = "call") -> float:
-    """Base price: Black-Scholes at the flat volatility |beta| sqrt(2 a00)."""
-    return _base_price(point, table, payoff)[1]
-
-
 def price_uN(point, table: TaylorTable, order: int, payoff: str = "call") -> PriceApprox:
     """Order-N price: base price plus the reduced-operator corrections.
 
+    The base price u0 is Black-Scholes at the flat volatility
+    base_sigma(table, beta), so order 0 is the base price: u0 == total.
     The order-n term is vega times U_n(lam, tau), the correction the
     implied-vol series is built from (``_correction_dicts``), so both
     routes share one definition and the same input checks.  Each call
@@ -481,7 +456,12 @@ def price_uN(point, table: TaylorTable, order: int, payoff: str = "call") -> Pri
     raises DomainError.
     """
     _check_order(order, table)
-    inputs, u0 = _base_price(point, table, payoff)
+    if payoff not in PAYOFFS:
+        raise ConfigError(f"payoff must be one of {PAYOFFS}, got {payoff!r}")
+    if not point.tau >= MIN_TAU:
+        raise DomainError(f"maturity must be >= {MIN_TAU}, got {point.tau}")
+    inputs = BsInputs(base_sigma(table, point.beta), point.tau, point.z, point.k)
+    u0 = (bs_call_price if payoff == "call" else bs_put_price)(inputs)
     vega = bs_vega(inputs)
     corrections = _correction_dicts(table, point.beta, order)
     try:

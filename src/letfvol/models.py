@@ -82,8 +82,10 @@ class TaylorTable:
 
     ``entries[name][(i, j)]`` is the coefficient of (x - xbar)^i (y - ybar)^j
     in the expansion of the named function, i.e. the (i, j) partial divided
-    by i! j!.  Entries absent within the extent are zero; reads beyond the
-    extent are structural errors.  The table does not record its point: a
+    by i! j!.  Families are a, b, c, f; an int extent >= 0 bounds i + j; a
+    family, key or value outside these, or a non-finite value, raises
+    DomainError.  Entries absent within the extent are zero; reads beyond
+    it are structural errors.  The table does not record its point: a
     named model builds it at the (x, y) it is asked for, and a table given
     to the expansion directly is used as given.
     """
@@ -92,10 +94,16 @@ class TaylorTable:
     entries: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "f"):
-            for key, value in self.entries.setdefault(name, {}).items():
+        if type(self.extent) is not int or self.extent < 0:
+            raise DomainError(f"table extent must be an integer >= 0, got {self.extent!r}")
+        if self.entries.keys() - set("abcf"):
+            raise DomainError(f"table families must be among a, b, c, f, got {list(self.entries)}")
+        for name in "abcf":
+            for (i, j), value in self.entries.setdefault(name, {}).items():
+                if not (0 <= i and 0 <= j and i + j <= self.extent):
+                    raise DomainError(f"table entry {name}{(i, j)} is beyond extent {self.extent}")
                 if not math.isfinite(value):
-                    raise DomainError(f"table entry {name}{key} must be finite, got {value}")
+                    raise DomainError(f"table entry {name}{(i, j)} must be finite, got {value}")
         a00 = self.entries["a"].get((0, 0), 0.0)
         if not a00 > 0:
             raise DomainError(f"table needs a positive a(0,0), got {a00}")

@@ -63,6 +63,10 @@ def test_programs_read_only_entries_within_the_order():
 
 def test_program_order_bounds():
     table = full_table()
-    for n in (0, MAX_ORDER + 1):
+    # True and 1.0 equal 1: unchecked, they would read the order-1 program.
+    for n in (0, MAX_ORDER + 1, True, 1.0):
         with pytest.raises(DomainError):
             reduced_Ln(table, n, beta=-2)
+    # A table must reach the order, as for the engine.
+    with pytest.raises(DomainError, match="cannot serve"):
+        reduced_Ln(full_table(extent=1), 2, beta=-2)

@@ -27,7 +27,6 @@ from letfvol.expansion import (
     lp_add,
     lp_eval,
     lp_mul,
-    price_u0,
     price_uN,
     reduced_Ln,
     vega_ratio_coeffs,
@@ -227,7 +226,7 @@ def test_vega_ratio_coeffs_rejects_unsupported_order():
     for order in (0, -1, 1.5):
         with pytest.raises(DomainError):
             vega_ratio_coeffs(order, 0.3)
-    for sigma0 in (0.0, -0.3, float("nan")):
+    for sigma0 in (0.0, -0.3, float("nan"), float("inf")):
         with pytest.raises(DomainError):
             vega_ratio_coeffs(2, sigma0)
 
@@ -241,14 +240,14 @@ def test_base_price_uses_flat_vol_from_the_table():
     point = make_point(beta=2.0, tau=1.0, k=0.1, z=0.0)
     assert base_sigma(table, 2.0) == pytest.approx(0.4, rel=1e-15)
     want = bs_call_price(BsInputs(sigma=0.4, tau=1.0, z=0.0, k=0.1))
-    assert price_u0(point, table) == pytest.approx(want, rel=1e-15)
+    assert price_uN(point, table, 0).u0 == pytest.approx(want, rel=1e-15)
 
 
 def test_base_price_put_and_parity():
     table = flat_table(a00=0.05)
     point = make_point(beta=-2.0, tau=0.5, k=-0.07, z=0.03)
-    call = price_u0(point, table, payoff="call")
-    put = price_u0(point, table, payoff="put")
+    call = price_uN(point, table, 0, payoff="call").u0
+    put = price_uN(point, table, 0, payoff="put").u0
     assert call - put == pytest.approx(math.exp(point.z) - math.exp(point.k), abs=1e-14)
 
 
@@ -256,17 +255,33 @@ def test_deep_otm_base_put_is_worthless():
     # sigma0 = 2 sqrt(2 * 0.005) = 0.2; parity returned 1.0 here.
     point = make_point(beta=2.0, tau=1.0, k=0.0, z=40.0)
     want = deep_otm_put(0.2, 1.0, 40.0, 0.0)
-    assert math.isclose(price_u0(point, flat_table(a00=0.005), payoff="put"), want, rel_tol=1e-10)
+    assert math.isclose(price_uN(point, flat_table(a00=0.005), 0, payoff="put").u0, want,
+                        rel_tol=1e-10)
 
 
 def test_base_price_guards():
     table = flat_table()
     with pytest.raises(DomainError):
-        price_u0(MarketPoint(t=0.0, T=1e-10, x=0.0, y=0.0, z=0.0, k=0.0, beta=2.0), table)
+        price_uN(MarketPoint(t=0.0, T=1e-10, x=0.0, y=0.0, z=0.0, k=0.0, beta=2.0), table, 0)
     with pytest.raises(ConfigError):
-        price_u0(make_point(), table, payoff="straddle")
+        price_uN(make_point(), table, 0, payoff="straddle")
     with pytest.raises(DomainError):
-        price_u0(make_point(), flat_table(a00=0.0))
+        price_uN(make_point(), flat_table(a00=0.0), 0)
+
+
+def test_price_uN_order_zero_checks_the_float_range_of_sigma0():
+    # sigma0 = 1e207 sqrt(2e200), about 1.4e307: a valid BsInputs sigma, but
+    # beyond the float range the corrections check, at order 0 too.
+    with pytest.warns(UserWarning, match="leverage ratio"):
+        point = make_point(beta=1e207)
+    with pytest.raises(DomainError, match="float range"):
+        price_uN(point, flat_table(a00=1e200), 0)
+
+
+def test_price_uN_checks_its_black_scholes_inputs():
+    # BsInputs bounds the log strike by MAX_LOG.
+    with pytest.raises(DomainError, match="at most"):
+        price_uN(make_point(k=800.0), flat_table(), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +303,7 @@ def test_lambda_degree_and_tau_positivity(beta):
     table = rich_table()
     series = iv_series_engine(make_point(beta=beta), table, MAX_ORDER)
     for n in range(1, MAX_ORDER + 1):
-        for lp, tp in series.term(n):
+        for lp, tp in series.terms[n - 1]:
             assert lp >= 0 and tp >= 0
             assert lp + tp <= n
 
@@ -301,7 +316,7 @@ def test_finalize_term_drops_residue_beyond_total_degree():
     table = model.taylor_table(0.09416031888210169, -3.0277118787958623, 3)
     series = iv_series_engine(make_point(beta=-1.0), table, 3)
     for n in range(1, 4):
-        assert all(lp + tp <= n for lp, tp in series.term(n)), series.term(n)
+        assert all(lp + tp <= n for lp, tp in series.terms[n - 1]), series.terms[n - 1]
     assert expansion._finalize_term(3, {(0, 1): 1.0, (3, 1): 1e-14}) == {(0, 1): 1.0}
     with pytest.raises(StructuralError):
         expansion._finalize_term(3, {(0, 1): 1.0, (3, 1): 10 * CANCEL_TOL})
@@ -409,7 +424,7 @@ def test_beta_one_matches_hand_folded_single_asset_forms():
     s0, term1, term2 = hand_beta1_terms(table)
     assert series.sigma0 == pytest.approx(s0, rel=1e-14)
     for n, want in ((1, term1), (2, term2)):
-        got = series.term(n)
+        got = series.terms[n - 1]
         keys = set(got) | {key for key, value in want.items() if value != 0.0}
         for key in keys:
             assert got.get(key, 0.0) == pytest.approx(want.get(key, 0.0), rel=1e-10, abs=1e-13), (n, key)
@@ -435,9 +450,9 @@ def test_engine_matches_printed_forms(model, order, beta):
     pr = iv_series_printed(model, point, order)
     assert eng.sigma0 == pytest.approx(pr.sigma0, rel=1e-12)
     for n in range(1, order + 1):
-        keys = set(eng.term(n)) | set(pr.term(n))
+        keys = set(eng.terms[n - 1]) | set(pr.terms[n - 1])
         for key in keys:
-            e, p = eng.term(n).get(key, 0.0), pr.term(n).get(key, 0.0)
+            e, p = eng.terms[n - 1].get(key, 0.0), pr.terms[n - 1].get(key, 0.0)
             assert e == pytest.approx(p, rel=1e-10, abs=1e-12), (n, key)
 
 
@@ -591,9 +606,9 @@ def test_engine_matches_general_forms_on_random_tables(
     eng = iv_series_engine(point, table, 2)
     pr = general_series_printed(table, beta, 2)
     for n in (1, 2):
-        keys = set(eng.term(n)) | set(pr.term(n))
+        keys = set(eng.terms[n - 1]) | set(pr.terms[n - 1])
         for key in keys:
-            e, p = eng.term(n).get(key, 0.0), pr.term(n).get(key, 0.0)
+            e, p = eng.terms[n - 1].get(key, 0.0), pr.terms[n - 1].get(key, 0.0)
             assert e == pytest.approx(p, rel=1e-9, abs=1e-11), (n, key)
 
 
@@ -608,7 +623,7 @@ def test_engine_terms_solve_the_composition_sum_pointwise(beta):
         series = iv_series_engine(point, table, MAX_ORDER)
         inputs = BsInputs(sigma=series.sigma0, tau=tau, z=point.z, k=k)
         corrections = [u / bs_vega(inputs) for u in float_route_terms(point, table, MAX_ORDER)]
-        sigmas = [lp_eval(series.term(n), point.lam, tau) for n in range(1, MAX_ORDER + 1)]
+        sigmas = [lp_eval(series.terms[n - 1], point.lam, tau) for n in range(1, MAX_ORDER + 1)]
         for n in range(1, MAX_ORDER + 1):
             want = corrections[n - 1]
             for order in range(2, n + 1):
@@ -721,6 +736,8 @@ def bool_order_calls():
         "iv_series_engine": lambda: iv_series_engine(point, model.taylor_table(0.0, -1.0, 1), True),
         "vega_ratio_coeffs": lambda: vega_ratio_coeffs(True, 0.3),
         "iv_series_printed": lambda: iv_series_printed(model, point, True),
+        "price_uN": lambda: price_uN(point, model.taylor_table(0.0, -1.0, 1), True),
+        "reduced_Ln": lambda: reduced_Ln(model.taylor_table(0.0, -1.0, 1), True, -2.0),
     }
 
 
@@ -882,6 +899,20 @@ def test_series_rejects_keys_beyond_total_degree(terms):
         IvSeries(sigma0=0.2, terms=terms)
 
 
+@pytest.mark.parametrize("sigma0", [-0.5, 0.0, math.nan, math.inf])
+def test_series_rejects_a_sigma0_that_is_not_finite_and_positive(sigma0):
+    # Unchecked, -0.5 would evaluate to a negative implied vol.
+    with pytest.raises(DomainError, match="sigma0"):
+        IvSeries(sigma0=sigma0, terms=())
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_series_rejects_a_coefficient_that_is_not_finite(value):
+    # Unchecked, evaluate would report a nan coefficient as an overflow.
+    with pytest.raises(DomainError, match="finite"):
+        IvSeries(sigma0=0.2, terms=({(0, 1): 0.1, (1, 0): value},))
+
+
 def test_series_overflow_raises_domain_error():
     series = sabr_series()
     for lam, tau in [(1e200, 0.25), (0.1, 1e200)]:
@@ -917,14 +948,6 @@ def test_series_evaluate_guards_tiny_tau():
     for lam, tau in ((math.nan, 0.25), (math.inf, 0.25), (-math.inf, 0.25), (0.1, math.inf)):
         with pytest.raises(DomainError):
             series.evaluate(lam, tau)
-
-
-def test_series_term_bounds():
-    series = iv_series_engine(make_point(), rich_table(), 2)
-    with pytest.raises(DomainError):
-        series.term(0)
-    with pytest.raises(DomainError):
-        series.term(3)
 
 
 def test_series_json_round_trip():

@@ -155,6 +155,24 @@ def test_table_rejects_non_finite_entries(family, value):
         TaylorTable(extent=3, entries=entries)
 
 
+@pytest.mark.parametrize(
+    "extent, entries",
+    [
+        # A misspelled family is never read: its terms would be dropped.
+        (1, {"a": {(0, 0): 0.02}, "F": {(0, 0): 0.1}}),
+        (1, {"a": {(0, 0): 0.02, (3, 0): 0.1}}),
+        (1, {"a": {(0, 0): 0.02, (-1, 0): 0.1}}),
+        (2.5, {"a": {(0, 0): 0.02}}),
+        (-1, {"a": {(0, 0): 0.02}}),
+        (True, {"a": {(0, 0): 0.02}}),
+    ],
+    ids=["family-F", "key-beyond-extent", "negative-key", "extent-2.5", "extent--1", "extent-true"],
+)
+def test_table_rejects_what_the_expansion_never_reads(extent, entries):
+    with pytest.raises(DomainError):
+        TaylorTable(extent=extent, entries=entries)
+
+
 def test_gamma_one_collapses_to_flat_vol():
     table = CevModel(delta=0.3, gamma=1.0).taylor_table(0.0, 0.0, 3)
     assert table.get("a", 0, 0) == pytest.approx(0.045)
