@@ -19,7 +19,10 @@ Regenerate the file with
 
 Conjugated by vega, Dz becomes D = -d/dlam + lam / (sigma0^2 tau) + 1/2, so
 U_n = u_n / vega = sum_m chi_{n,m}(tau) D^m (1 / (sigma0 tau)) is a Laurent
-polynomial in log-moneyness lam = k - z and maturity tau.  ``price_uN``
+polynomial in log-moneyness lam = k - z and maturity tau.  D^m (1 / (sigma0
+tau)) has fixed coefficients times powers of sigma0, so each coefficient
+of U_n is a dot product with the chi weights, along a map that each
+order's program derives once (``_correction_dicts``).  ``price_uN``
 evaluates it times vega, and from it every implied-vol correction sigma_n
 assembles into a polynomial in (lam, tau) whose coefficients depend only
 on the Taylor table and beta.  Assembly is symbolic; evaluation at a
@@ -36,7 +39,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 # hermite_vega_ratio: unused here, kept as an attribute the benchmark's
 # tracing wraps.
@@ -144,10 +147,11 @@ class IvSeries:
     {(lam_power, tau_power): value}.  sigma0 must be finite and positive,
     every value finite, and every key of an order-n series nonnegative
     powers of total degree lam_power + tau_power <= n, or construction
-    raises DomainError.  The constructor sums the terms into one table, row
-    tau_power, column lam_power, which ``evaluate`` reads by Horner's rule;
-    the table is private, so equality, repr and JSON see only sigma0 and
-    terms.
+    raises DomainError.  The series keeps read-only copies of the term
+    dicts, so no edit reaches it after the checks, and sums them into one
+    table, row tau_power, column lam_power, which ``evaluate`` reads by
+    Horner's rule; the table is private, so equality, repr and JSON see
+    only sigma0 and terms.
     """
 
     sigma0: float
@@ -156,11 +160,12 @@ class IvSeries:
     def __post_init__(self):
         if not 0 < self.sigma0 < math.inf:
             raise DomainError(f"sigma0 must be finite and positive, got {self.sigma0}")
-        n = len(self.terms)
+        terms = [dict(term) for term in self.terms]
+        n = len(terms)
         # Row tp holds lam powers n - tp down to 0, the cells total degree
         # n allows; rows run from tau power n down to 0.
         rows = [[0.0] * (n + 1 - tp) for tp in range(n + 1)]
-        for term in self.terms:
+        for term in terms:
             for (lp, tp), value in term.items():
                 if not (0 <= tp and 0 <= lp <= n - tp):
                     raise DomainError(
@@ -171,6 +176,7 @@ class IvSeries:
                     raise DomainError(f"value {value} at lam^{lp} tau^{tp} must be finite")
                 rows[tp][n - tp - lp] += value
         rows.reverse()
+        self.__dict__["terms"] = tuple(map(MappingProxyType, terms))
         self.__dict__["_horner"] = rows
 
     @property
@@ -296,17 +302,61 @@ def chi_programs_text() -> str:
 
 
 @functools.lru_cache(maxsize=None)
+def _d_power(m: int) -> tuple:
+    """D^m (1 / (sigma0 tau)) as pairs ((l, t), q): its lam^l tau^t coefficient is q sigma0^(2t+1).
+
+    A D step maps q at (l, t) to -l q at (l - 1, t), q at (l + 1, t - 1)
+    and q / 2 at (l, t); every q is a dyadic rational, exact in a float.
+    """
+    power = {(0, -1): 1.0}
+    for _ in range(m):
+        step: dict = {}
+        for (l, t), q in power.items():
+            if l:
+                step[l - 1, t] = step.get((l - 1, t), 0.0) - l * q
+            step[l + 1, t - 1] = step.get((l + 1, t - 1), 0.0) + q
+            step[l, t] = step.get((l, t), 0.0) + 0.5 * q
+        power = step
+    return tuple(power.items())
+
+
+@functools.lru_cache(maxsize=None)
 def _chi_program(n: int) -> tuple:
     """The order-n program, parsed on first use; callers must not mutate it.
 
-    ``products`` holds each product's variable indices, as a list and as a
-    set, with the [weight index, num, beta power] of every term it enters.
+    Returns (variables, beta_degree, weights, nodes, keys, spread).
+    ``nodes[k - 1]`` is node k, (parent node, variable index, terms): it
+    extends its parent's product by one variable, from node 0, the empty
+    product, so products that share a prefix share its nodes, and parents
+    come first.  A product's terms [weight index, num, beta power] sit on
+    its last node.  Weight (m, tau_power) reaches U_n through D^m:
+    ``spread[m, tau_power]`` holds (i, q, s) for each pair ((l, t), q) of
+    ``_d_power(m)``, with ``keys[i]`` = (l, t + tau_power) and
+    s = -(t + 1), so that sigma0^-(2s+1) = sigma0^(2t+1).
     """
     with open(CHI_PROGRAMS, encoding="utf-8") as fh:
         program = json.loads(fh.read().splitlines()[n])
-    products = [(mono, frozenset(mono), terms) for mono, terms in program["products"]]
-    beta_degree = max(p for *_, terms in products for *_, p in terms)
-    return _chi_variables(n), beta_degree, program["weights"], products
+    children: dict = {}  # (parent node, variable index) -> node
+    nodes: list = []
+    for mono, terms in program["products"]:
+        node = 0
+        for var in mono:
+            if (node, var) not in children:
+                nodes.append((node, var, []))
+                children[node, var] = len(nodes)
+            node = children[node, var]
+        nodes[node - 1][2].extend(terms)
+    beta_degree = max(p for _, terms in program["products"] for *_, p in terms)
+    keys: dict = {}
+    spread = {
+        (m, tau_pow): tuple(
+            (keys.setdefault((l, t + tau_pow), len(keys)), q, -(t + 1))
+            for (l, t), q in _d_power(m)
+        )
+        for m, tau_pow, _ in program["weights"]
+    }
+    variables = [(name, (i, j)) for name, i, j in _chi_variables(n)]
+    return variables, beta_degree, program["weights"], nodes, tuple(keys), spread
 
 
 def reduced_Ln(table: TaylorTable, n: int, beta) -> dict:
@@ -314,19 +364,22 @@ def reduced_Ln(table: TaylorTable, n: int, beta) -> dict:
 
     Returns chi as {m: {tau_power: coeff}}, only nonzero weights kept.
     Coefficients inherit the number type of the table and beta, so a
-    Fraction table gives the exact reduction.  A product with a zero
-    entry is skipped: model tables leave most products zero.
+    Fraction table gives the exact reduction.  Each node of the program
+    costs one multiply; a zero entry zeroes its node's subtree, and model
+    tables leave most products zero.
     """
     _check_order(n, table, lowest=1)
-    variables, beta_degree, weights, products = _chi_program(n)
-    # An absent entry reads as 0.0; an int 0 keeps exact tables exact.
-    values = [table.get(*entry) or 0 for entry in variables]
+    variables, beta_degree, weights, nodes, _, _ = _chi_program(n)
+    # An absent entry reads as 0; an int 0 keeps exact tables exact.
+    entries = table.entries
+    values = [entries[name].get(key, 0) for name, key in variables]
     beta_powers = [beta**p for p in range(beta_degree + 1)]
-    live = {i for i, value in enumerate(values) if value}
+    products = [1]
     totals = [0] * len(weights)
-    for mono, entries, terms in products:
-        if entries <= live:
-            product = math.prod(map(values.__getitem__, mono))
+    for parent, var, terms in nodes:
+        product = products[parent] * values[var]
+        products.append(product)
+        if product:
             for w, num, p in terms:
                 totals[w] += num * beta_powers[p] * product
     chi: dict = {}
@@ -351,7 +404,10 @@ def _correction_dicts(table: TaylorTable, beta: float, order: int) -> list:
         r_0 = 1 / (sigma0 tau),   r_{m+1} = D r_m,
         D = -d/dlam + lam / (sigma0^2 tau) + 1/2,
 
-    and D commutes with chi(tau), so U_n is summed by Horner's rule in D.
+    and D commutes with chi(tau).  D^m r_0 has the fixed coefficients
+    q sigma0^(2t+1) of ``_d_power(m)``, so each U_n coefficient is a short
+    dot product of the chi weights with them, along the map the order's
+    program derives once (``spread``).
 
     Raises DomainError when sigma0 is not positive or leaves the float
     range of the order (see the check below).
@@ -361,7 +417,7 @@ def _correction_dicts(table: TaylorTable, beta: float, order: int) -> list:
         raise DomainError(f"base volatility must be positive, got {sigma0}")
     chis = [reduced_Ln(table, n, beta) for n in range(1, order + 1)]
     top = max((m for chi in chis for m in chi), default=0)
-    # Each coefficient Horner forms is a sum of chi coefficients times
+    # Each coefficient of U_n is a sum of chi coefficients times
     # coefficients of D^j r_0, j <= top.  The coefficient of D^j r_0 at key
     # (l, t) is q sigma0^(2t+1), with |2t+1| <= 2 top + 1 and q a nonzero
     # dyadic, 2^-top <= |q| <= (top+1)!: a D step multiplies q by an integer
@@ -369,21 +425,17 @@ def _correction_dicts(table: TaylorTable, beta: float, order: int) -> list:
     # every such q sigma0^(2t+1) a normal float; it does not bound chi.
     if not (2 * top + 1) * abs(math.log2(sigma0)) + math.log2(math.factorial(top + 1)) < 1020:
         raise DomainError(f"base volatility {sigma0} is out of float range for order {order}")
-    inv_sigma0, inv_var = 1.0 / sigma0, 1.0 / (sigma0 * sigma0)
+    powers = [sigma0 ** -(2 * s + 1) for s in range(top + 1)]
     out = []
-    for chi in chis:
-        U: dict = {}
-        for m in range(max(chi, default=-1), -1, -1):
-            step: dict = {}
-            for (lp, tp), value in U.items():
-                if lp:
-                    step[lp - 1, tp] = step.get((lp - 1, tp), 0.0) - lp * value
-                step[lp + 1, tp - 1] = step.get((lp + 1, tp - 1), 0.0) + value * inv_var
-                step[lp, tp] = step.get((lp, tp), 0.0) + 0.5 * value
-            for tau_pow, coeff in chi.get(m, {}).items():
-                step[0, tau_pow - 1] = step.get((0, tau_pow - 1), 0.0) + float(coeff) * inv_sigma0
-            U = step
-        out.append(U)
+    for n, chi in enumerate(chis, 1):
+        *_, keys, spread = _chi_program(n)
+        U = [0.0] * len(keys)
+        for m, poly in chi.items():
+            for tau_pow, coeff in poly.items():
+                coeff = float(coeff)
+                for i, q, s in spread[m, tau_pow]:
+                    U[i] += coeff * (q * powers[s])
+        out.append({key: value for key, value in zip(keys, U) if value})
     return out
 
 
@@ -478,7 +530,7 @@ def price_uN(point, table: TaylorTable, order: int, payoff: str = "call") -> Pri
 
 @functools.lru_cache(maxsize=SERIES_CACHE_SIZE)
 def _model_series(model, x: float, y: float, beta: float, order: int) -> IvSeries:
-    """The engine series of a named model at (x, y); callers must not mutate it."""
+    """The engine series of a named model at (x, y), one object shared by every caller."""
     table = model.taylor_table(x, y, order)
     return iv_series_engine(SimpleNamespace(beta=beta), table, order)
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import DomainError, StructuralError
 
@@ -76,7 +78,7 @@ class MarketPoint:
         return self.k - self.z
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaylorTable:
     """Taylor coefficients of the generator around a frozen point.
 
@@ -85,28 +87,32 @@ class TaylorTable:
     by i! j!.  Families are a, b, c, f; an int extent >= 0 bounds i + j; a
     family, key or value outside these, or a non-finite value, raises
     DomainError.  Entries absent within the extent are zero; reads beyond
-    it are structural errors.  The table does not record its point: a
+    it are structural errors.  The table copies each family at
+    construction and exposes the copies read-only, so what was checked is
+    what the expansion reads.  The table does not record its point: a
     named model builds it at the (x, y) it is asked for, and a table given
     to the expansion directly is used as given.
     """
 
     extent: int
-    entries: dict = field(default_factory=dict)
+    entries: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         if type(self.extent) is not int or self.extent < 0:
             raise DomainError(f"table extent must be an integer >= 0, got {self.extent!r}")
         if self.entries.keys() - set("abcf"):
             raise DomainError(f"table families must be among a, b, c, f, got {list(self.entries)}")
-        for name in "abcf":
-            for (i, j), value in self.entries.setdefault(name, {}).items():
+        families = {name: MappingProxyType(dict(self.entries.get(name, {}))) for name in "abcf"}
+        for name, family in families.items():
+            for (i, j), value in family.items():
                 if not (0 <= i and 0 <= j and i + j <= self.extent):
                     raise DomainError(f"table entry {name}{(i, j)} is beyond extent {self.extent}")
                 if not math.isfinite(value):
                     raise DomainError(f"table entry {name}{(i, j)} must be finite, got {value}")
-        a00 = self.entries["a"].get((0, 0), 0.0)
+        a00 = families["a"].get((0, 0), 0.0)
         if not a00 > 0:
             raise DomainError(f"table needs a positive a(0,0), got {a00}")
+        object.__setattr__(self, "entries", MappingProxyType(families))
 
     def get(self, name: str, i: int, j: int):
         if name not in self.entries:

@@ -8,12 +8,13 @@ exactly on Fraction tables, to 1e-12 of the largest chi coefficient on
 float model tables.  Both return chi as {m: {tau_power: coeff}}.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from letfvol.errors import DomainError
-from letfvol.expansion import CHI_PROGRAMS, MAX_ORDER, chi_programs_text, reduced_Ln
+from letfvol.expansion import CHI_PROGRAMS, MAX_ORDER, _chi_program, chi_programs_text, reduced_Ln
 from test_opalgebra import MODEL_TABLES, cev_like_table, evaluate_Ln, full_table
 
 ORDERS = range(1, MAX_ORDER + 1)
@@ -27,6 +28,28 @@ def test_committed_programs_are_the_regenerated_ones():
         f"{CHI_PROGRAMS} is stale; regenerate it with "
         "`PYTHONPATH=src python3 -m letfvol.expansion`"
     )
+
+
+def test_program_nodes_rebuild_every_product_of_the_file():
+    # Walking a node's parent chain back to the empty product spells its
+    # product; products that share a prefix share its nodes.
+    with open(CHI_PROGRAMS, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    for n, term_count in zip(ORDERS, (4, 52, 468)):
+        nodes = _chi_program(n)[3]
+        assert len({(parent, var) for parent, var, _ in nodes}) == len(nodes)
+        rebuilt = {}
+        for k, (parent, _, terms) in enumerate(nodes, 1):
+            assert parent < k
+            mono, node = [], k
+            while node:
+                node, var, _ = nodes[node - 1]
+                mono.append(var)
+            if terms:
+                rebuilt[tuple(reversed(mono))] = terms
+        products = json.loads(lines[n])["products"]
+        assert rebuilt == {tuple(mono): terms for mono, terms in products}
+        assert sum(len(terms) for terms in rebuilt.values()) == term_count
 
 
 @pytest.mark.parametrize("beta", [-2, Fraction(3, 2)])

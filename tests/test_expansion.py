@@ -26,6 +26,7 @@ from letfvol.expansion import (
     iv_series_engine,
     lp_add,
     lp_eval,
+    lp_max_abs,
     lp_mul,
     price_uN,
     reduced_Ln,
@@ -97,8 +98,7 @@ def float_route_terms(point, table, order):
 
 @pytest.mark.parametrize("beta", [2.0, -3.0])
 def test_correction_dicts_match_the_float_route(beta):
-    # U_n summed by Horner's rule in D, as Laurent dicts, against chi times
-    # Hermite values at points.
+    # U_n as Laurent dicts against chi times Hermite values at points.
     table = rich_table()
     corrections = expansion._correction_dicts(table, beta, MAX_ORDER)
     for n, U in enumerate(corrections, 1):
@@ -111,6 +111,75 @@ def test_correction_dicts_match_the_float_route(beta):
         vega = bs_vega(BsInputs(sigma=base_sigma(table, beta), tau=tau, z=point.z, k=k))
         for U, want in zip(corrections, float_route_terms(point, table, MAX_ORDER)):
             assert lp_eval(U, point.lam, tau) == pytest.approx(want / vega, rel=1e-11, abs=1e-11)
+
+
+def horner_correction_dicts(table, beta, order):
+    """Oracle: U_n = sum_m chi_{n,m}(tau) D^m (1 / (sigma0 tau)) by Horner's rule in D.
+
+    Shares reduced_Ln with _correction_dicts, but not its map of D powers.
+    """
+    sigma0 = base_sigma(table, beta)
+    inv_sigma0, inv_var = 1.0 / sigma0, 1.0 / (sigma0 * sigma0)
+    out = []
+    for n in range(1, order + 1):
+        chi = reduced_Ln(table, n, beta)
+        U: dict = {}
+        for m in range(max(chi, default=-1), -1, -1):
+            step: dict = {}
+            for (lp, tp), value in U.items():
+                if lp:
+                    step[lp - 1, tp] = step.get((lp - 1, tp), 0.0) - lp * value
+                step[lp + 1, tp - 1] = step.get((lp + 1, tp - 1), 0.0) + value * inv_var
+                step[lp, tp] = step.get((lp, tp), 0.0) + 0.5 * value
+            for tau_pow, coeff in chi.get(m, {}).items():
+                step[0, tau_pow - 1] = step.get((0, tau_pow - 1), 0.0) + float(coeff) * inv_sigma0
+            U = step
+        out.append(U)
+    return out
+
+
+def assert_corrections_match_horner(table, beta, order):
+    got = expansion._correction_dicts(table, beta, order)
+    want = horner_correction_dicts(table, beta, order)
+    assert len(got) == len(want) == order
+    for n, (g, w) in enumerate(zip(got, want), 1):
+        scale = lp_max_abs(w)
+        for key in set(g) | set(w):
+            assert abs(g.get(key, 0.0) - w.get(key, 0.0)) <= 1e-13 * scale, (n, key)
+
+
+@pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
+@pytest.mark.parametrize("beta", [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("kind", sorted(MODEL_TABLES) + ["rich"])
+def test_correction_dicts_match_horner_in_D(kind, beta, order):
+    if kind == "rich":
+        table = rich_table()
+    else:
+        model, x, y = MODEL_TABLES[kind]
+        table = model.taylor_table(x, y, MAX_ORDER)
+    assert_corrections_match_horner(table, beta, order)
+
+
+TABLE_KEYS = [(name, (i, j)) for name in "abcf" for i in range(4) for j in range(4 - i)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a00=st.floats(0.005, 0.3),
+    # Zeros as often as not: a zero entry zeroes whole subtrees of products.
+    values=st.lists(
+        st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
+        min_size=len(TABLE_KEYS),
+        max_size=len(TABLE_KEYS),
+    ),
+    beta=st.sampled_from([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]),
+)
+def test_correction_dicts_match_horner_in_D_on_random_tables(a00, values, beta):
+    entries = {name: {} for name in "abcf"}
+    for (name, key), value in zip(TABLE_KEYS, values):
+        entries[name][key] = value
+    entries["a"][0, 0] = a00
+    assert_corrections_match_horner(TaylorTable(extent=3, entries=entries), beta, MAX_ORDER)
 
 
 @pytest.mark.parametrize("beta", [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])
@@ -887,6 +956,21 @@ def test_series_evaluate_matches_the_term_sum():
                 want = series.sigma0 + sum(lp_eval(term, lam, tau) for term in series.terms)
                 worst = max(worst, abs(series.evaluate(lam, tau) - want) / abs(want))
     assert worst <= 1e-15
+
+
+def test_series_terms_are_read_only_copies():
+    # iv_approx hands one cached series to every caller: an edit must not
+    # reach it, nor leave evaluate apart from terms, == and to_json.
+    term = {(0, 1): 0.1}
+    series = IvSeries(sigma0=0.2, terms=(term,))
+    text = series.to_json()
+    term[1, 0] = 5.0
+    with pytest.raises(TypeError):
+        series.terms[0][0, 1] = math.nan
+    assert series.terms == ({(0, 1): 0.1},)
+    assert series == IvSeries(sigma0=0.2, terms=({(0, 1): 0.1},))
+    assert series.to_json() == text
+    assert series.evaluate(1.0, 1.0) == pytest.approx(0.3, rel=1e-15)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Tests for model definitions, Taylor tables, the market point and the
 Heston leverage map."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -153,6 +154,30 @@ def test_table_rejects_non_finite_entries(family, value):
     entries[family][(0, 1)] = value
     with pytest.raises(DomainError):
         TaylorTable(extent=3, entries=entries)
+
+
+def test_table_copies_the_callers_entries():
+    # The table neither adds families to the caller's dict nor sees the
+    # caller's later edits, which would skip its checks.
+    family = {(0, 0): 0.02}
+    entries = {"a": family}
+    table = TaylorTable(extent=1, entries=entries)
+    assert entries == {"a": {(0, 0): 0.02}}
+    family[1, 0] = math.nan
+    entries["F"] = {(0, 0): 0.1}
+    assert table.get("a", 1, 0) == 0.0
+    assert set(table.entries) == set("abcf")
+
+
+def test_table_is_read_only():
+    table = CEV.taylor_table(0.0, 0.0, 2)
+    with pytest.raises(TypeError):
+        table.entries["F"] = {(0, 0): 0.1}
+    with pytest.raises(TypeError):
+        table.entries["a"][0, 1] = math.nan
+    for name, value in (("entries", {}), ("extent", 5)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(table, name, value)
 
 
 @pytest.mark.parametrize(
