@@ -22,14 +22,16 @@ U_n = u_n / vega = sum_m chi_{n,m}(tau) D^m (1 / (sigma0 tau)) is a Laurent
 polynomial in log-moneyness lam = k - z and maturity tau.  D^m (1 / (sigma0
 tau)) has fixed coefficients times powers of sigma0, so each coefficient
 of U_n is a dot product with the chi weights, along a map that each
-order's program derives once (``_correction_dicts``).  ``price_uN``
-evaluates it times vega, and from it every implied-vol correction sigma_n
-assembles into a polynomial in (lam, tau) whose coefficients depend only
-on the Taylor table and beta.  Assembly is symbolic; evaluation at a
-concrete (lam, tau) is a separate, cheap step (Horner's rule on one table
-of the corrections summed over orders, built with the series), which lets
-one assembly serve a whole smile (``iv_approx`` reuses a named model's
-series across strikes) and makes coefficient-level testing possible.
+order's program derives once (``_correction_dicts``).  The table keeps
+the U_n it last gave, for one beta, so a series and a price on one table
+derive them once.  ``price_uN`` evaluates U_n times vega, and from it
+every implied-vol correction sigma_n assembles into a polynomial in
+(lam, tau) whose coefficients depend only on the Taylor table and beta.
+Assembly is symbolic; evaluation at a concrete (lam, tau) is a separate,
+cheap step (Horner's rule on one table of the corrections summed over
+orders, built with the series), which lets one assembly serve a whole
+smile (``iv_approx`` reuses a named model's series across strikes) and
+makes coefficient-level testing possible.
 """
 
 from __future__ import annotations
@@ -158,9 +160,12 @@ class IvSeries:
     terms: tuple
 
     def __post_init__(self):
+        self._keep([dict(term) for term in self.terms])
+
+    def _keep(self, terms: list) -> None:
+        """Check sigma0 and ``terms``, fresh dicts no caller holds, then keep them read-only."""
         if not 0 < self.sigma0 < math.inf:
             raise DomainError(f"sigma0 must be finite and positive, got {self.sigma0}")
-        terms = [dict(term) for term in self.terms]
         n = len(terms)
         # Row tp holds lam powers n - tp down to 0, the cells total degree
         # n allows; rows run from tau power n down to 0.
@@ -238,7 +243,12 @@ class IvSeries:
                         raise ValueError(f"term n={n}: powers {key} are not integers or repeat")
                     term[key] = _json_number(c["value"])
                 terms.append(term)
-            return cls(sigma0=_json_number(payload["sigma0"]), terms=tuple(terms))
+            # The dicts are this call's own, so the series keeps them
+            # without the constructor's copy.
+            series = cls.__new__(cls)
+            series.__dict__["sigma0"] = _json_number(payload["sigma0"])
+            series._keep(terms)
+            return series
         except (KeyError, TypeError, ValueError, OverflowError, DomainError) as exc:
             raise ConfigError(f"malformed series payload: {exc}") from exc
 
@@ -394,8 +404,8 @@ def base_sigma(table: TaylorTable, beta: float) -> float:
     return abs(beta) * math.sqrt(2.0 * table.get("a", 0, 0))
 
 
-def _correction_dicts(table: TaylorTable, beta: float, order: int) -> list:
-    """Vega-relative correction terms U_n = u_n / vega as Laurent dicts, n = 1..order.
+def _correction_dicts(table: TaylorTable, beta: float, order: int) -> tuple:
+    """Vega-relative correction terms U_n = u_n / vega as read-only Laurent dicts, n = 1..order.
 
     With r_m = Dz^m (Dz^2 - Dz) u_0 / vega, U_n = sum_m chi_{n,m}(tau) r_m.
     Since (Dz^2 - Dz) u_0 = vega / (sigma0 tau) and Dz log vega =
@@ -411,7 +421,17 @@ def _correction_dicts(table: TaylorTable, beta: float, order: int) -> list:
 
     Raises DomainError when sigma0 is not positive or leaves the float
     range of the order (see the check below).
+
+    The table keeps the last result, keyed by (type(beta), beta), so that
+    2, 2.0 and Fraction(2) stay apart: a call at that beta and an order
+    no higher returns its prefix, since U_n does not depend on the order
+    asked for; any other call derives afresh and replaces it.  A call
+    that raises stores nothing.
     """
+    key = (type(beta), beta)
+    stored = table._corrections
+    if stored is not None and stored[0] == key and len(stored[1]) >= order:
+        return stored[1][:order]
     sigma0 = base_sigma(table, beta)
     if not sigma0 > 0:
         raise DomainError(f"base volatility must be positive, got {sigma0}")
@@ -435,7 +455,9 @@ def _correction_dicts(table: TaylorTable, beta: float, order: int) -> list:
                 coeff = float(coeff)
                 for i, q, s in spread[m, tau_pow]:
                     U[i] += coeff * (q * powers[s])
-        out.append({key: value for key, value in zip(keys, U) if value})
+        out.append(MappingProxyType({k: value for k, value in zip(keys, U) if value}))
+    out = tuple(out)
+    table.__dict__["_corrections"] = (key, out)
     return out
 
 
@@ -501,8 +523,10 @@ def price_uN(point, table: TaylorTable, order: int, payoff: str = "call") -> Pri
     base_sigma(table, beta), so order 0 is the base price: u0 == total.
     The order-n term is vega times U_n(lam, tau), the correction the
     implied-vol series is built from (``_correction_dicts``), so both
-    routes share one definition and the same input checks.  Each call
-    assembles U_1..U_N for the table, at about the cost of an engine call.
+    routes share one definition and the same input checks.  U_1..U_N
+    come from the table when a series or price at the same beta and an
+    order no lower derived them; otherwise deriving them costs about as
+    much as an engine call, and the table keeps them.
     Call and put share the correction terms because the parity difference
     is annihilated by Dz^2 - Dz.  A term or total outside the float range
     raises DomainError.
@@ -539,12 +563,14 @@ def iv_approx(point, model_or_table, order: int) -> float:
     """Scalar implied-vol approximation at the point's (lam, tau).
 
     A TaylorTable is used as given: its entries are the expansion, so
-    point.x and point.y are not consulted for it, and it is assembled per
-    call.  A named model (CevModel, HestonModel, SabrModel) is expanded at
-    (point.x, point.y); being frozen, it is hashable by value, and its
-    series is assembled once per (model, point.x, point.y, point.beta,
-    order), with the last SERIES_CACHE_SIZE kept, so a smile's strikes
-    share one assembly.  Anything else raises ConfigError.
+    point.x and point.y are not consulted for it, and its series is
+    assembled per call, from the corrections the table keeps for
+    point.beta when it has them.  A named model (CevModel, HestonModel,
+    SabrModel) is expanded at (point.x, point.y); being frozen, it is
+    hashable by value, and its series is assembled once per (model,
+    point.x, point.y, point.beta, order), with the last SERIES_CACHE_SIZE
+    kept, so a smile's strikes share one assembly.  Anything else raises
+    ConfigError.
     """
     if isinstance(model_or_table, TaylorTable):
         series = iv_series_engine(point, model_or_table, order)

@@ -13,6 +13,7 @@ point to any requested order.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -84,14 +85,21 @@ class TaylorTable:
 
     ``entries[name][(i, j)]`` is the coefficient of (x - xbar)^i (y - ybar)^j
     in the expansion of the named function, i.e. the (i, j) partial divided
-    by i! j!.  Families are a, b, c, f; an int extent >= 0 bounds i + j; a
-    family, key or value outside these, or a non-finite value, raises
+    by i! j!.  Families are a, b, c, f; an int extent >= 0 bounds i + j;
+    keys are pairs of ints and values finite reals (float, int or
+    Fraction, not bool).  A family, key or value outside these raises
     DomainError.  Entries absent within the extent are zero; reads beyond
     it are structural errors.  The table copies each family at
     construction and exposes the copies read-only, so what was checked is
     what the expansion reads.  The table does not record its point: a
     named model builds it at the (x, y) it is asked for, and a table given
     to the expansion directly is used as given.
+
+    Being immutable, a table also keeps the correction terms U_n that the
+    expansion last derived from it (``expansion._correction_dicts``), for
+    one beta, so a price after a series at that beta reuses them.  They
+    sit outside the fields: equality, repr and ``dataclasses.replace``
+    do not see them, and a replaced table starts without.
     """
 
     extent: int
@@ -104,15 +112,26 @@ class TaylorTable:
             raise DomainError(f"table families must be among a, b, c, f, got {list(self.entries)}")
         families = {name: MappingProxyType(dict(self.entries.get(name, {}))) for name in "abcf"}
         for name, family in families.items():
-            for (i, j), value in family.items():
+            for key, value in family.items():
+                # type(), not isinstance: True is an int, and a bool value is
+                # a slip, not a coefficient.  Floats skip the slower ABC test.
+                if not (type(key) is tuple and len(key) == 2
+                        and type(key[0]) is int and type(key[1]) is int):
+                    raise DomainError(f"table key {name}[{key!r}] must be a pair of ints")
+                i, j = key
                 if not (0 <= i and 0 <= j and i + j <= self.extent):
                     raise DomainError(f"table entry {name}{(i, j)} is beyond extent {self.extent}")
+                if type(value) is not float and (
+                        type(value) is bool or not isinstance(value, numbers.Real)):
+                    raise DomainError(f"table entry {name}{key} must be a real number, got {value!r}")
                 if not math.isfinite(value):
                     raise DomainError(f"table entry {name}{(i, j)} must be finite, got {value}")
         a00 = families["a"].get((0, 0), 0.0)
         if not a00 > 0:
             raise DomainError(f"table needs a positive a(0,0), got {a00}")
         object.__setattr__(self, "entries", MappingProxyType(families))
+        # (beta key, corrections): see the class docstring.
+        self.__dict__["_corrections"] = None
 
     def get(self, name: str, i: int, j: int):
         if name not in self.entries:

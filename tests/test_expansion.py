@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -180,6 +181,116 @@ def test_correction_dicts_match_horner_in_D_on_random_tables(a00, values, beta):
         entries[name][key] = value
     entries["a"][0, 0] = a00
     assert_corrections_match_horner(TaylorTable(extent=3, entries=entries), beta, MAX_ORDER)
+
+
+# ---------------------------------------------------------------------------
+# corrections kept by the table
+
+
+def model_table(kind):
+    model, x, y = MODEL_TABLES[kind]
+    return model.taylor_table(x, y, MAX_ORDER)
+
+
+def count_reduced_Ln(monkeypatch):
+    """Route expansion.reduced_Ln through a counter; returns the list it appends to."""
+    calls = []
+    original = expansion.reduced_Ln
+
+    def counted(table, n, beta):
+        calls.append((n, beta))
+        return original(table, n, beta)
+
+    monkeypatch.setattr(expansion, "reduced_Ln", counted)
+    return calls
+
+
+@pytest.mark.parametrize("beta", [-3.0, 2.0])
+@pytest.mark.parametrize("kind", sorted(MODEL_TABLES))
+def test_price_after_series_reuses_the_tables_corrections(kind, beta, monkeypatch):
+    point = make_point(beta=beta, tau=0.4, k=0.07)
+    want = price_uN(point, model_table(kind), MAX_ORDER)
+    want_json = iv_series_engine(point, model_table(kind), MAX_ORDER).to_json()
+    table = model_table(kind)
+    series = iv_series_engine(point, table, MAX_ORDER)
+    calls = count_reduced_Ln(monkeypatch)
+    got = price_uN(point, table, MAX_ORDER)
+    assert calls == []
+    # Bit for bit, as on a fresh table; and the series is what a fresh table gives.
+    assert (got.u0, got.terms, got.total) == (want.u0, want.terms, want.total)
+    assert series.to_json() == iv_series_engine(point, table, MAX_ORDER).to_json() == want_json
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_TABLES) + ["rich"])
+def test_lower_order_after_higher_is_the_fresh_prefix(kind, monkeypatch):
+    make = rich_table if kind == "rich" else lambda: model_table(kind)
+    table = make()
+    full = expansion._correction_dicts(table, -2.0, 3)
+    calls = count_reduced_Ln(monkeypatch)
+    for order in (2, 1, 0):
+        got = expansion._correction_dicts(table, -2.0, order)
+        assert got == full[:order]
+        assert got == tuple(expansion._correction_dicts(make(), -2.0, order))
+    # Only the fresh tables derived anything: 2 + 1 + 0 orders.
+    assert len(calls) == 3
+    # An order above the stored one derives afresh and replaces it.
+    table = make()
+    expansion._correction_dicts(table, -2.0, 1)
+    del calls[:]
+    assert expansion._correction_dicts(table, -2.0, 3) == full
+    assert len(calls) == 3 and len(table._corrections[1]) == 3
+
+
+def test_each_beta_and_number_type_is_its_own_key(monkeypatch):
+    # 2, 2.0 and Fraction(2) are equal numbers but distinct keys, and 2.0
+    # does not serve -2.0: the corrections hold odd powers of beta.
+    betas = (2, 2, 2.0, 2.0, Fraction(2), Fraction(2), -2.0, -2.0)
+    wants = [expansion._correction_dicts(model_table("heston"), beta, 2) for beta in betas]
+    assert wants[-1] != wants[2]
+    table = model_table("heston")
+    calls = count_reduced_Ln(monkeypatch)
+    derived = []
+    for beta, want in zip(betas, wants):
+        before = len(calls)
+        assert expansion._correction_dicts(table, beta, 2) == want
+        assert table._corrections[0] == (type(beta), beta)
+        derived.append(len(calls) - before)
+    assert derived == [2, 0, 2, 0, 2, 0, 2, 0]
+
+
+def test_a_call_that_raises_stores_nothing():
+    # sigma0 = 0 at beta = 0, and about 1.4e307 beyond the float range.
+    for beta, table, order in ((0.0, rich_table(), 1), (1e207, flat_table(a00=1e200), 0)):
+        with pytest.raises(DomainError):
+            expansion._correction_dicts(table, beta, order)
+        assert table._corrections is None
+    table = rich_table()
+    kept = expansion._correction_dicts(table, 2.0, 2)
+    with pytest.raises(DomainError):
+        expansion._correction_dicts(table, 0.0, 2)
+    assert table._corrections == ((float, 2.0), kept)
+
+
+def test_kept_corrections_are_read_only():
+    table = rich_table()
+    iv_series_engine(make_point(), table, MAX_ORDER)
+    corrections = expansion._correction_dicts(table, 2.0, MAX_ORDER)
+    assert corrections is table._corrections[1]
+    with pytest.raises(TypeError):
+        corrections[0][0, 0] = 1.0
+    with pytest.raises(TypeError):
+        del corrections[0][next(iter(corrections[0]))]
+
+
+def test_kept_corrections_leave_equality_repr_and_replace_alone():
+    table, fresh = rich_table(), rich_table()
+    text = repr(fresh)
+    price_uN(make_point(), table, MAX_ORDER)
+    assert table._corrections is not None
+    assert table == fresh and repr(table) == text
+    assert [f.name for f in dataclasses.fields(table)] == ["extent", "entries"]
+    copy = dataclasses.replace(table)
+    assert copy == table and copy._corrections is None
 
 
 @pytest.mark.parametrize("beta", [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])
@@ -1040,6 +1151,10 @@ def test_series_json_round_trip():
     assert back == series
     assert back.sigma0 == series.sigma0
     assert back.terms == series.terms
+    # The reader keeps its own dicts without a copy, read-only all the same.
+    assert back.evaluate(0.1, 0.3) == series.evaluate(0.1, 0.3)
+    with pytest.raises(TypeError):
+        back.terms[0][0, 1] = math.nan
     payload = json.loads(series.to_json())
     assert [entry["n"] for entry in payload["terms"]] == [1, 2, 3]
     for entry in payload["terms"]:

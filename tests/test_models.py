@@ -190,8 +190,22 @@ def test_table_is_read_only():
         (2.5, {"a": {(0, 0): 0.02}}),
         (-1, {"a": {(0, 0): 0.02}}),
         (True, {"a": {(0, 0): 0.02}}),
+        # A key that is not a pair of ints is never read, or cannot be unpacked.
+        (1, {"a": {(0, 0): 0.02, (0.5, 0): 1.0}}),
+        (1, {"a": {(0, 0): 0.02, 0: 1.0}}),
+        (1, {"a": {(0, 0): 0.02, True: 1.0}}),
+        (1, {"a": {(0, 0): 0.02, (True, 0): 1.0}}),
+        (1, {"a": {(0, 0): 0.02, (0, 0, 0): 1.0}}),
+        # A value that is not a real number, or is a bool.
+        (1, {"a": {(0, 0): True}}),
+        (1, {"a": {(0, 0): 0.02, (1, 0): False}}),
+        (1, {"a": {(0, 0): 0.02, (1, 0): "0.1"}}),
+        (1, {"a": {(0, 0): 0.02, (1, 0): 0.1j}}),
+        (1, {"a": {(0, 0): 0.02, (1, 0): None}}),
     ],
-    ids=["family-F", "key-beyond-extent", "negative-key", "extent-2.5", "extent--1", "extent-true"],
+    ids=["family-F", "key-beyond-extent", "negative-key", "extent-2.5", "extent--1", "extent-true",
+         "key-0.5", "key-int", "key-bool", "key-bool-pair", "key-triple",
+         "value-true-a00", "value-false", "value-str", "value-complex", "value-none"],
 )
 def test_table_rejects_what_the_expansion_never_reads(extent, entries):
     with pytest.raises(DomainError):
