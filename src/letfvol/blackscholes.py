@@ -2,7 +2,7 @@
 
 Everything here works in log coordinates: ``z`` is the log of the spot,
 ``k`` the log of the strike, and prices are undiscounted.  One kernel,
-``_call``, forms every price and its d+, through ``math.erfc``, which keeps
+``_call``, forms every price, through ``math.erfc``, which keeps
 the left tail to full relative precision.  The put is the call with spot
 and strike swapped, P(e^z, e^k) = C(e^k, e^z), so no parity subtraction
 turns a worthless put into rounding residue.
@@ -100,7 +100,8 @@ def bs_vega(inputs: BsInputs) -> float:
     e^z and phi(d+) share one exponential, which stays finite where e^z alone does not.
     """
     z, root_tau = inputs.z, math.sqrt(inputs.tau)
-    d_plus = _call(math.exp(z), math.exp(inputs.k), z - inputs.k, inputs.sigma * root_tau)[1]
+    s = inputs.sigma * root_tau
+    d_plus = (z - inputs.k) / s + 0.5 * s  # as ``_call`` forms it
     return INV_SQRT_2PI * root_tau * math.exp(z - 0.5 * d_plus * d_plus)
 
 

@@ -22,16 +22,20 @@ U_n = u_n / vega = sum_m chi_{n,m}(tau) D^m (1 / (sigma0 tau)) is a Laurent
 polynomial in log-moneyness lam = k - z and maturity tau.  D^m (1 / (sigma0
 tau)) has fixed coefficients times powers of sigma0, so each coefficient
 of U_n is a dot product with the chi weights, along a map that each
-order's program derives once (``_correction_dicts``).  The table keeps
-the U_n it last gave, for one beta, so a series and a price on one table
-derive them once.  ``price_uN`` evaluates U_n times vega, and from it
-every implied-vol correction sigma_n assembles into a polynomial in
-(lam, tau) whose coefficients depend only on the Taylor table and beta.
-Assembly is symbolic; evaluation at a concrete (lam, tau) is a separate,
-cheap step (Horner's rule on one table of the corrections summed over
-orders, built with the series), which lets one assembly serve a whole
-smile (``iv_approx`` reuses a named model's series across strikes) and
-makes coefficient-level testing possible.
+order's program derives once (``_correction_dicts``).  ``price_uN``
+evaluates U_n times vega, and from it every implied-vol correction
+sigma_n assembles into a polynomial in (lam, tau) whose coefficients
+depend only on the Taylor table and beta.  Assembly is symbolic;
+evaluation at a concrete (lam, tau) is a separate, cheap step (Horner's
+rule on one table of the corrections summed over orders, built with the
+series), which lets one assembly serve a whole smile and makes
+coefficient-level testing possible.
+
+Reuse follows one rule, applied here alone: an immutable input keeps the
+last value derived from it, for one key, in its instance dict, where
+equality, hashing, repr and ``dataclasses.replace`` do not see it.  A
+table keeps its U_n (``_correction_dicts``), and a table or named model
+its ``iv_approx`` series.  A call that raises keeps nothing.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from types import MappingProxyType, SimpleNamespace
+from types import MappingProxyType
 
 # hermite_vega_ratio: unused here, kept as an attribute the benchmark's
 # tracing wraps.
@@ -63,8 +67,6 @@ MIN_TAU = 1e-8
 # Structural-cancellation and trimming thresholds, relative to max(1, scale).
 CANCEL_TOL = 1e-8
 TRIM_TOL = 1e-14
-# Series iv_approx keeps for named models: >= 3, for smiles of orders 1-3 in turn.
-SERIES_CACHE_SIZE = 8
 
 PAYOFFS = ("call", "put")
 
@@ -376,22 +378,26 @@ def reduced_Ln(table: TaylorTable, n: int, beta) -> dict:
     Coefficients inherit the number type of the table and beta, so a
     Fraction table gives the exact reduction.  Each node of the program
     costs one multiply; a zero entry zeroes its node's subtree, and model
-    tables leave most products zero.
+    tables leave most products zero.  A beta power or product outside the
+    float range raises DomainError.
     """
     _check_order(n, table, lowest=1)
     variables, beta_degree, weights, nodes, _, _ = _chi_program(n)
     # An absent entry reads as 0; an int 0 keeps exact tables exact.
     entries = table.entries
     values = [entries[name].get(key, 0) for name, key in variables]
-    beta_powers = [beta**p for p in range(beta_degree + 1)]
     products = [1]
     totals = [0] * len(weights)
-    for parent, var, terms in nodes:
-        product = products[parent] * values[var]
-        products.append(product)
-        if product:
-            for w, num, p in terms:
-                totals[w] += num * beta_powers[p] * product
+    try:
+        beta_powers = [beta**p for p in range(beta_degree + 1)]
+        for parent, var, terms in nodes:
+            product = products[parent] * values[var]
+            products.append(product)
+            if product:
+                for w, num, p in terms:
+                    totals[w] += num * beta_powers[p] * product
+    except OverflowError as exc:  # float **, or an int too large for a float
+        raise DomainError(f"order-{n} chi weights leave the float range at beta={beta}") from exc
     chi: dict = {}
     for (m, tau_pow, den), total in zip(weights, totals):
         if total:
@@ -429,7 +435,7 @@ def _correction_dicts(table: TaylorTable, beta: float, order: int) -> tuple:
     that raises stores nothing.
     """
     key = (type(beta), beta)
-    stored = table._corrections
+    stored = table.__dict__.get("_corrections")
     if stored is not None and stored[0] == key and len(stored[1]) >= order:
         return stored[1][:order]
     sigma0 = base_sigma(table, beta)
@@ -552,37 +558,33 @@ def price_uN(point, table: TaylorTable, order: int, payoff: str = "call") -> Pri
     return PriceApprox(u0=u0, terms=terms, total=total)
 
 
-@functools.lru_cache(maxsize=SERIES_CACHE_SIZE)
-def _model_series(model, x: float, y: float, beta: float, order: int) -> IvSeries:
-    """The engine series of a named model at (x, y), one object shared by every caller."""
-    table = model.taylor_table(x, y, order)
-    return iv_series_engine(SimpleNamespace(beta=beta), table, order)
-
-
 def iv_approx(point, model_or_table, order: int) -> float:
     """Scalar implied-vol approximation at the point's (lam, tau).
 
     A TaylorTable is used as given: its entries are the expansion, so
-    point.x and point.y are not consulted for it, and its series is
-    assembled per call, from the corrections the table keeps for
-    point.beta when it has them.  A named model (CevModel, HestonModel,
-    SabrModel) is expanded at (point.x, point.y); being frozen, it is
-    hashable by value, and its series is assembled once per (model,
-    point.x, point.y, point.beta, order), with the last SERIES_CACHE_SIZE
-    kept, so a smile's strikes share one assembly.  Anything else raises
-    ConfigError.
+    point.x and point.y are not consulted for it.  A named model
+    (CevModel, HestonModel, SabrModel) is expanded at (point.x, point.y).
+    Anything else raises ConfigError.  The table or model keeps the series
+    it last assembled, keyed by (type(point.beta), point.beta, order), plus
+    (point.x, point.y) for a model, so a smile's strikes on one instance
+    share one assembly; equal instances built apart do not share it.
     """
-    if isinstance(model_or_table, TaylorTable):
-        series = iv_series_engine(point, model_or_table, order)
-    elif isinstance(model_or_table, (CevModel, HestonModel, SabrModel)):
-        # Before the lookup: 1.0 and True equal 1 and would hit the order-1 series.
-        _check_order(order)
-        series = _model_series(model_or_table, point.x, point.y, point.beta, order)
-    else:
+    # Before the lookup: 1.0 and True equal 1 and would hit the order-1 series.
+    _check_order(order)
+    key = (type(point.beta), point.beta, order)
+    if isinstance(model_or_table, (CevModel, HestonModel, SabrModel)):
+        key += (point.x, point.y)
+    elif not isinstance(model_or_table, TaylorTable):
         raise ConfigError(
             f"expected a TaylorTable or a named model, got {type(model_or_table).__name__}"
         )
-    return series.evaluate(point.lam, point.tau)
+    stored = model_or_table.__dict__.get("_series")
+    if stored is None or stored[0] != key:
+        table = (model_or_table if isinstance(model_or_table, TaylorTable)
+                 else model_or_table.taylor_table(point.x, point.y, order))
+        stored = (key, iv_series_engine(point, table, order))
+        model_or_table.__dict__["_series"] = stored
+    return stored[1].evaluate(point.lam, point.tau)
 
 
 if __name__ == "__main__":

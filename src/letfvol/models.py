@@ -93,13 +93,8 @@ class TaylorTable:
     construction and exposes the copies read-only, so what was checked is
     what the expansion reads.  The table does not record its point: a
     named model builds it at the (x, y) it is asked for, and a table given
-    to the expansion directly is used as given.
-
-    Being immutable, a table also keeps the correction terms U_n that the
-    expansion last derived from it (``expansion._correction_dicts``), for
-    one beta, so a price after a series at that beta reuses them.  They
-    sit outside the fields: equality, repr and ``dataclasses.replace``
-    do not see them, and a replaced table starts without.
+    to the expansion directly is used as given.  Being immutable, a table
+    may keep what the expansion derives from it (see ``expansion``).
     """
 
     extent: int
@@ -130,8 +125,6 @@ class TaylorTable:
         if not a00 > 0:
             raise DomainError(f"table needs a positive a(0,0), got {a00}")
         object.__setattr__(self, "entries", MappingProxyType(families))
-        # (beta key, corrections): see the class docstring.
-        self.__dict__["_corrections"] = None
 
     def get(self, name: str, i: int, j: int):
         if name not in self.entries:

@@ -20,7 +20,6 @@ from letfvol.expansion import (
     CANCEL_TOL,
     MAX_ORDER,
     MIN_TAU,
-    SERIES_CACHE_SIZE,
     IvSeries,
     base_sigma,
     iv_approx,
@@ -39,6 +38,7 @@ from letfvol.models import (
     MarketPoint,
     SabrModel,
     TaylorTable,
+    heston_beta_map,
 )
 from test_blackscholes import deep_otm_put, vega_ratio
 from test_opalgebra import MODEL_TABLES
@@ -263,7 +263,7 @@ def test_a_call_that_raises_stores_nothing():
     for beta, table, order in ((0.0, rich_table(), 1), (1e207, flat_table(a00=1e200), 0)):
         with pytest.raises(DomainError):
             expansion._correction_dicts(table, beta, order)
-        assert table._corrections is None
+        assert "_corrections" not in vars(table)
     table = rich_table()
     kept = expansion._correction_dicts(table, 2.0, 2)
     with pytest.raises(DomainError):
@@ -286,11 +286,11 @@ def test_kept_corrections_leave_equality_repr_and_replace_alone():
     table, fresh = rich_table(), rich_table()
     text = repr(fresh)
     price_uN(make_point(), table, MAX_ORDER)
-    assert table._corrections is not None
+    assert "_corrections" in vars(table)
     assert table == fresh and repr(table) == text
     assert [f.name for f in dataclasses.fields(table)] == ["extent", "entries"]
     copy = dataclasses.replace(table)
-    assert copy == table and copy._corrections is None
+    assert copy == table and "_corrections" not in vars(copy)
 
 
 @pytest.mark.parametrize("beta", [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])
@@ -458,6 +458,20 @@ def test_price_uN_order_zero_checks_the_float_range_of_sigma0():
         price_uN(point, flat_table(a00=1e200), 0)
 
 
+def test_a_leverage_beyond_the_float_range_raises_domain_error():
+    # Order 3 forms beta^p, p <= 9: 1e100 overflows a float although
+    # sigma0 is 1.41 on the first table; an int beta of that size
+    # overflows where it meets a float entry of the second.
+    small = TaylorTable(extent=3, entries={"a": {(0, 0): 1e-200, (1, 0): 1e-201}})
+    for beta, table in ((1e100, small), (10**100, rich_table())):
+        with pytest.warns(UserWarning, match="leverage ratio"):
+            point = make_point(beta=beta)
+        for call in (price_uN, iv_series_engine, iv_approx):
+            with pytest.raises(DomainError, match="float range"):
+                call(point, table, 3)
+        assert vars(table).keys() == {"extent", "entries"}
+
+
 def test_price_uN_checks_its_black_scholes_inputs():
     # BsInputs bounds the log strike by MAX_LOG.
     with pytest.raises(DomainError, match="at most"):
@@ -476,6 +490,40 @@ def test_flat_table_has_zero_corrections():
     approx = price_uN(point, table, MAX_ORDER)
     assert approx.terms == (0.0, 0.0, 0.0)
     assert approx.total == pytest.approx(approx.u0, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# exact identities
+
+
+@pytest.mark.parametrize("beta", [-3.0, -2.0, -1.0, 2.0, 3.0])
+def test_heston_at_leverage_is_the_mapped_model_at_unit_leverage(beta):
+    model, x, y = MODEL_TABLES["heston"]
+    mapped, mapped_y = heston_beta_map(model, y, beta)
+    for order in range(1, MAX_ORDER + 1):
+        got = iv_series_engine(make_point(beta=beta), model.taylor_table(x, y, order), order)
+        want = iv_series_engine(
+            make_point(beta=1.0), mapped.taylor_table(x, mapped_y, order), order
+        )
+        # |beta| sqrt(e^y) against sqrt(e^(y + log beta^2)): one rounding apart.
+        assert got.sigma0 == pytest.approx(want.sigma0, rel=1e-15)
+        for n, (term, mapped_term) in enumerate(zip(got.terms, want.terms), 1):
+            assert term.keys() == mapped_term.keys(), (order, n)
+            scale = lp_max_abs(term)
+            for key, value in term.items():
+                assert abs(value - mapped_term[key]) <= 1e-13 * scale, (order, n, key)
+
+
+@pytest.mark.parametrize("beta", [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])
+def test_cev_at_gamma_one_is_black_scholes_at_beta_delta(beta):
+    model = CevModel(delta=0.3, gamma=1.0)
+    point = make_point(beta=beta, tau=0.5, k=0.1)
+    for order in range(MAX_ORDER + 1):
+        table = model.taylor_table(point.x, point.y, order)
+        series = iv_series_engine(point, table, order)
+        assert series.sigma0 == pytest.approx(abs(beta) * model.delta, rel=1e-15)
+        assert series.terms == ({},) * order
+        assert price_uN(point, table, order).terms == (0.0,) * order
 
 
 @pytest.mark.parametrize("beta", [2.0, -2.0, 1.0, -3.0])
@@ -862,14 +910,7 @@ def test_iv_approx_routes_agree():
 
 
 # ---------------------------------------------------------------------------
-# iv_approx assembles a named model's series once per (model, x, y, beta, order)
-
-
-@pytest.fixture
-def series_cache():
-    expansion._model_series.cache_clear()
-    yield expansion._model_series
-    expansion._model_series.cache_clear()
+# iv_approx: a table or named model keeps the series it last assembled
 
 
 def smile_points(x, y, beta, tau=0.25, strikes=41):
@@ -884,9 +925,22 @@ def fresh_iv(point, model, order):
     return iv_series_engine(point, table, order).evaluate(point.lam, point.tau)
 
 
+def count_engine_calls(monkeypatch):
+    """Route expansion.iv_series_engine through a counter; returns the list it appends to."""
+    calls = []
+    engine = expansion.iv_series_engine
+
+    def counting_engine(*args, **kwargs):
+        calls.append(args)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(expansion, "iv_series_engine", counting_engine)
+    return calls
+
+
 @pytest.mark.parametrize("beta", [-2.0, 3.0])
 @pytest.mark.parametrize("kind", sorted(MODEL_TABLES))
-def test_iv_approx_reuse_equals_fresh_assembly(series_cache, kind, beta):
+def test_iv_approx_reuse_equals_fresh_assembly(kind, beta):
     model, x, y = MODEL_TABLES[kind]
     points = smile_points(x, y, beta)
     for order in range(1, MAX_ORDER + 1):
@@ -895,7 +949,7 @@ def test_iv_approx_reuse_equals_fresh_assembly(series_cache, kind, beta):
         assert [iv_approx(point, model, order) for point in points] == want
 
 
-def test_iv_approx_checks_the_order_before_reuse(series_cache):
+def test_iv_approx_checks_the_order_before_reuse():
     model, x, y = MODEL_TABLES["sabr"]
     point = smile_points(x, y, -2.0)[20]
     iv_approx(point, model, 1)
@@ -912,7 +966,9 @@ def bool_order_calls():
     model = SabrModel(0.4, 0.5, -0.3)
     point = make_point(beta=-2.0, x=0.0, y=-1.0)
     return {
-        "iv_approx": lambda: iv_approx(point, model, True),
+        # Order 1 first: True equals 1, so a lookup before the order check
+        # would return the order-1 series the model keeps.
+        "iv_approx": lambda: (iv_approx(point, model, 1), iv_approx(point, model, True)),
         "iv_series_engine": lambda: iv_series_engine(point, model.taylor_table(0.0, -1.0, 1), True),
         "vega_ratio_coeffs": lambda: vega_ratio_coeffs(True, 0.3),
         "iv_series_printed": lambda: iv_series_printed(model, point, True),
@@ -922,14 +978,12 @@ def bool_order_calls():
 
 
 @pytest.mark.parametrize("name", sorted(bool_order_calls()))
-def test_bool_order_raises_domain_error(series_cache, name):
-    # True is an int equal to 1, and hashes like 1 in the series cache.
-    iv_approx(make_point(beta=-2.0, x=0.0, y=-1.0), SabrModel(0.4, 0.5, -0.3), 1)
+def test_bool_order_raises_domain_error(name):
     with pytest.raises(DomainError):
         bool_order_calls()[name]()
 
 
-def test_iv_approx_follows_every_key_component(series_cache):
+def test_iv_approx_follows_every_key_component():
     model, x, y = MODEL_TABLES["sabr"]
     base = MarketPoint(t=0.0, T=0.25, x=x, y=y, z=0.0, k=0.1, beta=-2.0)
     before = iv_approx(base, model, 3)
@@ -949,16 +1003,11 @@ def test_iv_approx_follows_every_key_component(series_cache):
             assert got != before, (kind, field.name)
 
 
-def test_iv_approx_assembles_once_per_smile(series_cache, monkeypatch):
-    calls = []
-    engine = expansion.iv_series_engine
-
-    def counting_engine(*args, **kwargs):
-        calls.append(args)
-        return engine(*args, **kwargs)
-
-    monkeypatch.setattr(expansion, "iv_series_engine", counting_engine)
+def test_iv_approx_assembles_once_per_smile(monkeypatch):
+    calls = count_engine_calls(monkeypatch)
     model, x, y = MODEL_TABLES["sabr"]
+    # A fresh instance: the shared one may keep a series from another test.
+    model = dataclasses.replace(model)
     points = smile_points(x, y, -2.0)
     for point in points:
         iv_approx(point, model, 3)
@@ -975,14 +1024,37 @@ def test_iv_approx_assembles_once_per_smile(series_cache, monkeypatch):
     assert len(calls) == 3
 
 
-def test_series_cache_is_bounded(series_cache):
-    point = make_point()
-    for i in range(20):
-        iv_approx(point, CevModel(delta=0.2 + 0.01 * i, gamma=0.6), 2)
-    info = series_cache.cache_info()
-    assert info.misses == 20
-    assert info.maxsize == SERIES_CACHE_SIZE >= 3
-    assert info.currsize <= info.maxsize
+@pytest.mark.parametrize("kind", sorted(MODEL_TABLES))
+def test_iv_approx_on_a_table_assembles_once_per_smile(kind, monkeypatch):
+    model, x, y = MODEL_TABLES[kind]
+    points = smile_points(x, y, -2.0)
+    want = [fresh_iv(point, model, MAX_ORDER) for point in points]
+    table = model.taylor_table(x, y, MAX_ORDER)
+    calls = count_engine_calls(monkeypatch)
+    # Bit for bit what a fresh assembly gives, from one assembly.
+    assert [iv_approx(point, table, MAX_ORDER) for point in points] == want
+    assert len(calls) == 1
+    # Another beta or order replaces the kept series.
+    for point, order in ((dataclasses.replace(points[0], beta=3.0), MAX_ORDER), (points[0], 2)):
+        assert iv_approx(point, table, order) == fresh_iv(point, model, order)
+    assert len(calls) == 3
+
+
+def test_kept_series_leaves_equality_hash_repr_and_replace_alone(monkeypatch):
+    model, x, y = MODEL_TABLES["heston"]
+    model, fresh = dataclasses.replace(model), dataclasses.replace(model)
+    text, digest = repr(fresh), hash(fresh)
+    point = smile_points(x, y, 2.0)[10]
+    iv_approx(point, model, MAX_ORDER)
+    assert "_series" in vars(model)
+    assert model == fresh and hash(model) == digest and repr(model) == text
+    assert dataclasses.fields(model) == dataclasses.fields(fresh)
+    # Sharing is per instance: an equal copy starts cold and assembles its own.
+    copy = dataclasses.replace(model)
+    assert copy == model and "_series" not in vars(copy)
+    calls = count_engine_calls(monkeypatch)
+    assert iv_approx(point, copy, MAX_ORDER) == iv_approx(point, model, MAX_ORDER)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
