@@ -17,7 +17,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import DomainError, NoArbitrageError, SolverError
+from .errors import DomainError, NoArbitrageError, SolverError, validated_tuple
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -30,7 +30,7 @@ IV_MAX_VOL = 1e3
 
 
 class BsInputs(
-    NamedTuple("BsInputs", [("sigma", float), ("tau", float), ("z", float), ("k", float)])
+    validated_tuple("BsInputs", [("sigma", float), ("tau", float), ("z", float), ("k", float)])
 ):
     """Inputs for a Black-Scholes evaluation in log coordinates.
 
@@ -57,11 +57,6 @@ class BsInputs(
         if not -math.inf < k <= MAX_LOG:
             raise DomainError(f"k must be finite and at most {MAX_LOG}, got {k}")
         return tuple.__new__(cls, (sigma, tau, z, k))
-
-    @classmethod
-    def _make(cls, iterable):
-        # The inherited _make, which _replace calls, skips __new__.
-        return cls(*iterable)
 
 
 class ImpliedVol(NamedTuple):

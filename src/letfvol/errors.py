@@ -1,8 +1,10 @@
-"""Error taxonomy shared across the package.
+"""Error taxonomy shared across the package, and the base of its value objects.
 
 Library code raises the most specific class that applies rather than bare
 ValueError, so callers can tell bad input from a solver or pipeline fault.
 """
+
+from typing import NamedTuple
 
 
 class LetfVolError(Exception):
@@ -30,3 +32,20 @@ class SolverError(LetfVolError):
 
 class StructuralError(LetfVolError):
     """An internal algebraic invariant was violated; indicates a pipeline bug."""
+
+
+def _make(cls, iterable):
+    return cls(*iterable)
+
+
+def validated_tuple(name: str, fields: list) -> type:
+    """Base of a validated value object, a ``typing.NamedTuple`` whose
+    subclass checks its fields in ``__new__`` and raises DomainError.
+
+    The inherited ``_make``, which ``_replace`` calls, builds the tuple
+    without ``__new__``; this one calls the subclass, so every
+    construction route checks.
+    """
+    base = NamedTuple(name, fields)
+    base._make = classmethod(_make)
+    return base

@@ -31,11 +31,12 @@ rule on one table of the corrections summed over orders, built with the
 series), which lets one assembly serve a whole smile and makes
 coefficient-level testing possible.
 
-Reuse follows one rule, applied here alone: an immutable input keeps the
-last value derived from it, for one key, in its instance dict, where
-equality, hashing, repr and ``dataclasses.replace`` do not see it.  A
-table keeps its U_n (``_correction_dicts``), and a table or named model
-its ``iv_approx`` series.  A call that raises keeps nothing.
+Reuse follows one rule, applied here alone: an immutable input, a
+validated named tuple, keeps the last value derived from it, for one key,
+in its instance dict, where equality, hashing, repr and ``_replace`` do
+not see it.  A table keeps its U_n (``_correction_dicts``), and a table
+or named model its ``iv_approx`` series.  A call that raises keeps
+nothing.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 # hermite_vega_ratio: unused here, kept as an attribute the benchmark's
 # tracing wraps.
@@ -56,7 +57,7 @@ from .blackscholes import (
     bs_vega,
     hermite_vega_ratio,
 )
-from .errors import ConfigError, DomainError, StructuralError
+from .errors import ConfigError, DomainError, StructuralError, validated_tuple
 from .models import CevModel, HestonModel, SabrModel, TaylorTable
 from .opalgebra import build_Ln, reduce_to_z
 
@@ -134,8 +135,7 @@ def vega_ratio_coeffs(k: int, sigma0: float) -> dict:
     return ratio
 
 
-@dataclass(frozen=True)
-class PriceApprox:
+class PriceApprox(NamedTuple):
     """Base price plus correction terms; total is their sum."""
 
     u0: float
@@ -143,8 +143,7 @@ class PriceApprox:
     total: float
 
 
-@dataclass(frozen=True)
-class IvSeries:
+class IvSeries(validated_tuple("IvSeries", [("sigma0", float), ("terms", tuple)])):
     """Implied-vol series: sigma0 plus (lam, tau)-polynomial corrections.
 
     ``terms[i]`` holds the order-(i+1) correction as a coefficient dict
@@ -154,20 +153,18 @@ class IvSeries:
     raises DomainError.  The series keeps read-only copies of the term
     dicts, so no edit reaches it after the checks, and sums them into one
     table, row tau_power, column lam_power, which ``evaluate`` reads by
-    Horner's rule; the table is private, so equality, repr and JSON see
-    only sigma0 and terms.
+    Horner's rule; the table is private, kept in the instance dict, so
+    equality, repr and JSON see only sigma0 and terms.
     """
 
-    sigma0: float
-    terms: tuple
+    def __new__(cls, sigma0: float, terms: tuple):
+        return cls._keep(sigma0, [dict(term) for term in terms])
 
-    def __post_init__(self):
-        self._keep([dict(term) for term in self.terms])
-
-    def _keep(self, terms: list) -> None:
-        """Check sigma0 and ``terms``, fresh dicts no caller holds, then keep them read-only."""
-        if not 0 < self.sigma0 < math.inf:
-            raise DomainError(f"sigma0 must be finite and positive, got {self.sigma0}")
+    @classmethod
+    def _keep(cls, sigma0: float, terms: list) -> "IvSeries":
+        """Check sigma0 and ``terms``, fresh dicts no caller holds; return the series."""
+        if not 0 < sigma0 < math.inf:
+            raise DomainError(f"sigma0 must be finite and positive, got {sigma0}")
         n = len(terms)
         # Row tp holds lam powers n - tp down to 0, the cells total degree
         # n allows; rows run from tau power n down to 0.
@@ -183,8 +180,9 @@ class IvSeries:
                     raise DomainError(f"value {value} at lam^{lp} tau^{tp} must be finite")
                 rows[tp][n - tp - lp] += value
         rows.reverse()
-        self.__dict__["terms"] = tuple(map(MappingProxyType, terms))
-        self.__dict__["_horner"] = rows
+        series = tuple.__new__(cls, (sigma0, tuple(map(MappingProxyType, terms))))
+        series._horner = rows
+        return series
 
     @property
     def order(self) -> int:
@@ -247,10 +245,7 @@ class IvSeries:
                 terms.append(term)
             # The dicts are this call's own, so the series keeps them
             # without the constructor's copy.
-            series = cls.__new__(cls)
-            series.__dict__["sigma0"] = _json_number(payload["sigma0"])
-            series._keep(terms)
-            return series
+            return cls._keep(_json_number(payload["sigma0"]), terms)
         except (KeyError, TypeError, ValueError, OverflowError, DomainError) as exc:
             raise ConfigError(f"malformed series payload: {exc}") from exc
 
@@ -571,7 +566,8 @@ def iv_approx(point, model_or_table, order: int) -> float:
     """
     # Before the lookup: 1.0 and True equal 1 and would hit the order-1 series.
     _check_order(order)
-    key = (type(point.beta), point.beta, order)
+    beta = point.beta
+    key = (type(beta), beta, order)
     if isinstance(model_or_table, (CevModel, HestonModel, SabrModel)):
         key += (point.x, point.y)
     elif not isinstance(model_or_table, TaylorTable):

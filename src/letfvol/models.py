@@ -8,6 +8,12 @@ four coefficient functions of the pricing generator,
 
 and this module differentiates them analytically around an expansion
 point to any requested order.
+
+The market point, the table and the models are validated named tuples
+(``errors.validated_tuple``): every construction, ``_replace`` included,
+checks the fields; fields cannot be reassigned, and an instance compares,
+hashes and unpacks as the tuple of its fields.  Each keeps an instance
+dict, which holds only what ``expansion`` derives from it.
 """
 
 from __future__ import annotations
@@ -16,17 +22,24 @@ import math
 import numbers
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .errors import DomainError, StructuralError
+from .errors import DomainError, StructuralError, validated_tuple
 
 TYPICAL_BETAS = (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0)
 
 
+def _is_finite(value) -> bool:
+    """math.isfinite, reading a number too large for a float as not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def check_beta(beta: float) -> float:
     """Validate a leverage ratio; warn when it is an unusual value."""
-    if beta == 0 or not math.isfinite(beta):
+    if beta == 0 or not _is_finite(beta):
         raise DomainError(f"leverage ratio must be a nonzero real, got {beta}")
     if beta not in TYPICAL_BETAS:
         warnings.warn(
@@ -37,8 +50,9 @@ def check_beta(beta: float) -> float:
     return beta
 
 
-@dataclass(frozen=True)
-class MarketPoint:
+class MarketPoint(validated_tuple("MarketPoint", [
+        ("t", float), ("T", float), ("x", float), ("y", float), ("z", float), ("k", float),
+        ("beta", float)])):
     """State and contract for one valuation.
 
     Attributes:
@@ -53,21 +67,14 @@ class MarketPoint:
     Every field must be finite.
     """
 
-    t: float
-    T: float
-    x: float
-    y: float
-    z: float
-    k: float
-    beta: float
-
-    def __post_init__(self):
-        for name in ("t", "T", "x", "y", "z", "k"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.T > self.t:
-            raise DomainError(f"need T > t, got t={self.t}, T={self.T}")
-        check_beta(self.beta)
+    def __new__(cls, t: float, T: float, x: float, y: float, z: float, k: float, beta: float):
+        for name, value in zip(cls._fields, (t, T, x, y, z, k)):
+            if not _is_finite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
+        if not T > t:
+            raise DomainError(f"need T > t, got t={t}, T={T}")
+        check_beta(beta)
+        return tuple.__new__(cls, (t, T, x, y, z, k, beta))
 
     @property
     def tau(self) -> float:
@@ -79,8 +86,7 @@ class MarketPoint:
         return self.k - self.z
 
 
-@dataclass(frozen=True)
-class TaylorTable:
+class TaylorTable(validated_tuple("TaylorTable", [("extent", int), ("entries", Mapping)])):
     """Taylor coefficients of the generator around a frozen point.
 
     ``entries[name][(i, j)]`` is the coefficient of (x - xbar)^i (y - ybar)^j
@@ -91,21 +97,19 @@ class TaylorTable:
     DomainError.  Entries absent within the extent are zero; reads beyond
     it are structural errors.  The table copies each family at
     construction and exposes the copies read-only, so what was checked is
-    what the expansion reads.  The table does not record its point: a
-    named model builds it at the (x, y) it is asked for, and a table given
-    to the expansion directly is used as given.  Being immutable, a table
-    may keep what the expansion derives from it (see ``expansion``).
+    what the expansion reads; ``_replace`` copies and checks again.  The
+    table does not record its point: a named model builds it at the (x, y)
+    it is asked for, and a table given to the expansion directly is used as
+    given.  Being immutable, a table may keep what the expansion derives
+    from it in its instance dict (see ``expansion``).
     """
 
-    extent: int
-    entries: Mapping = field(default_factory=dict)
-
-    def __post_init__(self):
-        if type(self.extent) is not int or self.extent < 0:
-            raise DomainError(f"table extent must be an integer >= 0, got {self.extent!r}")
-        if self.entries.keys() - set("abcf"):
-            raise DomainError(f"table families must be among a, b, c, f, got {list(self.entries)}")
-        families = {name: MappingProxyType(dict(self.entries.get(name, {}))) for name in "abcf"}
+    def __new__(cls, extent: int, entries: Mapping = MappingProxyType({})):
+        if type(extent) is not int or extent < 0:
+            raise DomainError(f"table extent must be an integer >= 0, got {extent!r}")
+        if entries.keys() - set("abcf"):
+            raise DomainError(f"table families must be among a, b, c, f, got {list(entries)}")
+        families = {name: MappingProxyType(dict(entries.get(name, {}))) for name in "abcf"}
         for name, family in families.items():
             for key, value in family.items():
                 # type(), not isinstance: True is an int, and a bool value is
@@ -114,17 +118,17 @@ class TaylorTable:
                         and type(key[0]) is int and type(key[1]) is int):
                     raise DomainError(f"table key {name}[{key!r}] must be a pair of ints")
                 i, j = key
-                if not (0 <= i and 0 <= j and i + j <= self.extent):
-                    raise DomainError(f"table entry {name}{(i, j)} is beyond extent {self.extent}")
+                if not (0 <= i and 0 <= j and i + j <= extent):
+                    raise DomainError(f"table entry {name}{(i, j)} is beyond extent {extent}")
                 if type(value) is not float and (
                         type(value) is bool or not isinstance(value, numbers.Real)):
                     raise DomainError(f"table entry {name}{key} must be a real number, got {value!r}")
-                if not math.isfinite(value):
+                if not _is_finite(value):
                     raise DomainError(f"table entry {name}{(i, j)} must be finite, got {value}")
         a00 = families["a"].get((0, 0), 0.0)
         if not a00 > 0:
             raise DomainError(f"table needs a positive a(0,0), got {a00}")
-        object.__setattr__(self, "entries", MappingProxyType(families))
+        return tuple.__new__(cls, (extent, MappingProxyType(families)))
 
     def get(self, name: str, i: int, j: int):
         if name not in self.entries:
@@ -153,42 +157,35 @@ def _taylor_table(order: int, **families) -> TaylorTable:
     return TaylorTable(extent=order, entries=entries)
 
 
-@dataclass(frozen=True)
-class CevModel:
+class CevModel(validated_tuple("CevModel", [("delta", float), ("gamma", float)])):
     """Constant-elasticity local volatility: sigma(x) = delta e^((gamma-1) x)."""
 
-    delta: float
-    gamma: float
-
-    def __post_init__(self):
-        if not self.delta > 0 or not math.isfinite(self.delta):
-            raise DomainError(f"delta must be positive and finite, got {self.delta}")
-        if not self.gamma <= 1.0 or not math.isfinite(self.gamma):
-            raise DomainError(f"gamma must be finite and <= 1, got {self.gamma}")
+    def __new__(cls, delta: float, gamma: float):
+        if not delta > 0 or not _is_finite(delta):
+            raise DomainError(f"delta must be positive and finite, got {delta}")
+        if not gamma <= 1.0 or not _is_finite(gamma):
+            raise DomainError(f"gamma must be finite and <= 1, got {gamma}")
+        return tuple.__new__(cls, (delta, gamma))
 
     def taylor_table(self, x: float, y: float, order: int) -> TaylorTable:
         slope = 2.0 * (self.gamma - 1.0)
         return _taylor_table(order, a=[(0.5 * self.delta**2 * math.exp(slope * x), slope, 0)])
 
 
-@dataclass(frozen=True)
-class HestonModel:
+class HestonModel(validated_tuple("HestonModel", [
+        ("kappa", float), ("theta", float), ("delta", float), ("rho", float)])):
     """Square-root stochastic variance, tracked here as y = log variance."""
 
-    kappa: float
-    theta: float
-    delta: float
-    rho: float
-
-    def __post_init__(self):
-        if not self.kappa >= 0 or not math.isfinite(self.kappa):
-            raise DomainError(f"kappa must be nonnegative and finite, got {self.kappa}")
-        if not self.theta > 0 or not math.isfinite(self.theta):
-            raise DomainError(f"theta must be positive and finite, got {self.theta}")
-        if not self.delta > 0 or not math.isfinite(self.delta):
-            raise DomainError(f"delta must be positive and finite, got {self.delta}")
-        if not -1.0 < self.rho < 1.0:
-            raise DomainError(f"rho must lie in (-1, 1), got {self.rho}")
+    def __new__(cls, kappa: float, theta: float, delta: float, rho: float):
+        if not kappa >= 0 or not _is_finite(kappa):
+            raise DomainError(f"kappa must be nonnegative and finite, got {kappa}")
+        if not theta > 0 or not _is_finite(theta):
+            raise DomainError(f"theta must be positive and finite, got {theta}")
+        if not delta > 0 or not _is_finite(delta):
+            raise DomainError(f"delta must be positive and finite, got {delta}")
+        if not -1.0 < rho < 1.0:
+            raise DomainError(f"rho must lie in (-1, 1), got {rho}")
+        return tuple.__new__(cls, (kappa, theta, delta, rho))
 
     def taylor_table(self, x: float, y: float, order: int) -> TaylorTable:
         half_var, inv_var = 0.5 * self.delta**2, math.exp(-y)
@@ -197,21 +194,17 @@ class HestonModel:
                              c=drift, f=[(self.rho * self.delta, 0, 0)])
 
 
-@dataclass(frozen=True)
-class SabrModel:
+class SabrModel(validated_tuple("SabrModel", [("delta", float), ("gamma", float), ("rho", float)])):
     """Lognormal vol-of-vol on a CEV backbone: sigma = e^y e^((gamma-1) x)."""
 
-    delta: float
-    gamma: float
-    rho: float
-
-    def __post_init__(self):
-        if not self.delta > 0 or not math.isfinite(self.delta):
-            raise DomainError(f"delta must be positive and finite, got {self.delta}")
-        if not self.gamma <= 1.0 or not math.isfinite(self.gamma):
-            raise DomainError(f"gamma must be finite and <= 1, got {self.gamma}")
-        if not -1.0 < self.rho < 1.0:
-            raise DomainError(f"rho must lie in (-1, 1), got {self.rho}")
+    def __new__(cls, delta: float, gamma: float, rho: float):
+        if not delta > 0 or not _is_finite(delta):
+            raise DomainError(f"delta must be positive and finite, got {delta}")
+        if not gamma <= 1.0 or not _is_finite(gamma):
+            raise DomainError(f"gamma must be finite and <= 1, got {gamma}")
+        if not -1.0 < rho < 1.0:
+            raise DomainError(f"rho must lie in (-1, 1), got {rho}")
+        return tuple.__new__(cls, (delta, gamma, rho))
 
     def taylor_table(self, x: float, y: float, order: int) -> TaylorTable:
         g, half_var = self.gamma - 1.0, 0.5 * self.delta**2

@@ -1,6 +1,5 @@
 """Tests for the price and implied-vol series assembly."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -288,8 +287,8 @@ def test_kept_corrections_leave_equality_repr_and_replace_alone():
     price_uN(make_point(), table, MAX_ORDER)
     assert "_corrections" in vars(table)
     assert table == fresh and repr(table) == text
-    assert [f.name for f in dataclasses.fields(table)] == ["extent", "entries"]
-    copy = dataclasses.replace(table)
+    assert table._fields == ("extent", "entries") and len(table) == 2
+    copy = table._replace()
     assert copy == table and "_corrections" not in vars(copy)
 
 
@@ -469,7 +468,7 @@ def test_a_leverage_beyond_the_float_range_raises_domain_error():
         for call in (price_uN, iv_series_engine, iv_approx):
             with pytest.raises(DomainError, match="float range"):
                 call(point, table, 3)
-        assert vars(table).keys() == {"extent", "entries"}
+        assert vars(table) == {}
 
 
 def test_price_uN_checks_its_black_scholes_inputs():
@@ -988,26 +987,26 @@ def test_iv_approx_follows_every_key_component():
     base = MarketPoint(t=0.0, T=0.25, x=x, y=y, z=0.0, k=0.1, beta=-2.0)
     before = iv_approx(base, model, 3)
     for change in ({"x": x + 0.1}, {"y": y + 0.2}, {"beta": 3.0}):
-        point = dataclasses.replace(base, **change)
+        point = base._replace(**change)
         got = iv_approx(point, model, 3)
         assert got == fresh_iv(point, model, 3), change
         assert got != before, change
     for kind in sorted(MODEL_TABLES):
         model, x, y = MODEL_TABLES[kind]
-        point = dataclasses.replace(base, x=x, y=y)
+        point = base._replace(x=x, y=y)
         before = iv_approx(point, model, 3)
-        for field in dataclasses.fields(model):
-            changed = dataclasses.replace(model, **{field.name: 1.1 * getattr(model, field.name)})
+        for name in model._fields:
+            changed = model._replace(**{name: 1.1 * getattr(model, name)})
             got = iv_approx(point, changed, 3)
-            assert got == fresh_iv(point, changed, 3), (kind, field.name)
-            assert got != before, (kind, field.name)
+            assert got == fresh_iv(point, changed, 3), (kind, name)
+            assert got != before, (kind, name)
 
 
 def test_iv_approx_assembles_once_per_smile(monkeypatch):
     calls = count_engine_calls(monkeypatch)
     model, x, y = MODEL_TABLES["sabr"]
     # A fresh instance: the shared one may keep a series from another test.
-    model = dataclasses.replace(model)
+    model = model._replace()
     points = smile_points(x, y, -2.0)
     for point in points:
         iv_approx(point, model, 3)
@@ -1035,22 +1034,22 @@ def test_iv_approx_on_a_table_assembles_once_per_smile(kind, monkeypatch):
     assert [iv_approx(point, table, MAX_ORDER) for point in points] == want
     assert len(calls) == 1
     # Another beta or order replaces the kept series.
-    for point, order in ((dataclasses.replace(points[0], beta=3.0), MAX_ORDER), (points[0], 2)):
+    for point, order in ((points[0]._replace(beta=3.0), MAX_ORDER), (points[0], 2)):
         assert iv_approx(point, table, order) == fresh_iv(point, model, order)
     assert len(calls) == 3
 
 
 def test_kept_series_leaves_equality_hash_repr_and_replace_alone(monkeypatch):
     model, x, y = MODEL_TABLES["heston"]
-    model, fresh = dataclasses.replace(model), dataclasses.replace(model)
+    model, fresh = model._replace(), model._replace()
     text, digest = repr(fresh), hash(fresh)
     point = smile_points(x, y, 2.0)[10]
     iv_approx(point, model, MAX_ORDER)
     assert "_series" in vars(model)
     assert model == fresh and hash(model) == digest and repr(model) == text
-    assert dataclasses.fields(model) == dataclasses.fields(fresh)
+    assert model._asdict() == fresh._asdict() and len(model) == len(model._fields) == 4
     # Sharing is per instance: an equal copy starts cold and assembles its own.
-    copy = dataclasses.replace(model)
+    copy = model._replace()
     assert copy == model and "_series" not in vars(copy)
     calls = count_engine_calls(monkeypatch)
     assert iv_approx(point, copy, MAX_ORDER) == iv_approx(point, model, MAX_ORDER)

@@ -1,19 +1,21 @@
-"""Tests for model definitions, Taylor tables, the market point and the
-Heston leverage map."""
+"""Tests for model definitions, Taylor tables, the market point, the
+Heston leverage map and the validated value-object contract."""
 
-import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from letfvol.errors import DomainError, StructuralError
+from letfvol.expansion import IvSeries
 from letfvol.models import (
     CevModel,
     HestonModel,
     MarketPoint,
     SabrModel,
     TaylorTable,
+    check_beta,
     heston_beta_map,
 )
 
@@ -176,7 +178,7 @@ def test_table_is_read_only():
     with pytest.raises(TypeError):
         table.entries["a"][0, 1] = math.nan
     for name, value in (("entries", {}), ("extent", 5)):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(table, name, value)
 
 
@@ -265,6 +267,40 @@ def test_market_point_validation():
         MarketPoint(t=0.0, T=1.0, x=0, y=0, z=0, k=0, beta=1.5)
 
 
+BEYOND_FLOAT = Fraction(10**400)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: check_beta(BEYOND_FLOAT),
+        lambda: MarketPoint(t=0.0, T=1.0, x=0.0, y=0.0, z=0.0, k=0.0, beta=BEYOND_FLOAT),
+        lambda: heston_beta_map(HESTON, -3.0, BEYOND_FLOAT),
+        lambda: MarketPoint(t=0.0, T=1.0, x=BEYOND_FLOAT, y=0.0, z=0.0, k=0.0, beta=2.0),
+        lambda: TaylorTable(extent=1, entries={"a": {(0, 0): 0.02, (1, 0): BEYOND_FLOAT}}),
+        lambda: TaylorTable(extent=0, entries={"a": {(0, 0): BEYOND_FLOAT}}),
+        lambda: CevModel(delta=10**400, gamma=0.5),
+        lambda: HestonModel(kappa=10**400, theta=0.04, delta=0.2, rho=0.0),
+        lambda: SabrModel(delta=0.5, gamma=-(10**400), rho=0.0),
+    ],
+    ids=["check_beta", "point-beta", "heston_beta_map", "point-x", "table-entry", "table-a00",
+         "cev-int-delta", "heston-int-kappa", "sabr-int-gamma"],
+)
+def test_numbers_beyond_the_float_range_raise_domain_error(build):
+    # The finiteness checks convert to float; the conversion overflows.
+    with pytest.raises(DomainError):
+        build()
+
+
+def test_exact_numbers_within_the_float_range_are_accepted():
+    tiny = Fraction(1, 10**400)  # converts to 0.0
+    point = MarketPoint(t=0.0, T=1.0, x=Fraction(1, 3), y=tiny, z=0.0, k=0.0, beta=Fraction(2))
+    assert point.x == Fraction(1, 3) and point.y == tiny
+    table = TaylorTable(extent=1, entries={"a": {(0, 0): Fraction(1, 3), (1, 0): tiny}})
+    assert table.get("a", 1, 0) == tiny
+    assert CevModel(delta=Fraction(1, 3), gamma=tiny).gamma == tiny
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["t", "T", "x", "y", "z", "k", "beta"])
 def test_market_point_rejects_non_finite_fields(field, value):
@@ -300,3 +336,68 @@ def test_heston_beta_map_state_consistency():
     y = -2.7
     _, y_mapped = heston_beta_map(HESTON, y, beta=-3.0)
     assert math.exp(y_mapped) == pytest.approx(9.0 * math.exp(y))
+
+
+# ---------------------------------------------------------------------------
+# value objects: validated named tuples
+
+
+# Per class: a fixed instance, its repr as the frozen dataclasses printed it,
+# its field names in their order, and a _replace that breaks a check.
+VALUE_OBJECTS = {
+    "MarketPoint": (
+        lambda: MarketPoint(t=0.0, T=0.75, x=0.05, y=-2.0, z=0.0, k=0.12, beta=2.0),
+        "MarketPoint(t=0.0, T=0.75, x=0.05, y=-2.0, z=0.0, k=0.12, beta=2.0)",
+        ("t", "T", "x", "y", "z", "k", "beta"),
+        {"T": 0.0},
+    ),
+    "TaylorTable": (
+        lambda: TaylorTable(extent=1, entries={"a": {(0, 0): 0.02, (1, 0): 0.01}}),
+        "TaylorTable(extent=1, entries=mappingproxy({'a': mappingproxy({(0, 0): 0.02, "
+        "(1, 0): 0.01}), 'b': mappingproxy({}), 'c': mappingproxy({}), 'f': mappingproxy({})}))",
+        ("extent", "entries"),
+        {"extent": 0},
+    ),
+    "CevModel": (
+        lambda: CevModel(delta=0.2, gamma=0.5),
+        "CevModel(delta=0.2, gamma=0.5)",
+        ("delta", "gamma"),
+        {"gamma": 1.5},
+    ),
+    "HestonModel": (
+        lambda: HestonModel(kappa=1.15, theta=0.04, delta=0.2, rho=-0.4),
+        "HestonModel(kappa=1.15, theta=0.04, delta=0.2, rho=-0.4)",
+        ("kappa", "theta", "delta", "rho"),
+        {"rho": 1.0},
+    ),
+    "SabrModel": (
+        lambda: SabrModel(delta=0.4, gamma=0.5, rho=-0.3),
+        "SabrModel(delta=0.4, gamma=0.5, rho=-0.3)",
+        ("delta", "gamma", "rho"),
+        {"delta": math.nan},
+    ),
+    "IvSeries": (
+        lambda: IvSeries(sigma0=0.3, terms=({(1, 0): 0.01, (0, 1): -0.02},)),
+        "IvSeries(sigma0=0.3, terms=(mappingproxy({(1, 0): 0.01, (0, 1): -0.02}),))",
+        ("sigma0", "terms"),
+        {"terms": ({(2, 0): 0.01},)},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_OBJECTS))
+def test_value_object_contract(name):
+    build, text, fields, bad = VALUE_OBJECTS[name]
+    value = build()
+    assert repr(value) == text
+    assert value._fields == fields and tuple(value) == tuple(getattr(value, f) for f in fields)
+    assert value._replace() == value and type(value._replace()) is type(value)
+    assert type(value)._make(value) == value
+    with pytest.raises(DomainError):
+        value._replace(**bad)
+    with pytest.raises(DomainError):
+        type(value)._make({**value._asdict(), **bad}.values())
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+    assert repr(value) == text and vars(value).keys() <= {"_horner"}
