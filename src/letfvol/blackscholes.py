@@ -17,7 +17,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import DomainError, NoArbitrageError, SolverError, validated_tuple
+from .errors import DomainError, NoArbitrageError, SolverError, check_number, validated_tuple
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -34,9 +34,9 @@ class BsInputs(
 ):
     """Inputs for a Black-Scholes evaluation in log coordinates.
 
-    A validated named tuple: every construction, ``_make`` and ``_replace``
-    included, checks each field's range; the fields cannot be reassigned,
-    and the instance unpacks as (sigma, tau, z, k).
+    A validated named tuple: every construction, copy and ``_replace``
+    included, checks each field's number type and range; the fields cannot
+    be reassigned, and the instance unpacks as (sigma, tau, z, k).
 
     Attributes:
         sigma: volatility, positive and finite.
@@ -48,6 +48,11 @@ class BsInputs(
     __slots__ = ()
 
     def __new__(cls, sigma: float, tau: float, z: float, k: float):
+        # Two per quote: four floats skip the number rule's four calls, and
+        # the range checks below, bounded by +-inf, exclude inf and nan.
+        if not type(sigma) is type(tau) is type(z) is type(k) is float:
+            for name, value in zip(cls._fields, (sigma, tau, z, k)):
+                check_number(value, name)
         if not 0.0 < sigma < math.inf:
             raise DomainError(f"sigma must be positive, got {sigma}")
         if not 0.0 < tau < math.inf:

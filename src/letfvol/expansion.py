@@ -45,6 +45,7 @@ import functools
 import json
 import math
 import os
+from collections.abc import Mapping
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -57,7 +58,7 @@ from .blackscholes import (
     bs_vega,
     hermite_vega_ratio,
 )
-from .errors import ConfigError, DomainError, StructuralError, validated_tuple
+from .errors import ConfigError, DomainError, StructuralError, check_number, validated_tuple
 from .models import CevModel, HestonModel, SabrModel, TaylorTable
 from .opalgebra import build_Ln, reduce_to_z
 
@@ -147,40 +148,39 @@ class IvSeries(validated_tuple("IvSeries", [("sigma0", float), ("terms", tuple)]
     """Implied-vol series: sigma0 plus (lam, tau)-polynomial corrections.
 
     ``terms[i]`` holds the order-(i+1) correction as a coefficient dict
-    {(lam_power, tau_power): value}.  sigma0 must be finite and positive,
-    every value finite, and every key of an order-n series nonnegative
-    powers of total degree lam_power + tau_power <= n, or construction
-    raises DomainError.  The series keeps read-only copies of the term
-    dicts, so no edit reaches it after the checks, and sums them into one
-    table, row tau_power, column lam_power, which ``evaluate`` reads by
-    Horner's rule; the table is private, kept in the instance dict, so
-    equality, repr and JSON see only sigma0 and terms.
+    {(lam_power, tau_power): value}.  The constructor owns every series
+    rule and raises DomainError outside them: sigma0 a number in (0, inf);
+    each term a mapping, or (key, value) pairs with no key twice; keys of
+    an order-n series pairs of ints >= 0 of total degree <= n; values
+    finite numbers (``errors.check_number``).  The pass that checks a term
+    builds the series' own read-only dict of it and sums the terms into one
+    private table, row tau_power, column lam_power, for ``evaluate``'s Horner rule.
     """
 
     def __new__(cls, sigma0: float, terms: tuple):
-        return cls._keep(sigma0, [dict(term) for term in terms])
-
-    @classmethod
-    def _keep(cls, sigma0: float, terms: list) -> "IvSeries":
-        """Check sigma0 and ``terms``, fresh dicts no caller holds; return the series."""
-        if not 0 < sigma0 < math.inf:
-            raise DomainError(f"sigma0 must be finite and positive, got {sigma0}")
-        n = len(terms)
-        # Row tp holds lam powers n - tp down to 0, the cells total degree
-        # n allows; rows run from tau power n down to 0.
-        rows = [[0.0] * (n + 1 - tp) for tp in range(n + 1)]
-        for term in terms:
-            for (lp, tp), value in term.items():
-                if not (0 <= tp and 0 <= lp <= n - tp):
-                    raise DomainError(
-                        f"order-{n} series holds lam^{lp} tau^{tp}: powers must be "
-                        f">= 0 with total degree <= {n}"
-                    )
-                if not -math.inf < value < math.inf:
-                    raise DomainError(f"value {value} at lam^{lp} tau^{tp} must be finite")
-                rows[tp][n - tp - lp] += value
+        if not check_number(sigma0, "sigma0") > 0:
+            raise DomainError(f"sigma0 must be positive, got {sigma0}")
+        try:
+            n = len(terms)
+            # Row tp holds lam powers n - tp down to 0, the cells total degree
+            # n allows; rows run from tau power n down to 0.
+            rows = [[0.0] * (n + 1 - tp) for tp in range(n + 1)]
+            kept = []
+            for term in terms:
+                own: dict = {}
+                for key, value in term.items() if isinstance(term, Mapping) else term:
+                    lp, tp = key
+                    if not (type(lp) is int and type(tp) is int and 0 <= tp and 0 <= lp <= n - tp):
+                        raise DomainError(f"series key {key!r}: need ints >= 0, sum <= {n}")
+                    own[key] = check_number(value, "value at lam^%d tau^%d", lp, tp)
+                    rows[tp][n - tp - lp] += value
+                if len(own) != len(term):
+                    raise DomainError(f"a key appears twice in series term {len(kept) + 1}")
+                kept.append(MappingProxyType(own))
+        except (TypeError, ValueError) as exc:  # not sized, or not pairs
+            raise DomainError(f"series terms must be mappings or pair sequences: {exc}") from exc
         rows.reverse()
-        series = tuple.__new__(cls, (sigma0, tuple(map(MappingProxyType, terms))))
+        series = tuple.__new__(cls, (sigma0, tuple(kept)))
         series._horner = rows
         return series
 
@@ -224,11 +224,9 @@ class IvSeries(validated_tuple("IvSeries", [("sigma0", float), ("terms", tuple)]
     def from_json(cls, text: str) -> "IvSeries":
         """Read ``to_json`` output; anything else raises ConfigError.
 
-        Powers must be integers, each (lam_pow, tau_pow) at most once per
-        term, sigma0 and values numbers, and each term's n an int equal to
-        its position, counted from 1; the constructor checks the rest.  A
-        JSON number is an int or a float; true, false and strings are not.
-        """
+        Only the JSON rules live here: the payload's shape, each term's n an
+        int equal to its position from 1, and JSON ints read as floats; the
+        constructor's DomainError for a series rule becomes ConfigError."""
         try:
             payload = json.loads(text)
             terms = []
@@ -236,28 +234,16 @@ class IvSeries(validated_tuple("IvSeries", [("sigma0", float), ("terms", tuple)]
                 n = entry["n"]
                 if type(n) is not int or n != i + 1:
                     raise ValueError(f"term {i} labeled n={n!r}")
-                term: dict = {}
-                for c in entry["coeffs"]:
-                    key = (c["lam_pow"], c["tau_pow"])
-                    if type(key[0]) is not int or type(key[1]) is not int or key in term:
-                        raise ValueError(f"term n={n}: powers {key} are not integers or repeat")
-                    term[key] = _json_number(c["value"])
-                terms.append(term)
-            # The dicts are this call's own, so the series keeps them
-            # without the constructor's copy.
-            return cls._keep(_json_number(payload["sigma0"]), terms)
+                terms.append([((c["lam_pow"], c["tau_pow"]), _json_number(c["value"]))
+                              for c in entry["coeffs"]])
+            return cls(_json_number(payload["sigma0"]), terms)
         except (KeyError, TypeError, ValueError, OverflowError, DomainError) as exc:
             raise ConfigError(f"malformed series payload: {exc}") from exc
 
 
-def _json_number(value) -> float:
-    # json.loads gives a JSON number as an int or a float.  Exact type
-    # tests leave out bool, a subclass of int.
-    if type(value) is float:
-        return value
-    if type(value) is int:
-        return float(value)
-    raise ValueError(f"{value!r} is not a number")
+def _json_number(value):
+    # The exact type test leaves a bool, an int subclass, to the constructor.
+    return float(value) if type(value) is int else value
 
 
 def _check_order(order: int, table: TaylorTable | None = None, lowest: int = 0) -> None:

@@ -10,37 +10,29 @@ and this module differentiates them analytically around an expansion
 point to any requested order.
 
 The market point, the table and the models are validated named tuples
-(``errors.validated_tuple``): every construction, ``_replace`` included,
-checks the fields; fields cannot be reassigned, and an instance compares,
-hashes and unpacks as the tuple of its fields.  Each keeps an instance
-dict, which holds only what ``expansion`` derives from it.
+(``errors.validated_tuple``): every construction checks the fields, each
+number by ``errors.check_number``; fields cannot be reassigned, and an
+instance compares, hashes and unpacks as the tuple of its fields.  Each
+keeps an instance dict, which holds only what ``expansion`` derives from it.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .errors import DomainError, StructuralError, validated_tuple
+from .errors import DomainError, StructuralError, check_number, validated_tuple
 
 TYPICAL_BETAS = (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0)
 
 
-def _is_finite(value) -> bool:
-    """math.isfinite, reading a number too large for a float as not finite."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 def check_beta(beta: float) -> float:
     """Validate a leverage ratio; warn when it is an unusual value."""
-    if beta == 0 or not _is_finite(beta):
-        raise DomainError(f"leverage ratio must be a nonzero real, got {beta}")
+    check_number(beta, "leverage ratio")
+    if beta == 0:
+        raise DomainError(f"leverage ratio must be nonzero, got {beta}")
     if beta not in TYPICAL_BETAS:
         warnings.warn(
             f"leverage ratio {beta} is outside the funds traded in practice "
@@ -69,8 +61,7 @@ class MarketPoint(validated_tuple("MarketPoint", [
 
     def __new__(cls, t: float, T: float, x: float, y: float, z: float, k: float, beta: float):
         for name, value in zip(cls._fields, (t, T, x, y, z, k)):
-            if not _is_finite(value):
-                raise DomainError(f"{name} must be finite, got {value}")
+            check_number(value, name)
         if not T > t:
             raise DomainError(f"need T > t, got t={t}, T={T}")
         check_beta(beta)
@@ -91,40 +82,32 @@ class TaylorTable(validated_tuple("TaylorTable", [("extent", int), ("entries", M
 
     ``entries[name][(i, j)]`` is the coefficient of (x - xbar)^i (y - ybar)^j
     in the expansion of the named function, i.e. the (i, j) partial divided
-    by i! j!.  Families are a, b, c, f; an int extent >= 0 bounds i + j;
-    keys are pairs of ints and values finite reals (float, int or
-    Fraction, not bool).  A family, key or value outside these raises
-    DomainError.  Entries absent within the extent are zero; reads beyond
-    it are structural errors.  The table copies each family at
-    construction and exposes the copies read-only, so what was checked is
-    what the expansion reads; ``_replace`` copies and checks again.  The
-    table does not record its point: a named model builds it at the (x, y)
-    it is asked for, and a table given to the expansion directly is used as
-    given.  Being immutable, a table may keep what the expansion derives
-    from it in its instance dict (see ``expansion``).
+    by i! j!.  ``entries`` maps families among a, b, c, f to mappings from
+    pairs of ints (i, j), i + j <= extent, an int >= 0, to numbers
+    (``errors.check_number``); anything else raises DomainError.  Entries
+    absent within the extent are zero; reads beyond it are structural
+    errors.  The table keeps read-only copies of the families, so what was
+    checked is what the expansion reads.  It does not record its point: a
+    named model builds it at the (x, y) it is asked for, and a table given
+    to the expansion is used as given.  Being immutable, a table may keep
+    what the expansion derives from it in its instance dict (see ``expansion``).
     """
 
     def __new__(cls, extent: int, entries: Mapping = MappingProxyType({})):
         if type(extent) is not int or extent < 0:
             raise DomainError(f"table extent must be an integer >= 0, got {extent!r}")
-        if entries.keys() - set("abcf"):
-            raise DomainError(f"table families must be among a, b, c, f, got {list(entries)}")
+        if not isinstance(entries, Mapping) or entries.keys() - set("abcf") or not all(
+                isinstance(family, Mapping) for family in entries.values()):
+            raise DomainError(f"table entries must map a, b, c, f to mappings, got {entries!r}")
         families = {name: MappingProxyType(dict(entries.get(name, {}))) for name in "abcf"}
         for name, family in families.items():
             for key, value in family.items():
-                # type(), not isinstance: True is an int, and a bool value is
-                # a slip, not a coefficient.  Floats skip the slower ABC test.
-                if not (type(key) is tuple and len(key) == 2
-                        and type(key[0]) is int and type(key[1]) is int):
-                    raise DomainError(f"table key {name}[{key!r}] must be a pair of ints")
-                i, j = key
-                if not (0 <= i and 0 <= j and i + j <= extent):
-                    raise DomainError(f"table entry {name}{(i, j)} is beyond extent {extent}")
-                if type(value) is not float and (
-                        type(value) is bool or not isinstance(value, numbers.Real)):
-                    raise DomainError(f"table entry {name}{key} must be a real number, got {value!r}")
-                if not _is_finite(value):
-                    raise DomainError(f"table entry {name}{(i, j)} must be finite, got {value}")
+                # type(), not isinstance: True is an int, and a bool key is a slip.
+                if not (type(key) is tuple and len(key) == 2 and type(key[0]) is int
+                        and type(key[1]) is int and 0 <= key[0] and 0 <= key[1]
+                        and key[0] + key[1] <= extent):
+                    raise DomainError(f"table key {name}[{key!r}]: need ints >= 0, sum <= {extent}")
+                check_number(value, "table entry %s%s", name, key)
         a00 = families["a"].get((0, 0), 0.0)
         if not a00 > 0:
             raise DomainError(f"table needs a positive a(0,0), got {a00}")
@@ -140,20 +123,24 @@ class TaylorTable(validated_tuple("TaylorTable", [("extent", int), ("entries", M
         return self.entries[name].get((i, j), 0.0)
 
 
-def _taylor_table(order: int, **families) -> TaylorTable:
-    """The table of families that are sums of terms w e^(p x + q y), given as
-    (w, p, q) with w the term's value at the expansion point: each term adds
-    w p^i q^j / (i! j!) to entry (i, j), i + j <= order, unless that is 0.
+def _taylor_table(order: int, x: float, y: float, **families) -> TaylorTable:
+    """The table at (x, y) of families that are sums of terms w = c e^(p x + q y),
+    given as (c, p, q): each term adds w p^i q^j / (i! j!) to entry (i, j),
+    i + j <= order, unless that is 0; leaving the float range raises DomainError.
     """
     entries: dict = {}
-    for name, terms in families.items():
-        family = entries[name] = {}
-        for w, p, q in terms:
-            for i in range(order + 1):
-                for j in range(order + 1 - i):
-                    value = w * p**i * q**j / (math.factorial(i) * math.factorial(j))
-                    if value:
-                        family[i, j] = family.get((i, j), 0.0) + value
+    try:
+        for name, terms in families.items():
+            family = entries[name] = {}
+            for c, p, q in terms:
+                w = c * math.exp(p * x + q * y)
+                for i in range(order + 1):
+                    for j in range(order + 1 - i):
+                        value = w * p**i * q**j / (math.factorial(i) * math.factorial(j))
+                        if value:
+                            family[i, j] = family.get((i, j), 0.0) + value
+    except OverflowError as exc:  # math.exp, or float ** of a steep slope
+        raise DomainError(f"Taylor table at x={x}, y={y} leaves the float range") from exc
     return TaylorTable(extent=order, entries=entries)
 
 
@@ -161,15 +148,17 @@ class CevModel(validated_tuple("CevModel", [("delta", float), ("gamma", float)])
     """Constant-elasticity local volatility: sigma(x) = delta e^((gamma-1) x)."""
 
     def __new__(cls, delta: float, gamma: float):
-        if not delta > 0 or not _is_finite(delta):
-            raise DomainError(f"delta must be positive and finite, got {delta}")
-        if not gamma <= 1.0 or not _is_finite(gamma):
-            raise DomainError(f"gamma must be finite and <= 1, got {gamma}")
+        for name, value in zip(cls._fields, (delta, gamma)):
+            check_number(value, name)
+        if not delta > 0:
+            raise DomainError(f"delta must be positive, got {delta}")
+        if not gamma <= 1.0:
+            raise DomainError(f"gamma must be <= 1, got {gamma}")
         return tuple.__new__(cls, (delta, gamma))
 
     def taylor_table(self, x: float, y: float, order: int) -> TaylorTable:
         slope = 2.0 * (self.gamma - 1.0)
-        return _taylor_table(order, a=[(0.5 * self.delta**2 * math.exp(slope * x), slope, 0)])
+        return _taylor_table(order, x, y, a=[(0.5 * self.delta**2, slope, 0)])
 
 
 class HestonModel(validated_tuple("HestonModel", [
@@ -177,40 +166,38 @@ class HestonModel(validated_tuple("HestonModel", [
     """Square-root stochastic variance, tracked here as y = log variance."""
 
     def __new__(cls, kappa: float, theta: float, delta: float, rho: float):
-        if not kappa >= 0 or not _is_finite(kappa):
-            raise DomainError(f"kappa must be nonnegative and finite, got {kappa}")
-        if not theta > 0 or not _is_finite(theta):
-            raise DomainError(f"theta must be positive and finite, got {theta}")
-        if not delta > 0 or not _is_finite(delta):
-            raise DomainError(f"delta must be positive and finite, got {delta}")
+        for name, value in zip(cls._fields, (kappa, theta, delta, rho)):
+            check_number(value, name)
+        if not kappa >= 0:
+            raise DomainError(f"kappa must be nonnegative, got {kappa}")
+        for name, value in (("theta", theta), ("delta", delta)):
+            if not value > 0:
+                raise DomainError(f"{name} must be positive, got {value}")
         if not -1.0 < rho < 1.0:
             raise DomainError(f"rho must lie in (-1, 1), got {rho}")
         return tuple.__new__(cls, (kappa, theta, delta, rho))
 
     def taylor_table(self, x: float, y: float, order: int) -> TaylorTable:
-        half_var, inv_var = 0.5 * self.delta**2, math.exp(-y)
-        drift = [((self.kappa * self.theta - half_var) * inv_var, 0, -1), (-self.kappa, 0, 0)]
-        return _taylor_table(order, a=[(0.5 * math.exp(y), 0, 1)], b=[(half_var * inv_var, 0, -1)],
-                             c=drift, f=[(self.rho * self.delta, 0, 0)])
+        half_var = 0.5 * self.delta**2
+        drift = [(self.kappa * self.theta - half_var, 0, -1), (-self.kappa, 0, 0)]
+        return _taylor_table(order, x, y, a=[(0.5, 0, 1)], b=[(half_var, 0, -1)], c=drift,
+                             f=[(self.rho * self.delta, 0, 0)])
 
 
 class SabrModel(validated_tuple("SabrModel", [("delta", float), ("gamma", float), ("rho", float)])):
     """Lognormal vol-of-vol on a CEV backbone: sigma = e^y e^((gamma-1) x)."""
 
     def __new__(cls, delta: float, gamma: float, rho: float):
-        if not delta > 0 or not _is_finite(delta):
-            raise DomainError(f"delta must be positive and finite, got {delta}")
-        if not gamma <= 1.0 or not _is_finite(gamma):
-            raise DomainError(f"gamma must be finite and <= 1, got {gamma}")
+        CevModel(delta, gamma)  # the backbone's own checks
+        check_number(rho, "rho")
         if not -1.0 < rho < 1.0:
             raise DomainError(f"rho must lie in (-1, 1), got {rho}")
         return tuple.__new__(cls, (delta, gamma, rho))
 
     def taylor_table(self, x: float, y: float, order: int) -> TaylorTable:
         g, half_var = self.gamma - 1.0, 0.5 * self.delta**2
-        return _taylor_table(order, a=[(0.5 * math.exp(2.0 * y + 2.0 * g * x), 2.0 * g, 2.0)],
-                             b=[(half_var, 0, 0)], c=[(-half_var, 0, 0)],
-                             f=[(self.rho * self.delta * math.exp(y + g * x), g, 1)])
+        return _taylor_table(order, x, y, a=[(0.5, 2.0 * g, 2.0)], b=[(half_var, 0, 0)],
+                             c=[(-half_var, 0, 0)], f=[(self.rho * self.delta, g, 1)])
 
 
 def heston_beta_map(model: HestonModel, y: float, beta: float) -> tuple[HestonModel, float]:
@@ -222,6 +209,7 @@ def heston_beta_map(model: HestonModel, y: float, beta: float) -> tuple[HestonMo
     state.
     """
     check_beta(beta)
+    check_number(y, "y")
     mapped = HestonModel(
         kappa=model.kappa,
         theta=beta * beta * model.theta,

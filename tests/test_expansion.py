@@ -335,6 +335,34 @@ def test_extreme_states_raise_domain_error(model, y, route):
         route(point, model)
 
 
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda point, model: iv_approx(point, model, 3),
+        lambda point, model: price_uN(point, model.taylor_table(point.x, point.y, 3), 3),
+    ],
+    ids=["iv_approx", "price_uN"],
+)
+@pytest.mark.parametrize(
+    "model, x, y",
+    [
+        (HestonModel(1.5, 0.04, 0.3, -0.6), 0.0, 800.0),
+        (SabrModel(0.3, 0.5, -0.3), 0.0, 800.0),
+        (HestonModel(1.5, 0.04, 0.3, -0.6), 0.0, 1e300),
+        (HestonModel(1.5, 0.04, 0.3, -0.6), 0.0, -1e300),
+        (CevModel(0.2, 0.5), -1e300, 0.0),
+        (SabrModel(0.3, 0.5, -0.3), -1e300, 0.0),
+    ],
+    ids=["heston-y800", "sabr-y800", "heston-y1e300", "heston-y-1e300", "cev-x-1e300",
+         "sabr-x-1e300"],
+)
+def test_states_whose_table_leaves_the_float_range_raise_domain_error(model, x, y, route):
+    # The point is valid; e^(p x + q y) of a table term overflows a float.
+    point = MarketPoint(t=0.0, T=0.25, x=x, y=y, z=0.0, k=0.05, beta=2.0)
+    with pytest.raises(DomainError):
+        route(point, model)
+
+
 def test_vega_ratio_coeffs_match_finite_differences():
     sigma0, tau, z = 0.27, 0.6, -0.02
     for order in (2, 3):

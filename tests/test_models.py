@@ -1,14 +1,18 @@
 """Tests for model definitions, Taylor tables, the market point, the
 Heston leverage map and the validated value-object contract."""
 
+import copy
 import math
+import pickle
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from letfvol.blackscholes import BsInputs
 from letfvol.errors import DomainError, StructuralError
-from letfvol.expansion import IvSeries
+from letfvol.expansion import IvSeries, iv_approx
 from letfvol.models import (
     CevModel,
     HestonModel,
@@ -204,10 +208,16 @@ def test_table_is_read_only():
         (1, {"a": {(0, 0): 0.02, (1, 0): "0.1"}}),
         (1, {"a": {(0, 0): 0.02, (1, 0): 0.1j}}),
         (1, {"a": {(0, 0): 0.02, (1, 0): None}}),
+        # Entries or a family that is not a mapping.
+        (1, 0),
+        (1, None),
+        (1, {"a": 5}),
+        (1, {"a": {(0, 0): 0.02}, "b": [((0, 0), 0.1)]}),
     ],
     ids=["family-F", "key-beyond-extent", "negative-key", "extent-2.5", "extent--1", "extent-true",
          "key-0.5", "key-int", "key-bool", "key-bool-pair", "key-triple",
-         "value-true-a00", "value-false", "value-str", "value-complex", "value-none"],
+         "value-true-a00", "value-false", "value-str", "value-complex", "value-none",
+         "entries-0", "entries-none", "family-int", "family-pairs"],
 )
 def test_table_rejects_what_the_expansion_never_reads(extent, entries):
     with pytest.raises(DomainError):
@@ -401,3 +411,129 @@ def test_value_object_contract(name):
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(value, field))
     assert repr(value) == text and vars(value).keys() <= {"_horner"}
+
+
+# Per class: a valid instance and, for each numeric field, how to put a bad
+# number there, as a dict of field replacements.
+NUMBER_FIELDS = {
+    "MarketPoint": (VALUE_OBJECTS["MarketPoint"][0], {
+        name: (lambda bad, name=name: {name: bad}) for name in ("t", "T", "x", "y", "z", "k", "beta")
+    }),
+    "TaylorTable": (VALUE_OBJECTS["TaylorTable"][0], {
+        "extent": lambda bad: {"extent": bad},
+        "entry": lambda bad: {"entries": {"a": {(0, 0): 0.02, (1, 0): bad}}},
+        "a00": lambda bad: {"entries": {"a": {(0, 0): bad}}},
+    }),
+    "CevModel": (VALUE_OBJECTS["CevModel"][0], {
+        name: (lambda bad, name=name: {name: bad}) for name in ("delta", "gamma")
+    }),
+    "HestonModel": (VALUE_OBJECTS["HestonModel"][0], {
+        name: (lambda bad, name=name: {name: bad}) for name in ("kappa", "theta", "delta", "rho")
+    }),
+    "SabrModel": (VALUE_OBJECTS["SabrModel"][0], {
+        name: (lambda bad, name=name: {name: bad}) for name in ("delta", "gamma", "rho")
+    }),
+    "IvSeries": (VALUE_OBJECTS["IvSeries"][0], {
+        "sigma0": lambda bad: {"sigma0": bad},
+        "value": lambda bad: {"terms": ({(1, 0): 0.01, (0, 1): bad},)},
+        "pair-value": lambda bad: {"terms": ([((1, 0), bad)],)},
+    }),
+    "BsInputs": (lambda: BsInputs(0.2, 1.0, 0.1, -0.05), {
+        name: (lambda bad, name=name: {name: bad}) for name in ("sigma", "tau", "z", "k")
+    }),
+}
+
+# Not numbers, or numbers whose float is not finite.
+NOT_NUMBERS = [True, "0.1", None, 1j, Fraction(10**400), math.nan]
+NOT_NUMBER_IDS = ["true", "str", "none", "complex", "fraction-beyond-float", "nan"]
+
+
+def assert_every_route_raises(value, changes):
+    cls = type(value)
+    with pytest.raises(DomainError):
+        cls(**{**value._asdict(), **changes})
+    with pytest.raises(DomainError):
+        cls._make({**value._asdict(), **changes}.values())
+    with pytest.raises(DomainError):
+        value._replace(**changes)
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
+@pytest.mark.parametrize(
+    "name, field", [(name, field) for name in NUMBER_FIELDS for field in NUMBER_FIELDS[name][1]]
+)
+def test_every_number_field_follows_the_number_rule(name, field, bad):
+    build, fields = NUMBER_FIELDS[name]
+    assert_every_route_raises(build(), fields[field](bad))
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        ({(1.0, 0): 0.1},),
+        ({"a": 0.1},),
+        ({(True, 0): 0.1},),
+        (5,),
+        (0.1,),
+        ([((1, 0), 0.1), ((1, 0), 0.2)],),
+        ([((1, 0), 0.1, 0.2)],),
+        None,
+    ],
+    ids=["key-float", "key-str", "key-bool", "term-int", "term-float", "pairs-repeat",
+         "pairs-triple", "terms-none"],
+)
+def test_series_terms_follow_the_series_rules(terms):
+    assert_every_route_raises(VALUE_OBJECTS["IvSeries"][0](), {"terms": terms})
+
+
+def test_series_accepts_pair_sequences_as_terms():
+    pairs = IvSeries(sigma0=0.3, terms=([((1, 0), 0.01), ((0, 1), -0.02)],))
+    assert pairs == VALUE_OBJECTS["IvSeries"][0]()
+    assert pairs.evaluate(0.1, 0.25) == VALUE_OBJECTS["IvSeries"][0]().evaluate(0.1, 0.25)
+
+
+def round_trips(value):
+    yield copy.copy(value)
+    yield copy.deepcopy(value)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        yield pickle.loads(pickle.dumps(value, protocol))
+
+
+@pytest.mark.parametrize("name", sorted(NUMBER_FIELDS))
+def test_value_objects_copy_and_pickle_through_their_checks(name):
+    value = NUMBER_FIELDS[name][0]()
+    for back in round_trips(value):
+        assert back == value and type(back) is type(value) and repr(back) == repr(value)
+        # Only what __new__ sets travels; kept derivations are derived again.
+        assert getattr(back, "__dict__", {}).keys() <= {"_horner"}
+        if name == "IvSeries":
+            assert back._horner == value._horner
+            assert back.evaluate(0.1, 0.25) == value.evaluate(0.1, 0.25)
+            with pytest.raises(TypeError):
+                back.terms[0][0, 1] = 0.0
+        if name == "TaylorTable":
+            with pytest.raises(TypeError):
+                back.entries["a"][0, 0] = 0.0
+
+
+def test_a_model_with_a_kept_series_copies_without_it():
+    model = VALUE_OBJECTS["SabrModel"][0]()
+    point = MarketPoint(t=0.0, T=0.25, x=0.0, y=-1.0, z=0.0, k=0.05, beta=-2.0)
+    value = iv_approx(point, model, 3)
+    assert "_series" in vars(model)
+    for back in round_trips(model):
+        assert back == model and vars(back) == {}
+        assert iv_approx(point, back, 3) == value
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_copies_check_again(protocol):
+    # The fields a copy is rebuilt from go through __new__: a pickle whose
+    # fields were tampered with raises, as the constructor does.  Protocol 0
+    # writes a float as text, the others as 8 bytes.
+    good, bad = (b"F%a\n" % gamma if protocol == 0 else b"G" + struct.pack(">d", gamma)
+                 for gamma in (0.5, 1.5))
+    data = pickle.dumps(CevModel(delta=0.2, gamma=0.5), protocol)
+    assert data.count(good) == 1
+    with pytest.raises(DomainError):
+        pickle.loads(data.replace(good, bad))
