@@ -118,11 +118,14 @@ def implied_vol(price: float, tau: float, z: float, k: float) -> ImpliedVol:
     most 1e-12 * e^z.
 
     Raises:
-        DomainError: a non-finite input, z or k above MAX_LOG, or tau <= 0.
+        DomainError: an input not a finite real number, z or k above MAX_LOG, or tau <= 0.
         NoArbitrageError: price is outside ((e^z - e^k)+, e^z).
         SolverError: the vol exceeds IV_MAX_VOL, or no convergence within
             IV_MAX_ITER price evaluations.
     """
+    if not type(price) is type(tau) is type(z) is type(k) is float:  # as in BsInputs
+        for name, value in zip(("price", "tau", "z", "k"), (price, tau, z, k)):
+            check_number(value, name)
     isfinite = math.isfinite
     if not (isfinite(price) and isfinite(tau) and isfinite(z) and isfinite(k)):
         raise DomainError(f"inputs must be finite, got {(price, tau, z, k)}")

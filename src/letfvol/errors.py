@@ -34,7 +34,8 @@ class SolverError(LetfVolError):
 
 
 class StructuralError(LetfVolError):
-    """An internal algebraic invariant was violated; indicates a pipeline bug."""
+    """An internal algebraic invariant was violated; indicates a pipeline bug.
+    Raised only by ``TaylorTable.get``, for an unknown family or an entry beyond the extent."""
 
 
 def check_number(value, name: str, *where):

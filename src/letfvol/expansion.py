@@ -58,7 +58,7 @@ from .blackscholes import (
     bs_vega,
     hermite_vega_ratio,
 )
-from .errors import ConfigError, DomainError, StructuralError, check_number, validated_tuple
+from .errors import ConfigError, DomainError, check_number, validated_tuple
 from .models import CevModel, HestonModel, SabrModel, TaylorTable
 from .opalgebra import build_Ln, reduce_to_z
 
@@ -66,8 +66,7 @@ from .opalgebra import build_Ln, reduce_to_z
 MAX_ORDER = 3
 # Maturities below this make the vega division ill-conditioned.
 MIN_TAU = 1e-8
-# Structural-cancellation and trimming thresholds, relative to max(1, scale).
-CANCEL_TOL = 1e-8
+# Trimming threshold of a finished correction, relative to max(1, scale).
 TRIM_TOL = 1e-14
 
 PAYOFFS = ("call", "put")
@@ -189,6 +188,9 @@ class IvSeries(validated_tuple("IvSeries", [("sigma0", float), ("terms", tuple)]
         return len(self.terms)
 
     def evaluate(self, lam: float, tau: float) -> float:
+        if not type(lam) is type(tau) is float:  # the number rule, skipped for floats
+            check_number(lam, "lam")
+            check_number(tau, "tau")
         if not -math.inf < lam < math.inf:
             raise DomainError(f"log-moneyness must be finite, got {lam}")
         if not MIN_TAU <= tau < math.inf:
@@ -449,24 +451,11 @@ def _correction_dicts(table: TaylorTable, beta: float, order: int) -> tuple:
 
 
 def _finalize_term(n: int, raw: dict) -> dict:
-    """Drop cancelled Laurent dust; reject genuine structural leftovers.
-
-    A finished correction is polynomial: no negative tau powers and
-    total degree lam_power + tau_power at most n may survive assembly.
-    """
-    scale = max(1.0, lp_max_abs(raw))
-    out = {}
-    for (lp, tp), value in raw.items():
-        if tp < 0 or lp + tp > n:
-            if abs(value) > CANCEL_TOL * scale:
-                raise StructuralError(
-                    f"order-{n} term keeps lam^{lp} tau^{tp} "
-                    f"coefficient {value:.3e} (scale {scale:.3e})"
-                )
-            continue
-        if abs(value) > TRIM_TOL * scale:
-            out[(lp, tp)] = value
-    return out
+    """The keys of ``raw`` that an order-n correction holds (tau power >= 0, degree <= n),
+    trimmed; the others cancel exactly, so what floats leave of them is rounding, dropped."""
+    kept = {(lp, tp): value for (lp, tp), value in raw.items() if tp >= 0 and lp + tp <= n}
+    cut = TRIM_TOL * max(1.0, lp_max_abs(kept))
+    return {key: value for key, value in kept.items() if abs(value) > cut}
 
 
 def iv_series_engine(point, table: TaylorTable, order: int) -> IvSeries:
@@ -481,8 +470,8 @@ def iv_series_engine(point, table: TaylorTable, order: int) -> IvSeries:
                 = sum_i sigma_i C(n - i, k - 1),   C(n, 1) = sigma_n,
 
     with R_k the sigma-derivative/vega ratios.  Negative tau powers and
-    total degrees above n arise mid-assembly and must cancel; leftovers
-    raise StructuralError.
+    total degrees above n arise mid-assembly and cancel; ``_finalize_term``
+    keeps only the other keys.
     """
     _check_order(order, table)
     sigma0 = base_sigma(table, point.beta)

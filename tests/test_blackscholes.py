@@ -325,9 +325,13 @@ def test_implied_vol_solves_tiny_atm_prices_to_the_rule(price, tau, z, k):
         assert math.isclose(result.value, math.sqrt(2.0 * math.pi) * price, rel_tol=1e-2)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, "0.1", True, pytest.param(10**400, id="1e400")]
+)
 @pytest.mark.parametrize("position", range(4))
 def test_implied_vol_rejects_non_finite_inputs(position, bad):
+    # A string, a bool (an int equal to 1) and an int beyond the float
+    # range fail the number rule, as they do in BsInputs.
     args = [0.08, 1.0, 0.0, 0.0]
     args[position] = bad
     with pytest.raises(DomainError):

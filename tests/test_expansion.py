@@ -3,20 +3,21 @@
 import itertools
 import json
 import math
+import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from letfvol.blackscholes import BsInputs, bs_call_price, bs_put_price, bs_vega, hermite_vega_ratio
 from letfvol import expansion
 from letfvol.closedform import iv_series_printed
-from letfvol.errors import ConfigError, DomainError, StructuralError
+from letfvol.errors import ConfigError, DomainError
 from letfvol.expansion import (
-    CANCEL_TOL,
     MAX_ORDER,
     MIN_TAU,
     IvSeries,
@@ -113,13 +114,16 @@ def test_correction_dicts_match_the_float_route(beta):
             assert lp_eval(U, point.lam, tau) == pytest.approx(want / vega, rel=1e-11, abs=1e-11)
 
 
-def horner_correction_dicts(table, beta, order):
+def horner_correction_dicts(table, beta, order, sigma0=None):
     """Oracle: U_n = sum_m chi_{n,m}(tau) D^m (1 / (sigma0 tau)) by Horner's rule in D.
 
     Shares reduced_Ln with _correction_dicts, but not its map of D powers.
+    Keeps the number type of the chi weights and sigma0 (default
+    base_sigma), so a Fraction table and sigma0 give U_n exactly.
     """
-    sigma0 = base_sigma(table, beta)
-    inv_sigma0, inv_var = 1.0 / sigma0, 1.0 / (sigma0 * sigma0)
+    if sigma0 is None:
+        sigma0 = base_sigma(table, beta)
+    inv_sigma0, inv_var = 1 / sigma0, 1 / (sigma0 * sigma0)
     out = []
     for n in range(1, order + 1):
         chi = reduced_Ln(table, n, beta)
@@ -128,11 +132,11 @@ def horner_correction_dicts(table, beta, order):
             step: dict = {}
             for (lp, tp), value in U.items():
                 if lp:
-                    step[lp - 1, tp] = step.get((lp - 1, tp), 0.0) - lp * value
-                step[lp + 1, tp - 1] = step.get((lp + 1, tp - 1), 0.0) + value * inv_var
-                step[lp, tp] = step.get((lp, tp), 0.0) + 0.5 * value
+                    step[lp - 1, tp] = step.get((lp - 1, tp), 0) - lp * value
+                step[lp + 1, tp - 1] = step.get((lp + 1, tp - 1), 0) + value * inv_var
+                step[lp, tp] = step.get((lp, tp), 0) + value / 2
             for tau_pow, coeff in chi.get(m, {}).items():
-                step[0, tau_pow - 1] = step.get((0, tau_pow - 1), 0.0) + float(coeff) * inv_sigma0
+                step[0, tau_pow - 1] = step.get((0, tau_pow - 1), 0) + coeff * inv_sigma0
             U = step
         out.append(U)
     return out
@@ -142,6 +146,11 @@ def assert_corrections_match_horner(table, beta, order):
     got = expansion._correction_dicts(table, beta, order)
     want = horner_correction_dicts(table, beta, order)
     assert len(got) == len(want) == order
+    # Below the normal range a coefficient carries fewer bits than the
+    # relative bound asks of it, and the two routes, summing in different
+    # orders, round it apart; such examples are skipped, not bounded.
+    if any(0.0 < abs(value) < sys.float_info.min for term in (*got, *want) for value in term.values()):
+        reject()
     for n, (g, w) in enumerate(zip(got, want), 1):
         scale = lp_max_abs(w)
         for key in set(g) | set(w):
@@ -541,6 +550,25 @@ def test_heston_at_leverage_is_the_mapped_model_at_unit_leverage(beta):
                 assert abs(value - mapped_term[key]) <= 1e-13 * scale, (order, n, key)
 
 
+@pytest.mark.parametrize("beta", [-2.0, -1.0, 1.0, 2.0])
+def test_a_low_volatility_heston_state_has_a_finite_series(beta):
+    # Variance 1e-5 (vol 0.32%): the keys that cancel reach sigma0^-7 at
+    # order 3, so their float residue exceeds 1e-8 times max(1, the largest
+    # coefficient formed).  It is dropped; the series is the beta-mapped one.
+    model, y = HestonModel(kappa=1.5, theta=0.04, delta=0.3, rho=-0.6), math.log(1e-5)
+    point = make_point(beta=beta, tau=0.25, k=0.001, x=0.0, y=y)
+    got = iv_series_engine(point, model.taylor_table(0.0, y, 3), 3)
+    assert math.isfinite(got.evaluate(point.lam, point.tau))
+    assert math.isfinite(iv_approx(point, model, 3))
+    mapped, mapped_y = heston_beta_map(model, y, beta)
+    want = iv_series_engine(make_point(beta=1.0), mapped.taylor_table(0.0, mapped_y, 3), 3)
+    assert got.sigma0 == pytest.approx(want.sigma0, rel=1e-15, abs=0)
+    for n, (term, mapped_term) in enumerate(zip(got.terms, want.terms), 1):
+        scale = lp_max_abs(mapped_term)
+        for key in term.keys() | mapped_term.keys():
+            assert abs(term.get(key, 0.0) - mapped_term.get(key, 0.0)) <= 1e-13 * scale, (n, key)
+
+
 @pytest.mark.parametrize("beta", [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])
 def test_cev_at_gamma_one_is_black_scholes_at_beta_delta(beta):
     model = CevModel(delta=0.3, gamma=1.0)
@@ -573,8 +601,115 @@ def test_finalize_term_drops_residue_beyond_total_degree():
     for n in range(1, 4):
         assert all(lp + tp <= n for lp, tp in series.terms[n - 1]), series.terms[n - 1]
     assert expansion._finalize_term(3, {(0, 1): 1.0, (3, 1): 1e-14}) == {(0, 1): 1.0}
-    with pytest.raises(StructuralError):
-        expansion._finalize_term(3, {(0, 1): 1.0, (3, 1): 10 * CANCEL_TOL})
+    # A key that cannot survive is dropped however large, and does not set
+    # the trim scale: beside it 1e-13 is kept, against max(1, 1e-13).
+    raw = {(0, 1): 1e-13, (3, 1): 1e6, (0, -1): -1e6}
+    assert expansion._finalize_term(3, raw) == {(0, 1): 1e-13}
+
+
+def exact_poly_mul(a, b):
+    """Product of polynomial dicts whose keys are tuples of powers, in the coefficients' type."""
+    out: dict = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            key = tuple(map(sum, zip(ka, kb)))
+            out[key] = out.get(key, 0) + va * vb
+    return out
+
+
+def exact_vega_ratios(order, sigma0):
+    """R_k, k = 2..order, at sigma0 as {(lam_power, tau_power): value}, in sigma0's type.
+
+    R_2 = d+ d- / sigma = lam^2 / (sigma^3 tau) - sigma tau / 4 and
+    R_{k+1} = dR_k/dsigma + R_k R_2, formed on polynomials in (lam, tau,
+    sigma) with sigma a symbol, then evaluated at sigma0.
+    """
+    r2 = {(2, -1, -3): 1, (0, 1, 1): Fraction(-1, 4)}
+    ratio, out = r2, {}
+    for k in range(2, order + 1):
+        out[k] = {}
+        for (lp, tp, sp), value in ratio.items():
+            out[k][lp, tp] = out[k].get((lp, tp), 0) + value * sigma0**sp
+        step = exact_poly_mul(ratio, r2)
+        for (lp, tp, sp), value in ratio.items():
+            step[lp, tp, sp - 1] = step.get((lp, tp, sp - 1), 0) + sp * value
+        ratio = step
+    return out
+
+
+def exact_iv_terms(table, beta, sigma0, order):
+    """Oracle: sigma_1..sigma_order with every key kept, exact for a Fraction table and sigma0.
+
+    U_n by Horner's rule in D, R_k from ``exact_vega_ratios``, and
+    sigma_n = U_n - sum_k R_k / k! C(n, k) with C(n, k) summed over the
+    compositions of n into k parts, written out.  Shares reduced_Ln with
+    the engine, and nothing of its assembly.
+    """
+    corrections = horner_correction_dicts(table, beta, order, sigma0)
+    ratios = exact_vega_ratios(order, sigma0)
+    sigmas = []
+    for n in range(1, order + 1):
+        term = dict(corrections[n - 1])
+        for k in range(2, n + 1):
+            for parts in itertools.product(range(1, n), repeat=k):
+                if sum(parts) == n:
+                    product = ratios[k]
+                    for i in parts:
+                        product = exact_poly_mul(product, sigmas[i - 1])
+                    for key, value in product.items():
+                        term[key] = term.get(key, 0) - value / math.factorial(k)
+        sigmas.append(term)
+    return sigmas
+
+
+def dyadic_tables(seed):
+    """A random order-3 float table, its exact Fraction copy, an int beta and the exact sigma0.
+
+    a00 = s^2 / 2 with s = m / 2^e dyadic, so both tables hold it exactly
+    and sigma0 = |beta| s; a00 spans 1.9e-6 to 7.9, the low end where the
+    cancelling keys reach sigma0^-7.  60% of the other entries are
+    nonzero, uniform in +-w with w log-uniform in [1e-3, 100].
+    """
+    rng = random.Random(seed)
+    s = Fraction(rng.randrange(128, 256), 2 ** rng.randrange(6, 17))
+    entries = {name: {} for name in "abcf"}
+    for name, key in TABLE_KEYS:
+        if rng.random() < 0.6:
+            width = math.exp(rng.uniform(math.log(1e-3), math.log(100.0)))
+            entries[name][key] = rng.uniform(-width, width)
+    entries["a"][0, 0] = float(s * s / 2)
+    exact = {name: {key: Fraction(value) for key, value in family.items()}
+             for name, family in entries.items()}
+    beta = rng.choice([-3, -2, -1, 1, 2, 3])
+    return (TaylorTable(extent=3, entries=entries), TaylorTable(extent=3, entries=exact),
+            beta, abs(beta) * s)
+
+
+# Seeds among 0-399 whose tables, a00 between 2.3e-6 and 3.1e-5, leave a
+# key that cancels a float residue above 1e-8 times max(1, the largest
+# coefficient formed).
+LOW_VOL_SEEDS = (93, 105, 112, 135, 162, 166, 194, 271, 312)
+
+
+@pytest.mark.parametrize("seed", [*range(40), *LOW_VOL_SEEDS])
+def test_engine_matches_the_exact_assembly_on_random_tables(seed):
+    # Every key that cannot survive (tau power < 0 or degree > n) cancels
+    # exactly, and the float engine keeps the others to 1e-12 of the
+    # term's largest coefficient.
+    table, exact_table, beta, sigma0 = dyadic_tables(seed)
+    series = iv_series_engine(make_point(beta=float(beta)), table, MAX_ORDER)
+    assert series.sigma0 == sigma0
+    exact_terms = exact_iv_terms(exact_table, beta, sigma0, MAX_ORDER)
+    for n, (got, exact) in enumerate(zip(series.terms, exact_terms), 1):
+        survivors = {}
+        for (lp, tp), value in exact.items():
+            if tp >= 0 and lp + tp <= n:
+                survivors[lp, tp] = value
+            else:
+                assert value == 0, (n, lp, tp)
+        scale = float(max(map(abs, survivors.values()), default=0))
+        for key in got.keys() | survivors.keys():
+            assert abs(got.get(key, 0.0) - float(survivors.get(key, 0))) <= 1e-12 * scale, (n, key)
 
 
 def test_sigma0_depends_only_on_abs_beta():
@@ -683,6 +818,57 @@ def test_beta_one_matches_hand_folded_single_asset_forms():
         keys = set(got) | {key for key, value in want.items() if value != 0.0}
         for key in keys:
             assert got.get(key, 0.0) == pytest.approx(want.get(key, 0.0), rel=1e-10, abs=1e-13), (n, key)
+
+
+# ---------------------------------------------------------------------------
+# published short-maturity results, written out by hand
+
+SHORT_TIME_STATES = {
+    "cev": (CevModel(delta=0.3, gamma=0.5), 0.0),
+    "sabr": (SabrModel(delta=0.4, gamma=0.5, rho=-0.3), -1.0),
+    "heston": (HestonModel(kappa=1.5, theta=0.04, delta=0.3, rho=-0.6), math.log(0.04)),
+}
+
+
+@pytest.mark.parametrize("beta", [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("kind", sorted(SHORT_TIME_STATES))
+def test_order_one_skew_is_the_short_time_atm_skew(kind, beta):
+    # Durrleman (Finance Stoch. 2010), for the LETF's own dynamics: level
+    # |beta| sigma and ATM skew d<sigma_z, z>/dt / (2 sigma_z^2)
+    # = sign(beta) (sigma_x sigma^2 + sigma_y f00) / (2 sigma^2), with
+    # sigma = sqrt(2 a00), sigma_x = a10 / sigma, sigma_y = a01 / sigma.
+    model, y = SHORT_TIME_STATES[kind]
+    table = model.taylor_table(0.0, y, 1)
+    sigma = math.sqrt(2.0 * table.get("a", 0, 0))
+    sigma_x, sigma_y = table.get("a", 1, 0) / sigma, table.get("a", 0, 1) / sigma
+    skew = math.copysign(1.0, beta) * (sigma_x * sigma**2 + sigma_y * table.get("f", 0, 0)) / (
+        2.0 * sigma**2)
+    series = iv_series_engine(make_point(beta=beta, x=0.0, y=y), table, 1)
+    assert series.sigma0 == pytest.approx(abs(beta) * sigma, rel=1e-15, abs=0)
+    assert series.terms[0][1, 0] == pytest.approx(skew, rel=1e-14, abs=0)
+
+
+def test_unit_leverage_lognormal_sabr_matches_hagans_formula():
+    # Hagan, Kumar, Lesniewski, Woodward (Wilmott 2002), gamma = 1: with
+    # alpha = e^y and nu = delta, the Taylor coefficients of the Black vol
+    # at lam = 0 are alpha, rho nu / 2 (lam), (2 - 3 rho^2) nu^2 / (12 alpha)
+    # (lam^2) and alpha (rho nu alpha / 4 + (2 - 3 rho^2) nu^2 / 24) (tau).
+    # Its lam tau and lam^2 tau terms are not exact, so they are not checked.
+    y, nu, rho = -1.0, 0.4, -0.3
+    series = iv_series_engine(make_point(beta=1.0, x=0.0, y=y),
+                              SabrModel(delta=nu, gamma=1.0, rho=rho).taylor_table(0.0, y, 3), 3)
+    summed: dict = {}
+    for term in series.terms:
+        lp_add(summed, term)
+    alpha = math.exp(y)
+    assert series.sigma0 == pytest.approx(alpha, rel=1e-15, abs=0)
+    hagan = {
+        (1, 0): rho * nu / 2.0,
+        (2, 0): (2.0 - 3.0 * rho**2) * nu**2 / (12.0 * alpha),
+        (0, 1): alpha * (rho * nu * alpha / 4.0 + (2.0 - 3.0 * rho**2) * nu**2 / 24.0),
+    }
+    for key, want in hagan.items():
+        assert summed[key] == pytest.approx(want, rel=1e-13, abs=0), key
 
 
 # ---------------------------------------------------------------------------
@@ -1239,7 +1425,8 @@ def test_series_evaluate_guards_tiny_tau():
         series.evaluate(0.1, 0.0)
     with pytest.raises(DomainError):
         series.evaluate(0.1, MIN_TAU / 10.0)
-    for lam, tau in ((math.nan, 0.25), (math.inf, 0.25), (-math.inf, 0.25), (0.1, math.inf)):
+    for lam, tau in ((math.nan, 0.25), (math.inf, 0.25), (-math.inf, 0.25), (0.1, math.inf),
+                     ("0.1", 0.25), (True, 0.25), (0.1, "0.25"), (0.1, 10**400)):
         with pytest.raises(DomainError):
             series.evaluate(lam, tau)
 
