@@ -109,8 +109,10 @@ def implied_vol(price: float, tau: float, z: float, k: float) -> ImpliedVol:
     """Invert an undiscounted call price to a Black-Scholes volatility.
 
     Starts from Manaster and Koehler's sigma = sqrt(2 |z - k| / tau), the
-    inflection point of the price in sigma, or at the money from
-    sqrt(2 pi) price / (e^z sqrt(tau)).  Takes Halley steps (volga / vega
+    inflection point of the price in sigma.  At the money, where the price is
+    e^z erf(s / sqrt(8)) with s = sigma sqrt(tau), it starts from the series
+    inverse to two terms, s = c + c^3/24 with c = sqrt(2 pi) price / e^z;
+    the first is Brenner and Subrahmanyam's.  Takes Halley steps (volga / vega
     = d+ d- / sigma), or Newton steps where Halley's denominator is small.
     The bracket starts as (0, inf) and is narrowed by the sign of each
     price gap; a step that leaves it bisects, or doubles sigma while the
@@ -145,12 +147,16 @@ def implied_vol(price: float, tau: float, z: float, k: float) -> ImpliedVol:
     sigma = math.sqrt(2.0 * abs(x) / tau)
     if sigma == 0.0:
         # The floor keeps sigma > 0 where price / e^z underflows.
-        sigma = max(price / vega_scale, 1e-300)
+        c = price / (INV_SQRT_2PI * spot)
+        sigma = max((c + c * c * c / 24.0) / root_tau, 1e-300)
+    half_spot, half_strike, erfc, exp, sqrt2 = 0.5 * spot, 0.5 * strike, math.erfc, math.exp, SQRT2
     lo, hi = 0.0, math.inf
     for iteration in range(1, IV_MAX_ITER + 1):
         s = sigma * root_tau
-        model, d_plus = _call(spot, strike, x, s)
-        diff = model - price
+        a, h = x / s, 0.5 * s  # ``_call``'s price term for term: sigma reprices to it exactly
+        d_plus = a + h
+        model = half_spot * erfc(-d_plus / sqrt2) - half_strike * erfc((h - a) / sqrt2)
+        diff = (0.0 if model < 0.0 else model) - price
         if -tol <= diff <= tol:
             return ImpliedVol(sigma, iteration)
         if diff > 0.0:
@@ -159,7 +165,7 @@ def implied_vol(price: float, tau: float, z: float, k: float) -> ImpliedVol:
             lo = sigma
         else:
             raise SolverError(f"implied vol exceeds {IV_MAX_VOL}; price {price} too close to spot")
-        vega = vega_scale * math.exp(-0.5 * d_plus * d_plus)
+        vega = vega_scale * exp(-0.5 * d_plus * d_plus)
         step = math.nan
         if vega > 0.0:
             newton = diff / vega

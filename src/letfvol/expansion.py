@@ -23,12 +23,13 @@ polynomial in log-moneyness lam = k - z and maturity tau.  D^m (1 / (sigma0
 tau)) has fixed coefficients times powers of sigma0, so each coefficient
 of U_n is a dot product with the chi weights, along a map that each
 order's program derives once (``_correction_dicts``).  ``price_uN``
-evaluates U_n times vega, and from it every implied-vol correction
-sigma_n assembles into a polynomial in (lam, tau) whose coefficients
-depend only on the Taylor table and beta.  Assembly is symbolic;
-evaluation at a concrete (lam, tau) is a separate, cheap step (Horner's
-rule on one table of the corrections summed over orders, built with the
-series), which lets one assembly serve a whole smile and makes
+evaluates U_n times vega by Horner's rule on the dense U_n the table
+keeps, along a layout each program also derives once.  From U_n every
+implied-vol correction sigma_n assembles into a polynomial in (lam, tau)
+whose coefficients depend only on the Taylor table and beta.  Assembly is
+symbolic; evaluation at a concrete (lam, tau) is a separate, cheap step
+(Horner's rule on one table of the corrections summed over orders, built
+with the series), which lets one assembly serve a whole smile and makes
 coefficient-level testing possible.
 
 Reuse follows one rule, applied here alone: an immutable input, a
@@ -104,10 +105,6 @@ def lp_mul(a: dict, b: dict) -> dict:
 
 def lp_max_abs(a: dict) -> float:
     return max((abs(v) for v in a.values()), default=0.0)
-
-
-def lp_eval(a: dict, lam: float, tau: float) -> float:
-    return sum(v * lam**lp * tau**tp for (lp, tp), v in a.items())
 
 
 def vega_ratio_coeffs(k: int, sigma0: float) -> dict:
@@ -319,7 +316,7 @@ def _d_power(m: int) -> tuple:
 def _chi_program(n: int) -> tuple:
     """The order-n program, parsed on first use; callers must not mutate it.
 
-    Returns (variables, beta_degree, weights, nodes, keys, spread).
+    Returns (variables, beta_degree, weights, nodes, keys, spread, layout).
     ``nodes[k - 1]`` is node k, (parent node, variable index, terms): it
     extends its parent's product by one variable, from node 0, the empty
     product, so products that share a prefix share its nodes, and parents
@@ -327,7 +324,10 @@ def _chi_program(n: int) -> tuple:
     its last node.  Weight (m, tau_power) reaches U_n through D^m:
     ``spread[m, tau_power]`` holds (i, q, s) for each pair ((l, t), q) of
     ``_d_power(m)``, with ``keys[i]`` = (l, t + tau_power) and
-    s = -(t + 1), so that sigma0^-(2s+1) = sigma0^(2t+1).
+    s = -(t + 1), so that sigma0^-(2s+1) = sigma0^(2t+1).  ``layout``,
+    (low, rows), reads U_n from a list with its ``keys[i]`` value in slot i
+    and 0 in slot len(keys): row by tau power from the highest to low, each
+    row's slots by lam power from its highest to 0, so U_n = tau^low Horner.
     """
     with open(CHI_PROGRAMS, encoding="utf-8") as fh:
         program = json.loads(fh.read().splitlines()[n])
@@ -350,8 +350,11 @@ def _chi_program(n: int) -> tuple:
         )
         for m, tau_pow, _ in program["weights"]
     }
+    top = {t: max(l for l, u in keys if u == t) for _, t in keys}  # tau power -> top lam power
+    rows = tuple(tuple(keys.get((l, t), len(keys)) for l in range(top.get(t, -1), -1, -1))
+                 for t in range(max(top), min(top) - 1, -1))
     variables = [(name, (i, j)) for name, i, j in _chi_variables(n)]
-    return variables, beta_degree, program["weights"], nodes, tuple(keys), spread
+    return variables, beta_degree, program["weights"], nodes, tuple(keys), spread, (min(top), rows)
 
 
 def reduced_Ln(table: TaylorTable, n: int, beta) -> dict:
@@ -365,7 +368,7 @@ def reduced_Ln(table: TaylorTable, n: int, beta) -> dict:
     float range raises DomainError.
     """
     _check_order(n, table, lowest=1)
-    variables, beta_degree, weights, nodes, _, _ = _chi_program(n)
+    variables, beta_degree, weights, nodes = _chi_program(n)[:4]
     # An absent entry reads as 0; an int 0 keeps exact tables exact.
     entries = table.entries
     values = [entries[name].get(key, 0) for name, key in variables]
@@ -411,11 +414,12 @@ def _correction_dicts(table: TaylorTable, beta: float, order: int) -> tuple:
     Raises DomainError when sigma0 is not positive or leaves the float
     range of the order (see the check below).
 
-    The table keeps the last result, keyed by (type(beta), beta), so that
-    2, 2.0 and Fraction(2) stay apart: a call at that beta and an order
-    no higher returns its prefix, since U_n does not depend on the order
-    asked for; any other call derives afresh and replaces it.  A call
-    that raises stores nothing.
+    The table keeps one value, (key, dicts, sigma0, dense), keyed by
+    (type(beta), beta) so that 2, 2.0 and Fraction(2) stay apart; dense[n-1]
+    pairs the list U_n's dict is filtered from with the order's ``layout``.
+    A call at that beta and an order no higher returns the dicts' prefix,
+    since U_n does not depend on the order asked for; any other call
+    derives afresh and replaces the value.  A call that raises stores nothing.
     """
     key = (type(beta), beta)
     stored = table.__dict__.get("_corrections")
@@ -435,18 +439,19 @@ def _correction_dicts(table: TaylorTable, beta: float, order: int) -> tuple:
     if not (2 * top + 1) * abs(math.log2(sigma0)) + math.log2(math.factorial(top + 1)) < 1020:
         raise DomainError(f"base volatility {sigma0} is out of float range for order {order}")
     powers = [sigma0 ** -(2 * s + 1) for s in range(top + 1)]
-    out = []
+    out, dense = [], []
     for n, chi in enumerate(chis, 1):
-        *_, keys, spread = _chi_program(n)
-        U = [0.0] * len(keys)
+        *_, keys, spread, layout = _chi_program(n)
+        U = [0.0] * (len(keys) + 1)  # the last slot stays 0 for the Horner layout
         for m, poly in chi.items():
             for tau_pow, coeff in poly.items():
                 coeff = float(coeff)
                 for i, q, s in spread[m, tau_pow]:
                     U[i] += coeff * (q * powers[s])
         out.append(MappingProxyType({k: value for k, value in zip(keys, U) if value}))
+        dense.append((tuple(U), layout))
     out = tuple(out)
-    table.__dict__["_corrections"] = (key, out)
+    table.__dict__["_corrections"] = (key, out, sigma0, tuple(dense))
     return out
 
 
@@ -499,10 +504,11 @@ def price_uN(point, table: TaylorTable, order: int, payoff: str = "call") -> Pri
     base_sigma(table, beta), so order 0 is the base price: u0 == total.
     The order-n term is vega times U_n(lam, tau), the correction the
     implied-vol series is built from (``_correction_dicts``), so both
-    routes share one definition and the same input checks.  U_1..U_N
-    come from the table when a series or price at the same beta and an
-    order no lower derived them; otherwise deriving them costs about as
-    much as an engine call, and the table keeps them.
+    routes share one definition and the same input checks.  It reads
+    sigma0 and each U_n's dense list from the table's kept value and
+    evaluates U_n by Horner's rule along its order's layout, building
+    nothing.  A fresh table, or one that keeps another beta or a lower
+    order, first derives them, about the cost of an engine call.
     Call and put share the correction terms because the parity difference
     is annihilated by Dz^2 - Dz.  A term or total outside the float range
     raises DomainError.
@@ -512,20 +518,28 @@ def price_uN(point, table: TaylorTable, order: int, payoff: str = "call") -> Pri
         raise ConfigError(f"payoff must be one of {PAYOFFS}, got {payoff!r}")
     if not point.tau >= MIN_TAU:
         raise DomainError(f"maturity must be >= {MIN_TAU}, got {point.tau}")
-    inputs = BsInputs(base_sigma(table, point.beta), point.tau, point.z, point.k)
+    _correction_dicts(table, point.beta, order)
+    _, _, sigma0, dense = table.__dict__["_corrections"]
+    inputs = BsInputs(sigma0, point.tau, point.z, point.k)
     u0 = (bs_call_price if payoff == "call" else bs_put_price)(inputs)
     vega = bs_vega(inputs)
-    corrections = _correction_dicts(table, point.beta, order)
+    lam, tau = point.lam, inputs.tau
+    terms = []
+    for U, (low, rows) in dense[:order]:
+        value = 0.0
+        for row in rows:
+            acc = 0.0
+            for i in row:
+                acc = acc * lam + U[i]
+            value = value * tau + acc
+        terms.append(vega * (value * tau**low))
     try:
-        terms = tuple(vega * lp_eval(U, point.lam, inputs.tau) for U in corrections)
         total = u0 + math.fsum(terms) if all(map(math.isfinite, terms)) else math.nan
-    except OverflowError:  # float ** in lp_eval, or fsum's partial sums
+    except OverflowError:  # fsum's partial sums
         total = math.nan
     if not math.isfinite(total):
-        raise DomainError(
-            f"order-{order} corrections leave the float range at lam={point.lam}, tau={inputs.tau}"
-        )
-    return PriceApprox(u0=u0, terms=terms, total=total)
+        raise DomainError(f"order-{order} corrections leave the float range at lam={lam}, tau={tau}")
+    return PriceApprox(u0=u0, terms=tuple(terms), total=total)
 
 
 def iv_approx(point, model_or_table, order: int) -> float:

@@ -25,7 +25,6 @@ from letfvol.expansion import (
     iv_approx,
     iv_series_engine,
     lp_add,
-    lp_eval,
     lp_max_abs,
     lp_mul,
     price_uN,
@@ -42,6 +41,11 @@ from letfvol.models import (
 )
 from test_blackscholes import deep_otm_put, vega_ratio
 from test_opalgebra import MODEL_TABLES
+
+
+def lp_eval(a: dict, lam: float, tau: float) -> float:
+    """Oracle: a Laurent dict {(lam_power, tau_power): value} at (lam, tau), term by term."""
+    return sum(v * lam**lp * tau**tp for (lp, tp), v in a.items())
 
 
 def make_point(beta=2.0, tau=0.75, k=0.12, z=0.0, x=0.05, y=-2.0):
@@ -76,7 +80,8 @@ def test_lp_helpers_round_trip():
     prod = lp_mul(a, b)
     assert prod == {(1, 0): 0.5, (2, -1): 1.0, (0, 1): -3.0}
     lam, tau = 0.3, 0.7
-    assert lp_eval(prod, lam, tau) == pytest.approx(lp_eval(a, lam, tau) * lp_eval(b, lam, tau), rel=1e-14)
+    want = lp_eval(a, lam, tau) * lp_eval(b, lam, tau)
+    assert lp_eval(prod, lam, tau) == pytest.approx(want, rel=1e-14, abs=0)
     acc = dict(a)
     lp_add(acc, a, -1.0)
     assert acc == {}
@@ -229,6 +234,28 @@ def test_price_after_series_reuses_the_tables_corrections(kind, beta, monkeypatc
     assert series.to_json() == iv_series_engine(point, table, MAX_ORDER).to_json() == want_json
 
 
+@pytest.mark.parametrize("beta", [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("kind", sorted(MODEL_TABLES))
+def test_price_uN_is_vega_times_the_laurent_corrections(kind, beta):
+    # Horner's rule along each order's layout against the dicts, term by term.
+    table = model_table(kind)
+    corrections = expansion._correction_dicts(table, beta, MAX_ORDER)
+    sigma0 = base_sigma(table, beta)
+    for tau in (1 / 52, 0.25, 1.0):
+        for d in (0.0, 1.5, -1.5, 2.5, -2.5):
+            point = make_point(beta=beta, tau=tau, k=0.03 + d * sigma0 * math.sqrt(tau), z=0.03)
+            inputs = BsInputs(sigma0, tau, point.z, point.k)
+            vega = bs_vega(inputs)
+            for order in range(MAX_ORDER + 1):
+                for payoff, base in (("call", bs_call_price), ("put", bs_put_price)):
+                    got = price_uN(point, table, order, payoff)
+                    assert got.u0 == base(inputs)
+                    assert len(got.terms) == order
+                    for n, (term, U) in enumerate(zip(got.terms, corrections), 1):
+                        want = vega * lp_eval(U, point.lam, tau)
+                        assert abs(term - want) <= 1e-13 * max(abs(term), vega), (tau, d, n)
+
+
 @pytest.mark.parametrize("kind", sorted(MODEL_TABLES) + ["rich"])
 def test_lower_order_after_higher_is_the_fresh_prefix(kind, monkeypatch):
     make = rich_table if kind == "rich" else lambda: model_table(kind)
@@ -276,7 +303,8 @@ def test_a_call_that_raises_stores_nothing():
     kept = expansion._correction_dicts(table, 2.0, 2)
     with pytest.raises(DomainError):
         expansion._correction_dicts(table, 0.0, 2)
-    assert table._corrections == ((float, 2.0), kept)
+    key, dicts, sigma0, _ = table._corrections
+    assert (key, dicts, sigma0) == ((float, 2.0), kept, base_sigma(table, 2.0))
 
 
 def test_kept_corrections_are_read_only():
@@ -454,9 +482,9 @@ def test_vega_ratio_coeffs_rejects_unsupported_order():
 def test_base_price_uses_flat_vol_from_the_table():
     table = flat_table(a00=0.02)
     point = make_point(beta=2.0, tau=1.0, k=0.1, z=0.0)
-    assert base_sigma(table, 2.0) == pytest.approx(0.4, rel=1e-15)
+    assert base_sigma(table, 2.0) == pytest.approx(0.4, rel=1e-15, abs=0)
     want = bs_call_price(BsInputs(sigma=0.4, tau=1.0, z=0.0, k=0.1))
-    assert price_uN(point, table, 0).u0 == pytest.approx(want, rel=1e-15)
+    assert price_uN(point, table, 0).u0 == pytest.approx(want, rel=1e-15, abs=0)
 
 
 def test_base_price_put_and_parity():
@@ -525,7 +553,7 @@ def test_flat_table_has_zero_corrections():
     assert all(term == {} for term in series.terms)
     approx = price_uN(point, table, MAX_ORDER)
     assert approx.terms == (0.0, 0.0, 0.0)
-    assert approx.total == pytest.approx(approx.u0, rel=1e-15)
+    assert approx.total == pytest.approx(approx.u0, rel=1e-15, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +570,7 @@ def test_heston_at_leverage_is_the_mapped_model_at_unit_leverage(beta):
             make_point(beta=1.0), mapped.taylor_table(x, mapped_y, order), order
         )
         # |beta| sqrt(e^y) against sqrt(e^(y + log beta^2)): one rounding apart.
-        assert got.sigma0 == pytest.approx(want.sigma0, rel=1e-15)
+        assert got.sigma0 == pytest.approx(want.sigma0, rel=1e-15, abs=0)
         for n, (term, mapped_term) in enumerate(zip(got.terms, want.terms), 1):
             assert term.keys() == mapped_term.keys(), (order, n)
             scale = lp_max_abs(term)
@@ -576,7 +604,7 @@ def test_cev_at_gamma_one_is_black_scholes_at_beta_delta(beta):
     for order in range(MAX_ORDER + 1):
         table = model.taylor_table(point.x, point.y, order)
         series = iv_series_engine(point, table, order)
-        assert series.sigma0 == pytest.approx(abs(beta) * model.delta, rel=1e-15)
+        assert series.sigma0 == pytest.approx(abs(beta) * model.delta, rel=1e-15, abs=0)
         assert series.terms == ({},) * order
         assert price_uN(point, table, order).terms == (0.0,) * order
 
@@ -716,7 +744,7 @@ def test_sigma0_depends_only_on_abs_beta():
     table = rich_table()
     plus = iv_series_engine(make_point(beta=2.0), table, 2)
     minus = iv_series_engine(make_point(beta=-2.0), table, 2)
-    assert plus.sigma0 == pytest.approx(minus.sigma0, rel=1e-15)
+    assert plus.sigma0 == pytest.approx(minus.sigma0, rel=1e-15, abs=0)
     assert plus.sigma0 == pytest.approx(2.0 * math.sqrt(2.0 * 0.04), rel=1e-12)
 
 
@@ -724,7 +752,7 @@ def test_engine_order_zero_is_base_only():
     table = rich_table()
     series = iv_series_engine(make_point(), table, 0)
     assert series.terms == ()
-    assert series.evaluate(0.1, 0.5) == pytest.approx(series.sigma0, rel=1e-15)
+    assert series.evaluate(0.1, 0.5) == pytest.approx(series.sigma0, rel=1e-15, abs=0)
 
 
 def test_order_guards():
@@ -812,7 +840,7 @@ def test_beta_one_matches_hand_folded_single_asset_forms():
     table = rich_table()
     series = iv_series_engine(make_point(beta=1.0), table, 2)
     s0, term1, term2 = hand_beta1_terms(table)
-    assert series.sigma0 == pytest.approx(s0, rel=1e-14)
+    assert series.sigma0 == pytest.approx(s0, rel=1e-14, abs=0)
     for n, want in ((1, term1), (2, term2)):
         got = series.terms[n - 1]
         keys = set(got) | {key for key, value in want.items() if value != 0.0}
@@ -1106,7 +1134,7 @@ def test_iv_approx_routes_agree():
     printed = iv_series_printed(model, point, 3).evaluate(point.lam, point.tau)
     assert engine == pytest.approx(printed, rel=1e-10)
     table = model.taylor_table(point.x, point.y, 3)
-    assert iv_approx(point, table, 3) == pytest.approx(engine, rel=1e-14)
+    assert iv_approx(point, table, 3) == pytest.approx(engine, rel=1e-14, abs=0)
     # A table is used as given: the point it was built at, not (point.x,
     # point.y), is the expansion point.
     elsewhere = model.taylor_table(0.0, -2.6, 3)
@@ -1366,7 +1394,7 @@ def test_series_terms_are_read_only_copies():
     assert series.terms == ({(0, 1): 0.1},)
     assert series == IvSeries(sigma0=0.2, terms=({(0, 1): 0.1},))
     assert series.to_json() == text
-    assert series.evaluate(1.0, 1.0) == pytest.approx(0.3, rel=1e-15)
+    assert series.evaluate(1.0, 1.0) == pytest.approx(0.3, rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -1405,7 +1433,8 @@ def test_series_overflow_raises_domain_error():
 @pytest.mark.parametrize(
     "model, y, beta, tau",
     [
-        # lam**lp * tau**tp overflows and raises inside lp_eval.
+        # Horner's rule overflows to inf in tau, and gives nan where tau^-2
+        # underflows to 0.
         (SabrModel(0.4, 0.5, -0.3), -1.0, -2.0, 1e200),
         # tau^5 stays finite, its product with the coefficient does not,
         # and vega is 0: 0 * inf gives a nan term.
