@@ -26,11 +26,12 @@ order's program derives once (``_correction_dicts``).  ``price_uN``
 evaluates U_n times vega by Horner's rule on the dense U_n the table
 keeps, along a layout each program also derives once.  From U_n every
 implied-vol correction sigma_n assembles into a polynomial in (lam, tau)
-whose coefficients depend only on the Taylor table and beta.  Assembly is
-symbolic; evaluation at a concrete (lam, tau) is a separate, cheap step
-(Horner's rule on one table of the corrections summed over orders, built
-with the series), which lets one assembly serve a whole smile and makes
-coefficient-level testing possible.
+whose coefficients depend only on the Taylor table and beta, along a plan
+each order derives once (``_assembly_plan``): sigma_n at the keys it keeps
+is U_n's value there plus fixed products of powers of sigma0 and the lower
+orders' values.  Evaluation at a concrete (lam, tau) is a separate, cheap
+step (Horner's rule on one table of the corrections summed over orders,
+built with the series), so one assembly serves a whole smile.
 
 Reuse follows one rule, applied here alone: an immutable input, a
 validated named tuple, keeps the last value derived from it, for one key,
@@ -43,6 +44,7 @@ nothing.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -77,7 +79,6 @@ CHI_PROGRAMS = os.path.join(
 )
 
 # A Laurent polynomial in (lam, tau): {(lam_power, tau_power): coefficient}.
-# Negative tau powers appear only mid-assembly and must cancel by the end.
 
 
 def lp_add(dst: dict, src: dict, factor: float = 1.0) -> None:
@@ -101,10 +102,6 @@ def lp_mul(a: dict, b: dict) -> dict:
             else:
                 out[key] = acc
     return out
-
-
-def lp_max_abs(a: dict) -> float:
-    return max((abs(v) for v in a.values()), default=0.0)
 
 
 def vega_ratio_coeffs(k: int, sigma0: float) -> dict:
@@ -455,12 +452,33 @@ def _correction_dicts(table: TaylorTable, beta: float, order: int) -> tuple:
     return out
 
 
-def _finalize_term(n: int, raw: dict) -> dict:
-    """The keys of ``raw`` that an order-n correction holds (tau power >= 0, degree <= n),
-    trimmed; the others cancel exactly, so what floats leave of them is rounding, dropped."""
-    kept = {(lp, tp): value for (lp, tp), value in raw.items() if tp >= 0 and lp + tp <= n}
-    cut = TRIM_TOL * max(1.0, lp_max_abs(kept))
-    return {key: value for key, value in kept.items() if abs(value) > cut}
+@functools.lru_cache(maxsize=None)
+def _assembly_plan(n: int) -> tuple:
+    """How sigma_n assembles, derived once per order: (keys, slots, terms); do not mutate.
+
+    ``keys``: what sigma_n keeps, tau power >= 0 and degree <= n; ``slots[j]``:
+    keys[j]'s slot in the table's dense U_n, or its zero slot.  Term (j, c, e,
+    idx) adds c sigma0^e prod(values[i] for i in idx) to keys[j], ``values``
+    the lower orders' kept values along their plans' keys: -R_k/k! C(n, k),
+    k = len(idx), each composition of n written out, with R_k's tau^t
+    coefficient read at sigma0 = 1, as it scales by sigma0^(2t+1-k).
+    """
+    keys = [(l, t) for t in range(n + 1) for l in range(n + 1 - t)]
+    slots = tuple((*_chi_program(n)[4], key).index(key) for key in keys)  # absent: the zero slot
+    lower = [(i, key) for i in range(1, n) for key in _assembly_plan(i)[0]]
+    merged: dict = {}  # (j, e, idx) -> sum of R_k's coefficients; factor orders merge
+    for k in range(2, n + 1):
+        ratio = vega_ratio_coeffs(k, 1.0).items()
+        for parts in itertools.product(range(1, n), repeat=k):
+            at = [[i for i, (o, _) in enumerate(lower) if o == p] for p in parts]
+            for idx in itertools.product(*at) if sum(parts) == n else ():
+                lp, tp = map(sum, zip(*(lower[i][1] for i in idx)))
+                for (l, t), c in ratio:
+                    if t + tp >= 0 and l + lp + t + tp <= n:
+                        term = (keys.index((l + lp, t + tp)), 2 * t + 1 - k, tuple(sorted(idx)))
+                        merged[term] = merged.get(term, 0.0) + c
+    terms = tuple((j, -c / math.factorial(len(idx)), e, idx) for (j, e, idx), c in merged.items())
+    return tuple(keys), slots, terms
 
 
 def iv_series_engine(point, table: TaylorTable, order: int) -> IvSeries:
@@ -471,29 +489,31 @@ def iv_series_engine(point, table: TaylorTable, order: int) -> IvSeries:
     Pagliarani, Pascucci, arXiv 1306.5447):
 
         sigma_n = U_n - sum_{k=2..n} R_k/k! C(n, k),
-        C(n, k) = sum_{i_1+...+i_k=n} sigma_{i_1}...sigma_{i_k}
-                = sum_i sigma_i C(n - i, k - 1),   C(n, 1) = sigma_n,
+        C(n, k) = sum_{i_1+...+i_k=n} sigma_{i_1}...sigma_{i_k},
 
-    with R_k the sigma-derivative/vega ratios.  Negative tau powers and
-    total degrees above n arise mid-assembly and cancel; ``_finalize_term``
-    keeps only the other keys.
+    with R_k the sigma-derivative/vega ratios.  Keys of tau power < 0 or
+    degree > n cancel exactly and are never formed: each order's
+    ``_assembly_plan`` reads the others from the table's dense U_n and adds
+    its terms.  A value at or below TRIM_TOL * max(1, its order's largest) is
+    rounding and is dropped.
     """
     _check_order(order, table)
-    sigma0 = base_sigma(table, point.beta)
-    corrections = _correction_dicts(table, point.beta, order)
-    ratios = {k: vega_ratio_coeffs(k, sigma0) for k in range(2, order + 1)}
-    compositions: dict = {}  # (n, k) -> C(n, k)
-    terms: list = []
-    for n in range(1, order + 1):
-        raw = dict(corrections[n - 1])
-        for k in range(2, n + 1):
-            total = lp_mul(terms[0], compositions[n - 1, k - 1])
-            for i in range(2, n - k + 2):
-                lp_add(total, lp_mul(terms[i - 1], compositions[n - i, k - 1]))
-            compositions[n, k] = total
-            lp_add(raw, lp_mul(total, ratios[k]), -1.0 / math.factorial(k))
-        terms.append(_finalize_term(n, raw))
-        compositions[n, 1] = terms[-1]
+    _correction_dicts(table, point.beta, order)
+    _, _, sigma0, dense = table.__dict__["_corrections"]
+    powers = {e: sigma0**e for e in range(3 - 3 * order, order)}  # R_k's: 3-3k..k-1
+    values, terms = [], []  # values: the kept values of sigma_1.., along each plan's keys
+    for n, (U, _) in enumerate(dense[:order], 1):
+        keys, slots, plan = _assembly_plan(n)
+        raw = [U[i] for i in slots]
+        for j, c, e, idx in plan:
+            c *= powers[e]
+            for i in idx:
+                c *= values[i]
+            raw[j] += c
+        cut = TRIM_TOL * max(1.0, *map(abs, raw))
+        raw = [value if abs(value) > cut else 0.0 for value in raw]
+        values += raw
+        terms.append([(key, value) for key, value in zip(keys, raw) if value])
     return IvSeries(sigma0=sigma0, terms=tuple(terms))
 
 

@@ -387,8 +387,9 @@ def test_implied_vol_iteration_budget_on_quote_grid():
                 lam = d * sigma * math.sqrt(tau)
                 price = bs_call_price(BsInputs(sigma, tau, 0.0, lam))
                 iterations.append(implied_vol(price, tau, 0.0, lam).iterations)
-    assert sum(iterations) / len(iterations) <= 6.0
-    assert max(iterations) <= 10
+    # Measured 4.875 and 7 over the 2,952 points.
+    assert sum(iterations) / len(iterations) <= 5.0
+    assert max(iterations) <= 7
 
 
 def test_implied_vol_at_the_money_starts_from_the_two_term_inverse():

@@ -7,7 +7,7 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 from hypothesis import given, reject, settings
@@ -20,12 +20,12 @@ from letfvol.errors import ConfigError, DomainError
 from letfvol.expansion import (
     MAX_ORDER,
     MIN_TAU,
+    TRIM_TOL,
     IvSeries,
     base_sigma,
     iv_approx,
     iv_series_engine,
     lp_add,
-    lp_max_abs,
     lp_mul,
     price_uN,
     reduced_Ln,
@@ -46,6 +46,10 @@ from test_opalgebra import MODEL_TABLES
 def lp_eval(a: dict, lam: float, tau: float) -> float:
     """Oracle: a Laurent dict {(lam_power, tau_power): value} at (lam, tau), term by term."""
     return sum(v * lam**lp * tau**tp for (lp, tp), v in a.items())
+
+
+def lp_max_abs(a: dict) -> float:
+    return max((abs(v) for v in a.values()), default=0.0)
 
 
 def make_point(beta=2.0, tau=0.75, k=0.12, z=0.0, x=0.05, y=-2.0):
@@ -147,19 +151,29 @@ def horner_correction_dicts(table, beta, order, sigma0=None):
     return out
 
 
-def assert_corrections_match_horner(table, beta, order):
-    got = expansion._correction_dicts(table, beta, order)
-    want = horner_correction_dicts(table, beta, order)
-    assert len(got) == len(want) == order
+def reject_subnormal(*terms):
     # Below the normal range a coefficient carries fewer bits than the
-    # relative bound asks of it, and the two routes, summing in different
+    # relative bound asks of it, and two routes, summing in different
     # orders, round it apart; such examples are skipped, not bounded.
-    if any(0.0 < abs(value) < sys.float_info.min for term in (*got, *want) for value in term.values()):
+    if any(0.0 < abs(value) < sys.float_info.min for term in terms for value in term.values()):
         reject()
+
+
+def assert_terms_match(got, want):
+    """Each term of ``got`` within 1e-13 of the largest of ``want``'s at every key of either."""
+    assert len(got) == len(want)
     for n, (g, w) in enumerate(zip(got, want), 1):
         scale = lp_max_abs(w)
         for key in set(g) | set(w):
             assert abs(g.get(key, 0.0) - w.get(key, 0.0)) <= 1e-13 * scale, (n, key)
+
+
+def assert_corrections_match_horner(table, beta, order):
+    got = expansion._correction_dicts(table, beta, order)
+    want = horner_correction_dicts(table, beta, order)
+    assert len(want) == order
+    reject_subnormal(*got, *want)
+    assert_terms_match(got, want)
 
 
 @pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
@@ -176,9 +190,9 @@ def test_correction_dicts_match_horner_in_D(kind, beta, order):
 
 TABLE_KEYS = [(name, (i, j)) for name in "abcf" for i in range(4) for j in range(4 - i)]
 
-
-@settings(max_examples=40, deadline=None)
-@given(
+# The random order-3 tables of the random-table tests; CI runs these tests
+# at Hypothesis seeds 6 and 56, which draw the same tables for each.
+RANDOM_TABLES = dict(
     a00=st.floats(0.005, 0.3),
     # Zeros as often as not: a zero entry zeroes whole subtrees of products.
     values=st.lists(
@@ -188,12 +202,20 @@ TABLE_KEYS = [(name, (i, j)) for name in "abcf" for i in range(4) for j in range
     ),
     beta=st.sampled_from([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]),
 )
-def test_correction_dicts_match_horner_in_D_on_random_tables(a00, values, beta):
+
+
+def random_table(a00, values):
     entries = {name: {} for name in "abcf"}
     for (name, key), value in zip(TABLE_KEYS, values):
         entries[name][key] = value
     entries["a"][0, 0] = a00
-    assert_corrections_match_horner(TaylorTable(extent=3, entries=entries), beta, MAX_ORDER)
+    return TaylorTable(extent=3, entries=entries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**RANDOM_TABLES)
+def test_correction_dicts_match_horner_in_D_on_random_tables(a00, values, beta):
+    assert_corrections_match_horner(random_table(a00, values), beta, MAX_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +488,19 @@ def test_vega_ratio_coeffs_match_the_z_derivative_route():
             assert lp_eval(coeffs, k - z, tau) == pytest.approx(want, rel=1e-10), (order, k)
 
 
+def test_vega_ratio_coeffs_scale_by_sigma0_powers():
+    # The identity the assembly plans rest on: R_k's tau^t coefficient at
+    # sigma0 is its sigma0 = 1 value times sigma0^(2t + 1 - k).
+    for k in range(2, MAX_ORDER + 1):
+        unit = vega_ratio_coeffs(k, 1.0)
+        for sigma0 in (1e-3, 0.05, 0.3, 2.0, 40.0):
+            coeffs = vega_ratio_coeffs(k, sigma0)
+            assert coeffs.keys() == unit.keys()
+            for (lp, tp), value in coeffs.items():
+                want = unit[lp, tp] * sigma0 ** (2 * tp + 1 - k)
+                assert value == pytest.approx(want, rel=1e-15, abs=0), (k, sigma0, lp, tp)
+
+
 def test_vega_ratio_coeffs_rejects_unsupported_order():
     for order in (0, -1, 1.5):
         with pytest.raises(DomainError):
@@ -619,8 +654,77 @@ def test_lambda_degree_and_tau_positivity(beta):
             assert lp + tp <= n
 
 
-def test_finalize_term_drops_residue_beyond_total_degree():
-    # This table's order-3 term kept lam^3 tau^1 = -1.24e-14, just above
+def finalize_term(n, raw):
+    """The keys of ``raw`` that an order-n correction holds (tau power >= 0, degree <= n),
+    trimmed; the others cancel exactly, so what floats leave of them is rounding, dropped."""
+    kept = {(lp, tp): value for (lp, tp), value in raw.items() if tp >= 0 and lp + tp <= n}
+    cut = TRIM_TOL * max(1.0, lp_max_abs(kept))
+    return {key: value for key, value in kept.items() if abs(value) > cut}
+
+
+def dict_iv_terms(table, beta, order):
+    """Oracle: sigma_1..sigma_order by the Taylor-remainder recursion on Laurent dicts.
+
+    Forms every key, those that cancel included, with C(n, k) =
+    sum_i sigma_i C(n - i, k - 1) and R_k at sigma0 from vega_ratio_coeffs,
+    then keeps and trims each order's keys (``finalize_term``).  Shares
+    _correction_dicts with the engine, and nothing of its plan.
+    """
+    sigma0 = base_sigma(table, beta)
+    corrections = expansion._correction_dicts(table, beta, order)
+    ratios = {k: vega_ratio_coeffs(k, sigma0) for k in range(2, order + 1)}
+    compositions: dict = {}  # (n, k) -> C(n, k)
+    terms: list = []
+    for n in range(1, order + 1):
+        raw = dict(corrections[n - 1])
+        for k in range(2, n + 1):
+            total = lp_mul(terms[0], compositions[n - 1, k - 1])
+            for i in range(2, n - k + 2):
+                lp_add(total, lp_mul(terms[i - 1], compositions[n - i, k - 1]))
+            compositions[n, k] = total
+            lp_add(raw, lp_mul(total, ratios[k]), -1.0 / math.factorial(k))
+        terms.append(finalize_term(n, raw))
+        compositions[n, 1] = terms[-1]
+    return terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(**RANDOM_TABLES)
+def test_engine_matches_the_dict_recursion_on_random_tables(a00, values, beta):
+    table = random_table(a00, values)
+    series = iv_series_engine(make_point(beta=beta), table, MAX_ORDER)
+    want = dict_iv_terms(table, beta, MAX_ORDER)
+    reject_subnormal(*expansion._correction_dicts(table, beta, MAX_ORDER), *series.terms, *want)
+    assert [term.keys() for term in series.terms] == [term.keys() for term in want]
+    assert_terms_match(series.terms, want)
+
+
+def test_assembly_plans_form_only_the_kept_keys():
+    # 0, 4 and 34 terms at orders 1-3; every key a plan names can survive.
+    assert [len(expansion._assembly_plan(n)[2]) for n in (1, 2, 3)] == [0, 4, 34]
+    for n in range(1, MAX_ORDER + 1):
+        keys, _, terms = expansion._assembly_plan(n)
+        assert sorted(keys) == [(lp, tp) for lp in range(n + 1) for tp in range(n + 1 - lp)]
+        lower = sum(len(expansion._assembly_plan(i)[0]) for i in range(1, n))
+        assert all(0 <= i < lower for *_, idx in terms for i in idx)
+
+
+def engine_on_kept_corrections(corrections, beta=2.0):
+    """The order-3 series of a table whose kept U_1..U_3 are replaced by ``corrections``,
+    {key: value} dicts over their orders' program keys, put in the dense lists the engine reads."""
+    table = rich_table()
+    expansion._correction_dicts(table, beta, 3)
+    key, _, sigma0, dense = table.__dict__["_corrections"]
+    planted = tuple(
+        (tuple(values.get(k, 0.0) for k in expansion._chi_program(n)[4]) + (0.0,), layout)
+        for n, (values, (_, layout)) in enumerate(zip(corrections, dense), 1)
+    )
+    table.__dict__["_corrections"] = (key, tuple(map(MappingProxyType, corrections)), sigma0, planted)
+    return iv_series_engine(make_point(beta=beta), table, 3)
+
+
+def test_the_engine_trims_residue_beyond_total_degree():
+    # This table's order-3 term once kept lam^3 tau^1 = -1.24e-14, just above
     # TRIM_TOL of its scale, though lam^lp tau^tp with lp + tp > n cancels.
     model = HestonModel(kappa=1.0461014306228213, theta=0.03346278457002082,
                         delta=0.47436308102028435, rho=-0.76253376325581)
@@ -628,11 +732,14 @@ def test_finalize_term_drops_residue_beyond_total_degree():
     series = iv_series_engine(make_point(beta=-1.0), table, 3)
     for n in range(1, 4):
         assert all(lp + tp <= n for lp, tp in series.terms[n - 1]), series.terms[n - 1]
-    assert expansion._finalize_term(3, {(0, 1): 1.0, (3, 1): 1e-14}) == {(0, 1): 1.0}
+    # With U_1 = U_2 = 0, sigma_3 is U_3 at the keys it keeps, trimmed: a
+    # value at or below TRIM_TOL of max(1, the largest kept) is dropped.
+    series = engine_on_kept_corrections([{}, {}, {(0, 2): 1.0, (1, 1): TRIM_TOL, (2, 1): 2 * TRIM_TOL}])
+    assert series.terms == ({}, {}, {(0, 2): 1.0, (2, 1): 2 * TRIM_TOL})
     # A key that cannot survive is dropped however large, and does not set
     # the trim scale: beside it 1e-13 is kept, against max(1, 1e-13).
-    raw = {(0, 1): 1e-13, (3, 1): 1e6, (0, -1): -1e6}
-    assert expansion._finalize_term(3, raw) == {(0, 1): 1e-13}
+    series = engine_on_kept_corrections([{}, {}, {(0, 2): 1e-13, (3, 1): 1e6, (5, -1): -1e6}])
+    assert series.terms == ({}, {}, {(0, 2): 1e-13})
 
 
 def exact_poly_mul(a, b):
