@@ -17,7 +17,8 @@ class LetfVolError(Exception):
 class ConfigError(LetfVolError):
     """Bad caller input that is not a mathematical domain error: an unknown
     payoff, a malformed series payload, an expansion input that is neither
-    a named model nor a TaylorTable, or a model or order with no closed
+    a named model nor a TaylorTable, a table that is not a TaylorTable, a
+    Heston map given another model, or a model or order with no closed
     form."""
 
 

@@ -37,8 +37,10 @@ Reuse follows one rule, applied here alone: an immutable input, a
 validated named tuple, keeps the last value derived from it, for one key,
 in its instance dict, where equality, hashing, repr and ``_replace`` do
 not see it.  A table keeps its U_n (``_correction_dicts``), and a table
-or named model its ``iv_approx`` series.  A call that raises keeps
-nothing.
+or named model its ``iv_approx`` series, keyed by the type and value of
+beta and of the order, so a call whose key matches reuses it unchecked,
+and a call that misses checks the order before it assembles.  A call that
+raises keeps nothing.
 """
 
 from __future__ import annotations
@@ -243,14 +245,16 @@ def _json_number(value):
 
 
 def _check_order(order: int, table: TaylorTable | None = None, lowest: int = 0) -> None:
-    """The order rule of the series API: an int in lowest..MAX_ORDER that the table serves."""
+    """The order rule of the series API: an int in lowest..MAX_ORDER that the table, if given,
+    serves; a table that is not a TaylorTable raises ConfigError."""
     # type(), not isinstance: True is an int equal to 1, and 1.0 equals 1.
     if type(order) is not int or not lowest <= order <= MAX_ORDER:
         raise DomainError(f"order must be an integer in {lowest}..{MAX_ORDER}, got {order}")
-    if table is not None and table.extent < order:
-        raise DomainError(
-            f"table extends to order {table.extent}, cannot serve order {order}"
-        )
+    if table is not None:
+        if not isinstance(table, TaylorTable):
+            raise ConfigError(f"expected a TaylorTable, got {type(table).__name__}")
+        if table.extent < order:
+            raise DomainError(f"table extends to order {table.extent}, cannot serve order {order}")
 
 
 def _chi_variables(n: int) -> list:
@@ -454,7 +458,7 @@ def _correction_dicts(table: TaylorTable, beta: float, order: int) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _assembly_plan(n: int) -> tuple:
-    """How sigma_n assembles, derived once per order: (keys, slots, terms); do not mutate.
+    """How sigma_n assembles, derived once per order: (keys, slots, terms, live); do not mutate.
 
     ``keys``: what sigma_n keeps, tau power >= 0 and degree <= n; ``slots[j]``:
     keys[j]'s slot in the table's dense U_n, or its zero slot.  Term (j, c, e,
@@ -462,15 +466,23 @@ def _assembly_plan(n: int) -> tuple:
     the lower orders' kept values along their plans' keys: -R_k/k! C(n, k),
     k = len(idx), each composition of n written out, with R_k's tau^t
     coefficient read at sigma0 = 1, as it scales by sigma0^(2t+1-k).
+    ``live``: the j whose value can be nonzero, a U_n key or a term's
+    target; a term with a factor at a lower order's other keys would add
+    0.0 on every table, so the plan holds none.
     """
     keys = [(l, t) for t in range(n + 1) for l in range(n + 1 - t)]
-    slots = tuple((*_chi_program(n)[4], key).index(key) for key in keys)  # absent: the zero slot
-    lower = [(i, key) for i in range(1, n) for key in _assembly_plan(i)[0]]
+    program_keys = _chi_program(n)[4]
+    slots = tuple((*program_keys, key).index(key) for key in keys)  # absent: the zero slot
+    lower, alive = [], set()  # (order, key) of each lower value; the indices that can be nonzero
+    for i in range(1, n):
+        below, _, _, live = _assembly_plan(i)
+        alive.update(len(lower) + j for j in live)
+        lower += [(i, key) for key in below]
     merged: dict = {}  # (j, e, idx) -> sum of R_k's coefficients; factor orders merge
     for k in range(2, n + 1):
         ratio = vega_ratio_coeffs(k, 1.0).items()
         for parts in itertools.product(range(1, n), repeat=k):
-            at = [[i for i, (o, _) in enumerate(lower) if o == p] for p in parts]
+            at = [[i for i, (o, _) in enumerate(lower) if o == p and i in alive] for p in parts]
             for idx in itertools.product(*at) if sum(parts) == n else ():
                 lp, tp = map(sum, zip(*(lower[i][1] for i in idx)))
                 for (l, t), c in ratio:
@@ -478,7 +490,8 @@ def _assembly_plan(n: int) -> tuple:
                         term = (keys.index((l + lp, t + tp)), 2 * t + 1 - k, tuple(sorted(idx)))
                         merged[term] = merged.get(term, 0.0) + c
     terms = tuple((j, -c / math.factorial(len(idx)), e, idx) for (j, e, idx), c in merged.items())
-    return tuple(keys), slots, terms
+    live = {j for j, slot in enumerate(slots) if slot < len(program_keys)} | {j for j, *_ in terms}
+    return tuple(keys), slots, terms, tuple(sorted(live))
 
 
 def iv_series_engine(point, table: TaylorTable, order: int) -> IvSeries:
@@ -503,7 +516,7 @@ def iv_series_engine(point, table: TaylorTable, order: int) -> IvSeries:
     powers = {e: sigma0**e for e in range(3 - 3 * order, order)}  # R_k's: 3-3k..k-1
     values, terms = [], []  # values: the kept values of sigma_1.., along each plan's keys
     for n, (U, _) in enumerate(dense[:order], 1):
-        keys, slots, plan = _assembly_plan(n)
+        keys, slots, plan, _ = _assembly_plan(n)
         raw = [U[i] for i in slots]
         for j, c, e, idx in plan:
             c *= powers[e]
@@ -569,27 +582,31 @@ def iv_approx(point, model_or_table, order: int) -> float:
     point.x and point.y are not consulted for it.  A named model
     (CevModel, HestonModel, SabrModel) is expanded at (point.x, point.y).
     Anything else raises ConfigError.  The table or model keeps the series
-    it last assembled, keyed by (type(point.beta), point.beta, order), plus
-    (point.x, point.y) for a model, so a smile's strikes on one instance
-    share one assembly; equal instances built apart do not share it.
+    it last assembled, keyed by (type(point.beta), point.beta, type(order),
+    order), plus (point.x, point.y) for a model, so a smile's strikes on one
+    instance share one assembly; equal instances built apart do not share
+    it.  The order rule is checked when the key misses: a hit needs a key
+    equal to one that a checked call stored, which 1.0, True or an int
+    subclass, all equal to 1, never are.
     """
-    # Before the lookup: 1.0 and True equal 1 and would hit the order-1 series.
-    _check_order(order)
-    beta = point.beta
-    key = (type(beta), beta, order)
+    t, T, x, y, z, k, beta = point
+    key = (type(beta), beta, type(order), order)
     if isinstance(model_or_table, (CevModel, HestonModel, SabrModel)):
-        key += (point.x, point.y)
+        key += (x, y)
     elif not isinstance(model_or_table, TaylorTable):
+        _check_order(order)  # a bad order raises first, whatever the input
         raise ConfigError(
             f"expected a TaylorTable or a named model, got {type(model_or_table).__name__}"
         )
     stored = model_or_table.__dict__.get("_series")
     if stored is None or stored[0] != key:
+        _check_order(order)
         table = (model_or_table if isinstance(model_or_table, TaylorTable)
-                 else model_or_table.taylor_table(point.x, point.y, order))
+                 else model_or_table.taylor_table(x, y, order))
         stored = (key, iv_series_engine(point, table, order))
         model_or_table.__dict__["_series"] = stored
-    return stored[1].evaluate(point.lam, point.tau)
+    # point.lam and point.tau, the same floats.
+    return stored[1].evaluate(k - z, T - t)
 
 
 if __name__ == "__main__":

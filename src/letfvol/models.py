@@ -23,7 +23,7 @@ import warnings
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .errors import DomainError, StructuralError, check_number, validated_tuple
+from .errors import ConfigError, DomainError, StructuralError, check_number, validated_tuple
 
 TYPICAL_BETAS = (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0)
 
@@ -77,6 +77,12 @@ class MarketPoint(validated_tuple("MarketPoint", [
         return self.k - self.z
 
 
+def _check_extent(extent: int) -> None:
+    """The extent rule of a Taylor table: an int >= 0, else DomainError."""
+    if type(extent) is not int or extent < 0:
+        raise DomainError(f"table extent must be an integer >= 0, got {extent!r}")
+
+
 class TaylorTable(validated_tuple("TaylorTable", [("extent", int), ("entries", Mapping)])):
     """Taylor coefficients of the generator around a frozen point.
 
@@ -94,8 +100,7 @@ class TaylorTable(validated_tuple("TaylorTable", [("extent", int), ("entries", M
     """
 
     def __new__(cls, extent: int, entries: Mapping = MappingProxyType({})):
-        if type(extent) is not int or extent < 0:
-            raise DomainError(f"table extent must be an integer >= 0, got {extent!r}")
+        _check_extent(extent)
         if not isinstance(entries, Mapping) or entries.keys() - set("abcf") or not all(
                 isinstance(family, Mapping) for family in entries.values()):
             raise DomainError(f"table entries must map a, b, c, f to mappings, got {entries!r}")
@@ -128,6 +133,7 @@ def _taylor_table(order: int, x: float, y: float, **families) -> TaylorTable:
     given as (c, p, q): each term adds w p^i q^j / (i! j!) to entry (i, j),
     i + j <= order, unless that is 0; leaving the float range raises DomainError.
     """
+    _check_extent(order)  # before the loops read it
     entries: dict = {}
     try:
         for name, terms in families.items():
@@ -208,6 +214,8 @@ def heston_beta_map(model: HestonModel, y: float, beta: float) -> tuple[HestonMo
     carrying the sign of beta.  Returns the mapped model and log-variance
     state.
     """
+    if not isinstance(model, HestonModel):
+        raise ConfigError(f"expected a HestonModel, got {type(model).__name__}")
     check_beta(beta)
     check_number(y, "y")
     mapped = HestonModel(

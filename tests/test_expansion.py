@@ -700,13 +700,20 @@ def test_engine_matches_the_dict_recursion_on_random_tables(a00, values, beta):
 
 
 def test_assembly_plans_form_only_the_kept_keys():
-    # 0, 4 and 34 terms at orders 1-3; every key a plan names can survive.
-    assert [len(expansion._assembly_plan(n)[2]) for n in (1, 2, 3)] == [0, 4, 34]
+    # 0, 0 and 4 terms at orders 1-3; every key a plan names can survive.
+    # U_1 has no lam^0 tau^0 key and U_2 none at lam^0 tau^0 or lam tau^0, so
+    # the 34 terms with such a factor, which only ever added 0.0, are gone.
+    assert [len(expansion._assembly_plan(n)[2]) for n in (1, 2, 3)] == [0, 0, 4]
+    nonzero = []  # along the concatenated keys of the plans so far: can the value be nonzero?
     for n in range(1, MAX_ORDER + 1):
-        keys, _, terms = expansion._assembly_plan(n)
+        keys, _, terms, live = expansion._assembly_plan(n)
         assert sorted(keys) == [(lp, tp) for lp in range(n + 1) for tp in range(n + 1 - lp)]
-        lower = sum(len(expansion._assembly_plan(i)[0]) for i in range(1, n))
-        assert all(0 <= i < lower for *_, idx in terms for i in idx)
+        assert all(nonzero[i] for *_, idx in terms for i in idx)
+        program_keys = set(expansion._chi_program(n)[4])
+        targets = {j for j, *_ in terms}
+        want = [key in program_keys or j in targets for j, key in enumerate(keys)]
+        assert live == tuple(j for j, can in enumerate(want) if can)
+        nonzero += want
 
 
 def engine_on_kept_corrections(corrections, beta=2.0):
@@ -1232,6 +1239,13 @@ def test_iv_approx_rejects_what_is_not_an_expansion_input():
     for model in (object(), rich_table().entries):
         with pytest.raises(ConfigError):
             iv_approx(make_point(), model, 2)
+    # The table-only entries take no named model and no dict either.
+    for table in (SabrModel(0.4, 0.5, -0.3), rich_table().entries, {}):
+        for call in (lambda: iv_series_engine(make_point(), table, 2),
+                     lambda: price_uN(make_point(), table, 2),
+                     lambda: reduced_Ln(table, 2, 2.0)):
+            with pytest.raises(ConfigError):
+                call()
 
 
 def test_iv_approx_routes_agree():
@@ -1297,17 +1311,25 @@ def test_iv_approx_reuse_equals_fresh_assembly(kind, beta):
         assert [iv_approx(point, model, order) for point in points] == want
 
 
-def test_iv_approx_checks_the_order_before_reuse():
+class IntOrder(int):
+    """An int subclass: equal to the int it wraps, but not an order."""
+
+
+def test_iv_approx_checks_the_order_before_reuse(monkeypatch):
+    calls = count_engine_calls(monkeypatch)
     model, x, y = MODEL_TABLES["sabr"]
+    model = model._replace()
     point = smile_points(x, y, -2.0)[20]
-    iv_approx(point, model, 1)
-    # 1.0 == 1 and both hash alike: a lookup first would return order 1.
-    for order in (1.0, 1.5):
-        with pytest.raises(DomainError):
-            iv_approx(point, model, order)
-    for _ in range(3):
-        with pytest.raises(DomainError):
-            iv_approx(point, model, MAX_ORDER + 1)
+    for kept in (1, MAX_ORDER):
+        want = iv_approx(point, model, kept)
+        # 1.0 == 1 and both hash alike, as does IntOrder(1): a key without
+        # the order's type would return the kept series.
+        for order in (float(kept), kept + 0.5, IntOrder(kept), MAX_ORDER + 1, MAX_ORDER + 1):
+            with pytest.raises(DomainError):
+                iv_approx(point, model, order)
+        # The raising calls leave the kept series in place.
+        assert iv_approx(point, model, kept) == want
+    assert len(calls) == 2
 
 
 def bool_order_calls():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from letfvol.blackscholes import BsInputs
-from letfvol.errors import DomainError, StructuralError
+from letfvol.errors import ConfigError, DomainError, StructuralError
 from letfvol.expansion import IvSeries, iv_approx
 from letfvol.models import (
     CevModel,
@@ -256,6 +256,15 @@ def test_model_parameter_validation():
     for bad in (dict(kappa=inf), dict(theta=inf), dict(delta=inf)):
         with pytest.raises(DomainError):
             HestonModel(**{**dict(kappa=1.0, theta=0.04, delta=0.2, rho=0.0), **bad})
+    # A model's table takes the table's extent rule, checked before any loop.
+    for model in (CEV, HESTON, SABR):
+        for order in (2.0, True, -1, "2"):
+            with pytest.raises(DomainError, match="extent"):
+                model.taylor_table(0.0, -3.0, order)
+    # The leverage map is Heston's alone.
+    for model in (CEV, SABR, object()):
+        with pytest.raises(ConfigError):
+            heston_beta_map(model, -3.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
