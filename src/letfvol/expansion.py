@@ -21,26 +21,26 @@ Conjugated by vega, Dz becomes D = -d/dlam + lam / (sigma0^2 tau) + 1/2, so
 U_n = u_n / vega = sum_m chi_{n,m}(tau) D^m (1 / (sigma0 tau)) is a Laurent
 polynomial in log-moneyness lam = k - z and maturity tau.  D^m (1 / (sigma0
 tau)) has fixed coefficients times powers of sigma0, so each coefficient
-of U_n is a dot product with the chi weights, along a map that each
-order's program derives once (``_correction_dicts``).  ``price_uN``
-evaluates U_n times vega by Horner's rule on the dense U_n the table
-keeps, along a layout each program also derives once.  From U_n every
-implied-vol correction sigma_n assembles into a polynomial in (lam, tau)
-whose coefficients depend only on the Taylor table and beta, along a plan
-each order derives once (``_assembly_plan``): sigma_n at the keys it keeps
-is U_n's value there plus fixed products of powers of sigma0 and the lower
-orders' values.  Evaluation at a concrete (lam, tau) is a separate, cheap
-step (Horner's rule on one table of the corrections summed over orders,
-built with the series), so one assembly serves a whole smile.
+of U_n is a dot product with the chi weights, which ``_correction_dicts``
+spreads into the dense U_n lists the table keeps, no dict, along a map
+each order's program derives once.  ``price_uN`` evaluates U_n times vega
+on them by Horner's rule, along a layout each program also derives once.
+From U_n every implied-vol correction sigma_n assembles into a polynomial
+in (lam, tau) whose coefficients depend only on the Taylor table and beta,
+along a plan each order derives once (``_assembly_plan``): sigma_n at the
+keys it keeps is U_n's value there plus fixed products of powers of sigma0
+and the lower orders' values.  Evaluation at a concrete (lam, tau) is a
+separate, cheap step (Horner's rule on one table of the corrections summed
+over orders, built with the series), so one assembly serves a whole smile.
 
 Reuse follows one rule, applied here alone: an immutable input, a
 validated named tuple, keeps the last value derived from it, for one key,
 in its instance dict, where equality, hashing, repr and ``_replace`` do
-not see it.  A table keeps its U_n (``_correction_dicts``), and a table
-or named model its ``iv_approx`` series, keyed by the type and value of
-beta and of the order, so a call whose key matches reuses it unchecked,
-and a call that misses checks the order before it assembles.  A call that
-raises keeps nothing.
+not see it.  A table keeps sigma0 and its dense U_n (``_correction_dicts``),
+and a table or named model its ``iv_approx`` series, keyed by the type and
+value of beta and of the order, so a call whose key matches reuses it
+unchecked, and a call that misses checks the order before it assembles.
+A call that raises keeps nothing.
 """
 
 from __future__ import annotations
@@ -163,11 +163,13 @@ class IvSeries(validated_tuple("IvSeries", [("sigma0", float), ("terms", tuple)]
             kept = []
             for term in terms:
                 own: dict = {}
-                for key, value in term.items() if isinstance(term, Mapping) else term:
+                pairs = term if type(term) is list else term.items() if isinstance(term, Mapping) else term
+                for key, value in pairs:
                     lp, tp = key
                     if not (type(lp) is int and type(tp) is int and 0 <= tp and 0 <= lp <= n - tp):
                         raise DomainError(f"series key {key!r}: need ints >= 0, sum <= {n}")
-                    own[key] = check_number(value, "value at lam^%d tau^%d", lp, tp)
+                    own[key] = (value if type(value) is float and -math.inf < value < math.inf
+                                else check_number(value, "value at lam^%d tau^%d", lp, tp))
                     rows[tp][n - tp - lp] += value
                 if len(own) != len(term):
                     raise DomainError(f"a key appears twice in series term {len(kept) + 1}")
@@ -244,13 +246,13 @@ def _json_number(value):
     return float(value) if type(value) is int else value
 
 
-def _check_order(order: int, table: TaylorTable | None = None, lowest: int = 0) -> None:
-    """The order rule of the series API: an int in lowest..MAX_ORDER that the table, if given,
-    serves; a table that is not a TaylorTable raises ConfigError."""
+def _check_order(order: int, *table: TaylorTable, lowest: int = 0) -> None:
+    """The order rule of the series API: an int in lowest..MAX_ORDER that the table, if one
+    is given, serves; a table that is not a TaylorTable, None included, raises ConfigError."""
     # type(), not isinstance: True is an int equal to 1, and 1.0 equals 1.
     if type(order) is not int or not lowest <= order <= MAX_ORDER:
         raise DomainError(f"order must be an integer in {lowest}..{MAX_ORDER}, got {order}")
-    if table is not None:
+    for table in table:  # none or one
         if not isinstance(table, TaylorTable):
             raise ConfigError(f"expected a TaylorTable, got {type(table).__name__}")
         if table.extent < order:
@@ -322,8 +324,8 @@ def _chi_program(n: int) -> tuple:
     extends its parent's product by one variable, from node 0, the empty
     product, so products that share a prefix share its nodes, and parents
     come first.  A product's terms [weight index, num, beta power] sit on
-    its last node.  Weight (m, tau_power) reaches U_n through D^m:
-    ``spread[m, tau_power]`` holds (i, q, s) for each pair ((l, t), q) of
+    its last node.  Weight w, [m, tau_power, den], reaches U_n through D^m:
+    ``spread[w]`` holds (i, q, s) for each pair ((l, t), q) of
     ``_d_power(m)``, with ``keys[i]`` = (l, t + tau_power) and
     s = -(t + 1), so that sigma0^-(2s+1) = sigma0^(2t+1).  ``layout``,
     (low, rows), reads U_n from a list with its ``keys[i]`` value in slot i
@@ -344,13 +346,10 @@ def _chi_program(n: int) -> tuple:
         nodes[node - 1][2].extend(terms)
     beta_degree = max(p for _, terms in program["products"] for *_, p in terms)
     keys: dict = {}
-    spread = {
-        (m, tau_pow): tuple(
-            (keys.setdefault((l, t + tau_pow), len(keys)), q, -(t + 1))
-            for (l, t), q in _d_power(m)
-        )
+    spread = tuple(
+        tuple((keys.setdefault((l, t + tau_pow), len(keys)), q, -(t + 1)) for (l, t), q in _d_power(m))
         for m, tau_pow, _ in program["weights"]
-    }
+    )
     top = {t: max(l for l, u in keys if u == t) for _, t in keys}  # tau power -> top lam power
     rows = tuple(tuple(keys.get((l, t), len(keys)) for l in range(top.get(t, -1), -1, -1))
                  for t in range(max(top), min(top) - 1, -1))
@@ -361,14 +360,23 @@ def _chi_program(n: int) -> tuple:
 def reduced_Ln(table: TaylorTable, n: int, beta) -> dict:
     """chi of ``reduce_to_z(build_Ln(n))`` at one table and beta, from the compiled program.
 
-    Returns chi as {m: {tau_power: coeff}}, only nonzero weights kept.
-    Coefficients inherit the number type of the table and beta, so a
-    Fraction table gives the exact reduction.  Each node of the program
-    costs one multiply; a zero entry zeroes its node's subtree, and model
-    tables leave most products zero.  A beta power or product outside the
-    float range raises DomainError.
+    Returns chi as {m: {tau_power: coeff}}, only nonzero weights kept: a view
+    of the walk ``_correction_dicts`` spreads into U_n, in the number type of
+    the table and beta, so a Fraction table gives the exact reduction.
     """
     _check_order(n, table, lowest=1)
+    chi: dict = {}
+    for (m, tau_pow, den), total in zip(_chi_program(n)[2], _chi_totals(table, n, beta)):
+        if total:
+            chi.setdefault(m, {})[tau_pow] = total / den
+    return chi
+
+
+def _chi_totals(table: TaylorTable, n: int, beta) -> list:
+    """The order-n program walked at one table and beta: weight w is totals[w] / den, in their
+    number type.  Each node costs one multiply; a zero entry zeroes its node's subtree, and model
+    tables leave most products zero.  A beta power or product outside the float range raises
+    DomainError."""
     variables, beta_degree, weights, nodes = _chi_program(n)[:4]
     # An absent entry reads as 0; an int 0 keeps exact tables exact.
     entries = table.entries
@@ -385,11 +393,7 @@ def reduced_Ln(table: TaylorTable, n: int, beta) -> dict:
                     totals[w] += num * beta_powers[p] * product
     except OverflowError as exc:  # float **, or an int too large for a float
         raise DomainError(f"order-{n} chi weights leave the float range at beta={beta}") from exc
-    chi: dict = {}
-    for (m, tau_pow, den), total in zip(weights, totals):
-        if total:
-            chi.setdefault(m, {})[tau_pow] = total / den
-    return chi
+    return totals
 
 
 def base_sigma(table: TaylorTable, beta: float) -> float:
@@ -398,7 +402,7 @@ def base_sigma(table: TaylorTable, beta: float) -> float:
 
 
 def _correction_dicts(table: TaylorTable, beta: float, order: int) -> tuple:
-    """Vega-relative correction terms U_n = u_n / vega as read-only Laurent dicts, n = 1..order.
+    """Vega-relative correction terms U_n = u_n / vega, n = 1..order, as the table keeps them.
 
     With r_m = Dz^m (Dz^2 - Dz) u_0 / vega, U_n = sum_m chi_{n,m}(tau) r_m.
     Since (Dz^2 - Dz) u_0 = vega / (sigma0 tau) and Dz log vega =
@@ -410,27 +414,29 @@ def _correction_dicts(table: TaylorTable, beta: float, order: int) -> tuple:
     and D commutes with chi(tau).  D^m r_0 has the fixed coefficients
     q sigma0^(2t+1) of ``_d_power(m)``, so each U_n coefficient is a short
     dot product of the chi weights with them, along the map the order's
-    program derives once (``spread``).
+    program derives once (``spread``): each weight of the walk
+    (``_chi_totals``), a float, goes straight into the dense U_n.
 
     Raises DomainError when sigma0 is not positive or leaves the float
     range of the order (see the check below).
 
-    The table keeps one value, (key, dicts, sigma0, dense), keyed by
+    Returns the value the table keeps, (key, sigma0, dense), keyed by
     (type(beta), beta) so that 2, 2.0 and Fraction(2) stay apart; dense[n-1]
-    pairs the list U_n's dict is filtered from with the order's ``layout``.
-    A call at that beta and an order no higher returns the dicts' prefix,
-    since U_n does not depend on the order asked for; any other call
-    derives afresh and replaces the value.  A call that raises stores nothing.
+    pairs U_n, a tuple with its ``keys[i]`` coefficient in slot i and 0.0 in
+    the last, with the order's ``layout``.  A call at that beta and an order
+    no higher returns it, as U_n does not depend on the order asked for; any
+    other call derives afresh and replaces it, unless it raises.
     """
     key = (type(beta), beta)
     stored = table.__dict__.get("_corrections")
-    if stored is not None and stored[0] == key and len(stored[1]) >= order:
-        return stored[1][:order]
+    if stored is not None and stored[0] == key and len(stored[2]) >= order:
+        return stored
     sigma0 = base_sigma(table, beta)
     if not sigma0 > 0:
         raise DomainError(f"base volatility must be positive, got {sigma0}")
-    chis = [reduced_Ln(table, n, beta) for n in range(1, order + 1)]
-    top = max((m for chi in chis for m in chi), default=0)
+    walks = [_chi_totals(table, n, beta) for n in range(1, order + 1)]
+    top = max((m for n, totals in enumerate(walks, 1)
+               for (m, _, _), total in zip(_chi_program(n)[2], totals) if total), default=0)
     # Each coefficient of U_n is a sum of chi coefficients times
     # coefficients of D^j r_0, j <= top.  The coefficient of D^j r_0 at key
     # (l, t) is q sigma0^(2t+1), with |2t+1| <= 2 top + 1 and q a nonzero
@@ -440,58 +446,53 @@ def _correction_dicts(table: TaylorTable, beta: float, order: int) -> tuple:
     if not (2 * top + 1) * abs(math.log2(sigma0)) + math.log2(math.factorial(top + 1)) < 1020:
         raise DomainError(f"base volatility {sigma0} is out of float range for order {order}")
     powers = [sigma0 ** -(2 * s + 1) for s in range(top + 1)]
-    out, dense = [], []
-    for n, chi in enumerate(chis, 1):
-        *_, keys, spread, layout = _chi_program(n)
+    dense = []
+    for n, totals in enumerate(walks, 1):
+        _, _, weights, _, keys, spread, layout = _chi_program(n)
         U = [0.0] * (len(keys) + 1)  # the last slot stays 0 for the Horner layout
-        for m, poly in chi.items():
-            for tau_pow, coeff in poly.items():
-                coeff = float(coeff)
-                for i, q, s in spread[m, tau_pow]:
+        for total, (_, _, den), targets in zip(totals, weights, spread):
+            if total:
+                coeff = float(total / den)
+                for i, q, s in targets:
                     U[i] += coeff * (q * powers[s])
-        out.append(MappingProxyType({k: value for k, value in zip(keys, U) if value}))
         dense.append((tuple(U), layout))
-    out = tuple(out)
-    table.__dict__["_corrections"] = (key, out, sigma0, tuple(dense))
-    return out
+    stored = table.__dict__["_corrections"] = (key, sigma0, tuple(dense))
+    return stored
 
 
 @functools.lru_cache(maxsize=None)
 def _assembly_plan(n: int) -> tuple:
-    """How sigma_n assembles, derived once per order: (keys, slots, terms, live); do not mutate.
+    """How sigma_n assembles, derived once per order: (keys, slots, terms); do not mutate.
 
-    ``keys``: what sigma_n keeps, tau power >= 0 and degree <= n; ``slots[j]``:
-    keys[j]'s slot in the table's dense U_n, or its zero slot.  Term (j, c, e,
-    idx) adds c sigma0^e prod(values[i] for i in idx) to keys[j], ``values``
-    the lower orders' kept values along their plans' keys: -R_k/k! C(n, k),
-    k = len(idx), each composition of n written out, with R_k's tau^t
-    coefficient read at sigma0 = 1, as it scales by sigma0^(2t+1-k).
-    ``live``: the j whose value can be nonzero, a U_n key or a term's
-    target; a term with a factor at a lower order's other keys would add
-    0.0 on every table, so the plan holds none.
+    ``keys``: the keys sigma_n keeps, tau power >= 0 and degree <= n, that
+    can be nonzero, a U_n key or a term's target; the others are 0.0 on
+    every table, so the plan names none.  ``slots[j]``: keys[j]'s slot in
+    the table's dense U_n, or its zero slot.  Term (j, c, e, idx) adds
+    c sigma0^e prod(values[i] for i in idx) to keys[j], ``values`` the lower
+    orders' values along their plans' keys: -R_k/k! C(n, k), k = len(idx),
+    each composition of n written out, with R_k's tau^t coefficient read at
+    sigma0 = 1, as it scales by sigma0^(2t+1-k).
     """
-    keys = [(l, t) for t in range(n + 1) for l in range(n + 1 - t)]
     program_keys = _chi_program(n)[4]
-    slots = tuple((*program_keys, key).index(key) for key in keys)  # absent: the zero slot
-    lower, alive = [], set()  # (order, key) of each lower value; the indices that can be nonzero
-    for i in range(1, n):
-        below, _, _, live = _assembly_plan(i)
-        alive.update(len(lower) + j for j in live)
-        lower += [(i, key) for key in below]
-    merged: dict = {}  # (j, e, idx) -> sum of R_k's coefficients; factor orders merge
+    lower = [(i, key) for i in range(1, n) for key in _assembly_plan(i)[0]]  # (order, key) per value
+    merged: dict = {}  # (key, e, idx) -> sum of R_k's coefficients; factor orders merge
     for k in range(2, n + 1):
         ratio = vega_ratio_coeffs(k, 1.0).items()
         for parts in itertools.product(range(1, n), repeat=k):
-            at = [[i for i, (o, _) in enumerate(lower) if o == p and i in alive] for p in parts]
+            at = [[i for i, (o, _) in enumerate(lower) if o == p] for p in parts]
             for idx in itertools.product(*at) if sum(parts) == n else ():
                 lp, tp = map(sum, zip(*(lower[i][1] for i in idx)))
                 for (l, t), c in ratio:
                     if t + tp >= 0 and l + lp + t + tp <= n:
-                        term = (keys.index((l + lp, t + tp)), 2 * t + 1 - k, tuple(sorted(idx)))
+                        term = ((l + lp, t + tp), 2 * t + 1 - k, tuple(sorted(idx)))
                         merged[term] = merged.get(term, 0.0) + c
-    terms = tuple((j, -c / math.factorial(len(idx)), e, idx) for (j, e, idx), c in merged.items())
-    live = {j for j, slot in enumerate(slots) if slot < len(program_keys)} | {j for j, *_ in terms}
-    return tuple(keys), slots, terms, tuple(sorted(live))
+    targets = {key for key, _, _ in merged}
+    keys = tuple((l, t) for t in range(n + 1) for l in range(n + 1 - t)
+                 if (l, t) in program_keys or (l, t) in targets)
+    slots = tuple((*program_keys, key).index(key) for key in keys)  # absent: the zero slot
+    terms = tuple((keys.index(key), -c / math.factorial(len(idx)), e, idx)
+                  for (key, e, idx), c in merged.items())
+    return keys, slots, terms
 
 
 def iv_series_engine(point, table: TaylorTable, order: int) -> IvSeries:
@@ -505,21 +506,19 @@ def iv_series_engine(point, table: TaylorTable, order: int) -> IvSeries:
         C(n, k) = sum_{i_1+...+i_k=n} sigma_{i_1}...sigma_{i_k},
 
     with R_k the sigma-derivative/vega ratios.  Keys of tau power < 0 or
-    degree > n cancel exactly and are never formed: each order's
-    ``_assembly_plan`` reads the others from the table's dense U_n and adds
-    its terms.  A value at or below TRIM_TOL * max(1, its order's largest) is
-    rounding and is dropped.
+    degree > n cancel exactly, and others are 0.0 on every table; neither is
+    formed: each order's ``_assembly_plan`` reads the rest from sigma0 and
+    the table's dense U_n and adds its terms.  A value at or below
+    TRIM_TOL * max(1, its order's largest) is rounding and is dropped.
     """
     _check_order(order, table)
-    _correction_dicts(table, point.beta, order)
-    _, _, sigma0, dense = table.__dict__["_corrections"]
-    powers = {e: sigma0**e for e in range(3 - 3 * order, order)}  # R_k's: 3-3k..k-1
+    _, sigma0, dense = _correction_dicts(table, point.beta, order)
     values, terms = [], []  # values: the kept values of sigma_1.., along each plan's keys
     for n, (U, _) in enumerate(dense[:order], 1):
-        keys, slots, plan, _ = _assembly_plan(n)
+        keys, slots, plan = _assembly_plan(n)
         raw = [U[i] for i in slots]
         for j, c, e, idx in plan:
-            c *= powers[e]
+            c *= sigma0**e
             for i in idx:
                 c *= values[i]
             raw[j] += c
@@ -538,8 +537,8 @@ def price_uN(point, table: TaylorTable, order: int, payoff: str = "call") -> Pri
     The order-n term is vega times U_n(lam, tau), the correction the
     implied-vol series is built from (``_correction_dicts``), so both
     routes share one definition and the same input checks.  It reads
-    sigma0 and each U_n's dense list from the table's kept value and
-    evaluates U_n by Horner's rule along its order's layout, building
+    sigma0 and each dense U_n from the table's kept (key, sigma0, dense)
+    and evaluates U_n by Horner's rule along its order's layout, building
     nothing.  A fresh table, or one that keeps another beta or a lower
     order, first derives them, about the cost of an engine call.
     Call and put share the correction terms because the parity difference
@@ -551,8 +550,7 @@ def price_uN(point, table: TaylorTable, order: int, payoff: str = "call") -> Pri
         raise ConfigError(f"payoff must be one of {PAYOFFS}, got {payoff!r}")
     if not point.tau >= MIN_TAU:
         raise DomainError(f"maturity must be >= {MIN_TAU}, got {point.tau}")
-    _correction_dicts(table, point.beta, order)
-    _, _, sigma0, dense = table.__dict__["_corrections"]
+    _, sigma0, dense = _correction_dicts(table, point.beta, order)
     inputs = BsInputs(sigma0, point.tau, point.z, point.k)
     u0 = (bs_call_price if payoff == "call" else bs_put_price)(inputs)
     vega = bs_vega(inputs)

@@ -112,7 +112,8 @@ class TaylorTable(validated_tuple("TaylorTable", [("extent", int), ("entries", M
                         and type(key[1]) is int and 0 <= key[0] and 0 <= key[1]
                         and key[0] + key[1] <= extent):
                     raise DomainError(f"table key {name}[{key!r}]: need ints >= 0, sum <= {extent}")
-                check_number(value, "table entry %s%s", name, key)
+                if not (type(value) is float and -math.inf < value < math.inf):
+                    check_number(value, "table entry %s%s", name, key)
         a00 = families["a"].get((0, 0), 0.0)
         if not a00 > 0:
             raise DomainError(f"table needs a positive a(0,0), got {a00}")
@@ -141,8 +142,9 @@ def _taylor_table(order: int, x: float, y: float, **families) -> TaylorTable:
             for c, p, q in terms:
                 w = c * math.exp(p * x + q * y)
                 for i in range(order + 1):
+                    wp, fi = w * p**i, math.factorial(i)
                     for j in range(order + 1 - i):
-                        value = w * p**i * q**j / (math.factorial(i) * math.factorial(j))
+                        value = wp * q**j / (fi * math.factorial(j))
                         if value:
                             family[i, j] = family.get((i, j), 0.0) + value
     except OverflowError as exc:  # math.exp, or float ** of a steep slope

@@ -5,9 +5,10 @@ import json
 import math
 import random
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
-from types import MappingProxyType, SimpleNamespace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, reject, settings
@@ -106,11 +107,19 @@ def float_route_terms(point, table, order):
     ]
 
 
+def correction_dicts(table, beta, order):
+    """U_1..U_order as Laurent dicts {key: value}, nonzero values only, formed from the
+    dense lists the table keeps (``_correction_dicts``) along each order's program keys."""
+    _, _, dense = expansion._correction_dicts(table, beta, order)
+    return tuple({key: value for key, value in zip(expansion._chi_program(n)[4], U) if value}
+                 for n, (U, _) in enumerate(dense[:order], 1))
+
+
 @pytest.mark.parametrize("beta", [2.0, -3.0])
 def test_correction_dicts_match_the_float_route(beta):
     # U_n as Laurent dicts against chi times Hermite values at points.
     table = rich_table()
-    corrections = expansion._correction_dicts(table, beta, MAX_ORDER)
+    corrections = correction_dicts(table, beta, MAX_ORDER)
     for n, U in enumerate(corrections, 1):
         # r_m has lam-degree m and tau powers down to -(m + 1).
         top = max(reduced_Ln(table, n, beta))
@@ -126,7 +135,8 @@ def test_correction_dicts_match_the_float_route(beta):
 def horner_correction_dicts(table, beta, order, sigma0=None):
     """Oracle: U_n = sum_m chi_{n,m}(tau) D^m (1 / (sigma0 tau)) by Horner's rule in D.
 
-    Shares reduced_Ln with _correction_dicts, but not its map of D powers.
+    Shares the chi walk with _correction_dicts, through reduced_Ln, but not
+    its map of D powers.
     Keeps the number type of the chi weights and sigma0 (default
     base_sigma), so a Fraction table and sigma0 give U_n exactly.
     """
@@ -169,7 +179,7 @@ def assert_terms_match(got, want):
 
 
 def assert_corrections_match_horner(table, beta, order):
-    got = expansion._correction_dicts(table, beta, order)
+    got = correction_dicts(table, beta, order)
     want = horner_correction_dicts(table, beta, order)
     assert len(want) == order
     reject_subnormal(*got, *want)
@@ -227,16 +237,17 @@ def model_table(kind):
     return model.taylor_table(x, y, MAX_ORDER)
 
 
-def count_reduced_Ln(monkeypatch):
-    """Route expansion.reduced_Ln through a counter; returns the list it appends to."""
+def count_chi_walks(monkeypatch):
+    """Route expansion._chi_totals, the chi walk of one order, through a counter;
+    returns the list it appends to."""
     calls = []
-    original = expansion.reduced_Ln
+    original = expansion._chi_totals
 
     def counted(table, n, beta):
         calls.append((n, beta))
         return original(table, n, beta)
 
-    monkeypatch.setattr(expansion, "reduced_Ln", counted)
+    monkeypatch.setattr(expansion, "_chi_totals", counted)
     return calls
 
 
@@ -248,7 +259,7 @@ def test_price_after_series_reuses_the_tables_corrections(kind, beta, monkeypatc
     want_json = iv_series_engine(point, model_table(kind), MAX_ORDER).to_json()
     table = model_table(kind)
     series = iv_series_engine(point, table, MAX_ORDER)
-    calls = count_reduced_Ln(monkeypatch)
+    calls = count_chi_walks(monkeypatch)
     got = price_uN(point, table, MAX_ORDER)
     assert calls == []
     # Bit for bit, as on a fresh table; and the series is what a fresh table gives.
@@ -261,7 +272,7 @@ def test_price_after_series_reuses_the_tables_corrections(kind, beta, monkeypatc
 def test_price_uN_is_vega_times_the_laurent_corrections(kind, beta):
     # Horner's rule along each order's layout against the dicts, term by term.
     table = model_table(kind)
-    corrections = expansion._correction_dicts(table, beta, MAX_ORDER)
+    corrections = correction_dicts(table, beta, MAX_ORDER)
     sigma0 = base_sigma(table, beta)
     for tau in (1 / 52, 0.25, 1.0):
         for d in (0.0, 1.5, -1.5, 2.5, -2.5):
@@ -282,34 +293,37 @@ def test_price_uN_is_vega_times_the_laurent_corrections(kind, beta):
 def test_lower_order_after_higher_is_the_fresh_prefix(kind, monkeypatch):
     make = rich_table if kind == "rich" else lambda: model_table(kind)
     table = make()
-    full = expansion._correction_dicts(table, -2.0, 3)
-    calls = count_reduced_Ln(monkeypatch)
+    full = correction_dicts(table, -2.0, 3)
+    kept = table._corrections
+    calls = count_chi_walks(monkeypatch)
     for order in (2, 1, 0):
-        got = expansion._correction_dicts(table, -2.0, order)
+        # The kept value itself serves a lower order: no prefix is built.
+        assert expansion._correction_dicts(table, -2.0, order) is kept
+        got = correction_dicts(table, -2.0, order)
         assert got == full[:order]
-        assert got == tuple(expansion._correction_dicts(make(), -2.0, order))
+        assert got == correction_dicts(make(), -2.0, order)
     # Only the fresh tables derived anything: 2 + 1 + 0 orders.
     assert len(calls) == 3
     # An order above the stored one derives afresh and replaces it.
     table = make()
     expansion._correction_dicts(table, -2.0, 1)
     del calls[:]
-    assert expansion._correction_dicts(table, -2.0, 3) == full
-    assert len(calls) == 3 and len(table._corrections[1]) == 3
+    assert correction_dicts(table, -2.0, 3) == full
+    assert len(calls) == 3 and len(table._corrections[2]) == 3
 
 
 def test_each_beta_and_number_type_is_its_own_key(monkeypatch):
     # 2, 2.0 and Fraction(2) are equal numbers but distinct keys, and 2.0
     # does not serve -2.0: the corrections hold odd powers of beta.
     betas = (2, 2, 2.0, 2.0, Fraction(2), Fraction(2), -2.0, -2.0)
-    wants = [expansion._correction_dicts(model_table("heston"), beta, 2) for beta in betas]
+    wants = [correction_dicts(model_table("heston"), beta, 2) for beta in betas]
     assert wants[-1] != wants[2]
     table = model_table("heston")
-    calls = count_reduced_Ln(monkeypatch)
+    calls = count_chi_walks(monkeypatch)
     derived = []
     for beta, want in zip(betas, wants):
         before = len(calls)
-        assert expansion._correction_dicts(table, beta, 2) == want
+        assert correction_dicts(table, beta, 2) == want
         assert table._corrections[0] == (type(beta), beta)
         derived.append(len(calls) - before)
     assert derived == [2, 0, 2, 0, 2, 0, 2, 0]
@@ -325,19 +339,55 @@ def test_a_call_that_raises_stores_nothing():
     kept = expansion._correction_dicts(table, 2.0, 2)
     with pytest.raises(DomainError):
         expansion._correction_dicts(table, 0.0, 2)
-    key, dicts, sigma0, _ = table._corrections
-    assert (key, dicts, sigma0) == ((float, 2.0), kept, base_sigma(table, 2.0))
+    assert table._corrections is kept
+    assert kept[:2] == ((float, 2.0), base_sigma(table, 2.0))
 
 
 def test_kept_corrections_are_read_only():
+    # The kept value is tuples all the way down: (key, sigma0, dense), each
+    # dense[n-1] the tuple U_n and the order's (low, rows) layout.
     table = rich_table()
     iv_series_engine(make_point(), table, MAX_ORDER)
-    corrections = expansion._correction_dicts(table, 2.0, MAX_ORDER)
-    assert corrections is table._corrections[1]
+    kept = expansion._correction_dicts(table, 2.0, MAX_ORDER)
+    assert kept is table._corrections
+    key, sigma0, dense = kept
+    assert type(dense) is tuple and len(dense) == MAX_ORDER
+    for n, (U, (low, rows)) in enumerate(dense, 1):
+        assert type(U) is tuple and len(U) == len(expansion._chi_program(n)[4]) + 1
+        assert U[-1] == 0.0 and type(low) is int
+        assert type(rows) is tuple and all(type(row) is tuple for row in rows)
     with pytest.raises(TypeError):
-        corrections[0][0, 0] = 1.0
+        dense[0][0][0] = 1.0
     with pytest.raises(TypeError):
-        del corrections[0][next(iter(corrections[0]))]
+        del dense[0]
+
+
+def holds_a_mapping(value):
+    """Whether ``value`` is a mapping or holds one, in tuples at any depth."""
+    return isinstance(value, Mapping) or isinstance(value, tuple) and any(map(holds_a_mapping, value))
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_TABLES) + ["rich"])
+def test_runtime_path_builds_no_dict_views(kind, monkeypatch):
+    # The engine and price_uN spread the chi walk straight into the dense
+    # U_n: with the dict view of the walk, reduced_Ln, made to raise, both
+    # give what they give with it, bit for bit.
+    make = rich_table if kind == "rich" else lambda: model_table(kind)
+    points = [make_point(beta=beta, tau=0.3, k=0.08) for beta in (-3.0, 2.0)]
+    wants = [(iv_series_engine(point, make(), order).to_json(), price_uN(point, make(), order))
+             for point in points for order in range(MAX_ORDER + 1)]
+
+    def no_view(*args):
+        raise AssertionError("reduced_Ln called on the runtime path")
+
+    monkeypatch.setattr(expansion, "reduced_Ln", no_view)
+    for point in points:
+        table = make()
+        for order in range(MAX_ORDER + 1):
+            assert (iv_series_engine(point, make(), order).to_json(),
+                    price_uN(point, table, order)) == wants.pop(0)
+            assert not holds_a_mapping(table._corrections)
+    assert wants == []
 
 
 def test_kept_corrections_leave_equality_repr_and_replace_alone():
@@ -671,7 +721,7 @@ def dict_iv_terms(table, beta, order):
     _correction_dicts with the engine, and nothing of its plan.
     """
     sigma0 = base_sigma(table, beta)
-    corrections = expansion._correction_dicts(table, beta, order)
+    corrections = correction_dicts(table, beta, order)
     ratios = {k: vega_ratio_coeffs(k, sigma0) for k in range(2, order + 1)}
     compositions: dict = {}  # (n, k) -> C(n, k)
     terms: list = []
@@ -694,26 +744,35 @@ def test_engine_matches_the_dict_recursion_on_random_tables(a00, values, beta):
     table = random_table(a00, values)
     series = iv_series_engine(make_point(beta=beta), table, MAX_ORDER)
     want = dict_iv_terms(table, beta, MAX_ORDER)
-    reject_subnormal(*expansion._correction_dicts(table, beta, MAX_ORDER), *series.terms, *want)
+    reject_subnormal(*correction_dicts(table, beta, MAX_ORDER), *series.terms, *want)
     assert [term.keys() for term in series.terms] == [term.keys() for term in want]
     assert_terms_match(series.terms, want)
 
 
 def test_assembly_plans_form_only_the_kept_keys():
-    # 0, 0 and 4 terms at orders 1-3; every key a plan names can survive.
-    # U_1 has no lam^0 tau^0 key and U_2 none at lam^0 tau^0 or lam tau^0, so
-    # the 34 terms with such a factor, which only ever added 0.0, are gone.
-    assert [len(expansion._assembly_plan(n)[2]) for n in (1, 2, 3)] == [0, 0, 4]
-    nonzero = []  # along the concatenated keys of the plans so far: can the value be nonzero?
-    for n in range(1, MAX_ORDER + 1):
-        keys, _, terms, live = expansion._assembly_plan(n)
-        assert sorted(keys) == [(lp, tp) for lp in range(n + 1) for tp in range(n + 1 - lp)]
-        assert all(nonzero[i] for *_, idx in terms for i in idx)
-        program_keys = set(expansion._chi_program(n)[4])
+    # Only the keys that can be nonzero, 2 of 3, 4 of 6 and 6 of 10 at orders
+    # 1-3, with 0, 0 and 4 terms.  U_1 has no lam^0 tau^0 key and U_2 none at
+    # lam^0 tau^0 or lam tau^0, so the 34 terms with such a factor, which only
+    # ever added 0.0, are gone, and so are the keys that only they reached.
+    plans = [expansion._assembly_plan(n) for n in range(1, MAX_ORDER + 1)]
+    assert [len(keys) for keys, _, _ in plans] == [2, 4, 6]
+    assert [len(terms) for _, _, terms in plans] == [0, 0, 4]
+    # The keys the engine can keep, as when the plans named every key.
+    assert [set(keys) for keys, _, _ in plans] == [
+        {(1, 0), (0, 1)},
+        {(2, 0), (0, 1), (1, 1), (0, 2)},
+        {(3, 0), (1, 1), (2, 1), (0, 2), (1, 2), (0, 3)},
+    ]
+    lower = 0  # how many values the lower orders' plans hold
+    for n, (keys, slots, terms) in enumerate(plans, 1):
+        program_keys = expansion._chi_program(n)[4]
         targets = {j for j, *_ in terms}
-        want = [key in program_keys or j in targets for j, key in enumerate(keys)]
-        assert live == tuple(j for j, can in enumerate(want) if can)
-        nonzero += want
+        for j, (lp, tp) in enumerate(keys):
+            assert tp >= 0 and lp + tp <= n
+            assert (lp, tp) in program_keys or j in targets
+            assert (*program_keys, (lp, tp)).index((lp, tp)) == slots[j]
+        assert all(i < lower for *_, idx in terms for i in idx)
+        lower += len(keys)
 
 
 def engine_on_kept_corrections(corrections, beta=2.0):
@@ -721,12 +780,12 @@ def engine_on_kept_corrections(corrections, beta=2.0):
     {key: value} dicts over their orders' program keys, put in the dense lists the engine reads."""
     table = rich_table()
     expansion._correction_dicts(table, beta, 3)
-    key, _, sigma0, dense = table.__dict__["_corrections"]
+    key, sigma0, dense = table.__dict__["_corrections"]
     planted = tuple(
         (tuple(values.get(k, 0.0) for k in expansion._chi_program(n)[4]) + (0.0,), layout)
         for n, (values, (_, layout)) in enumerate(zip(corrections, dense), 1)
     )
-    table.__dict__["_corrections"] = (key, tuple(map(MappingProxyType, corrections)), sigma0, planted)
+    table.__dict__["_corrections"] = (key, sigma0, planted)
     return iv_series_engine(make_point(beta=beta), table, 3)
 
 
@@ -1246,6 +1305,17 @@ def test_iv_approx_rejects_what_is_not_an_expansion_input():
                      lambda: reduced_Ln(table, 2, 2.0)):
             with pytest.raises(ConfigError):
                 call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: iv_series_engine(make_point(), None, 2),
+    lambda: price_uN(make_point(), None, 2),
+    lambda: reduced_Ln(None, 2, 2.0),
+], ids=["iv_series_engine", "price_uN", "reduced_Ln"])
+def test_an_explicit_none_table_raises_config_error(call):
+    # None given as the table is a table of the wrong type, not "no table".
+    with pytest.raises(ConfigError, match="NoneType"):
+        call()
 
 
 def test_iv_approx_routes_agree():
