@@ -9,10 +9,10 @@ and each chi_{n,m} is a fixed polynomial in tau, the Taylor-table entries
 and the leverage ratio beta.  ``build_Ln(n)`` generates those polynomials
 with integer coefficients and ``reduce_to_z`` as chi weights over integer
 denominators.  This module alone knows their committed form, one order
-per line of ``chi_programs.jsonl``: ``chi_programs_text`` writes it and
-``reduced_Ln`` evaluates the order-n program, read on first use, for one
-table and beta, with that table's number type, as {m: {tau_power: coeff}};
-the tests check it against the generator and the file against the writer.
+per line of ``chi_programs.jsonl``, written by ``chi_programs_text``; one
+walk of orders 1..N on one trie gives each order's weights for one table
+and beta, in its number type, order n's as {m: {tau_power: coeff}} by
+``reduced_Ln``; the tests check them against the generator, the file against the writer.
 Regenerate the file with
 
     PYTHONPATH=src python3 -m letfvol.expansion
@@ -319,32 +319,20 @@ def _d_power(m: int) -> tuple:
 def _chi_program(n: int) -> tuple:
     """The order-n program, parsed on first use; callers must not mutate it.
 
-    Returns (variables, beta_degree, weights, nodes, keys, spread, layout).
-    ``nodes[k - 1]`` is node k, (parent node, variable index, terms): it
-    extends its parent's product by one variable, from node 0, the empty
-    product, so products that share a prefix share its nodes, and parents
-    come first.  A product's terms [weight index, num, beta power] sit on
-    its last node.  Weight w, [m, tau_power, den], reaches U_n through D^m:
-    ``spread[w]`` holds (i, q, s) for each pair ((l, t), q) of
-    ``_d_power(m)``, with ``keys[i]`` = (l, t + tau_power) and
-    s = -(t + 1), so that sigma0^-(2s+1) = sigma0^(2t+1).  ``layout``,
-    (low, rows), reads U_n from a list with its ``keys[i]`` value in slot i
-    and 0 in slot len(keys): row by tau power from the highest to low, each
-    row's slots by lam power from its highest to 0, so U_n = tau^low Horner.
+    Returns (products, weights, keys, spread, layout): products and weights
+    as in the file, but each term's weight index shifted past the weights of
+    orders 1..n-1, where a walk of orders 1..N >= n puts it.  Weight w, [m,
+    tau_power, den], reaches U_n through D^m: ``spread[w]`` holds (i, q, s)
+    for each ((l, t), q) of ``_d_power(m)``, with ``keys[i]`` = (l, t +
+    tau_power) and s = -(t + 1), so that sigma0^-(2s+1) = sigma0^(2t+1).
+    ``layout``, (low, rows), reads U_n from a list with ``keys[i]``'s value
+    in slot i and 0 in slot len(keys): row by tau power from the highest to
+    low, each by lam power from its highest to 0, so U_n = tau^low Horner.
     """
     with open(CHI_PROGRAMS, encoding="utf-8") as fh:
         program = json.loads(fh.read().splitlines()[n])
-    children: dict = {}  # (parent node, variable index) -> node
-    nodes: list = []
-    for mono, terms in program["products"]:
-        node = 0
-        for var in mono:
-            if (node, var) not in children:
-                nodes.append((node, var, []))
-                children[node, var] = len(nodes)
-            node = children[node, var]
-        nodes[node - 1][2].extend(terms)
-    beta_degree = max(p for _, terms in program["products"] for *_, p in terms)
+    low = sum(len(_chi_program(i)[1]) for i in range(1, n))
+    products = [(mono, [(w + low, num, p) for w, num, p in terms]) for mono, terms in program["products"]]
     keys: dict = {}
     spread = tuple(
         tuple((keys.setdefault((l, t + tau_pow), len(keys)), q, -(t + 1)) for (l, t), q in _d_power(m))
@@ -353,36 +341,67 @@ def _chi_program(n: int) -> tuple:
     top = {t: max(l for l, u in keys if u == t) for _, t in keys}  # tau power -> top lam power
     rows = tuple(tuple(keys.get((l, t), len(keys)) for l in range(top.get(t, -1), -1, -1))
                  for t in range(max(top), min(top) - 1, -1))
-    variables = [(name, (i, j)) for name, i, j in _chi_variables(n)]
-    return variables, beta_degree, program["weights"], nodes, tuple(keys), spread, (min(top), rows)
+    return products, program["weights"], tuple(keys), spread, (min(top), rows)
+
+
+@functools.lru_cache(maxsize=None)
+def _chi_trie(n: int) -> tuple:
+    """The programs of orders 1..n as one walk, built on first use; callers must not mutate it.
+
+    Returns (variables, beta_degree, nodes, bounds).  Node k, nodes[k - 1] =
+    (parent node, variable index, terms), extends its parent's product by one
+    of ``_chi_variables(n)``, from node 0, the empty product, in preorder, so
+    products of any orders share prefixes.  A product's terms sit on its last
+    node in its program's order, order i's weights from bounds[i-1] to bounds[i].
+    """
+    index = {entry: k for k, entry in enumerate(_chi_variables(n))}
+    merged, bounds = {}, [0]  # merged: product over the variables -> its terms, order by order
+    for i in range(1, n + 1):
+        remap = [index[entry] for entry in _chi_variables(i)]
+        for mono, terms in _chi_program(i)[0]:
+            mono = tuple(mono) if i == n else tuple([remap[var] for var in mono])
+            merged.setdefault(mono, []).extend(terms)
+        bounds.append(bounds[-1] + len(_chi_program(i)[1]))
+    children: dict = {}  # (parent node, variable index) -> node
+    nodes: list = []
+    for mono in sorted(merged):  # a prefix first, so the nodes fall in preorder
+        node = 0
+        for var in mono:
+            if (node, var) not in children:
+                nodes.append((node, var, []))
+                children[node, var] = len(nodes)
+            node = children[node, var]
+        nodes[node - 1][2].extend(merged[mono])
+    beta_degree = max(p for terms in merged.values() for _, _, p in terms)
+    return [(name, (i, j)) for name, i, j in _chi_variables(n)], beta_degree, nodes, bounds
 
 
 def reduced_Ln(table: TaylorTable, n: int, beta) -> dict:
-    """chi of ``reduce_to_z(build_Ln(n))`` at one table and beta, from the compiled program.
+    """chi of ``reduce_to_z(build_Ln(n))`` at one table and beta, from the compiled programs.
 
-    Returns chi as {m: {tau_power: coeff}}, only nonzero weights kept: a view
-    of the walk ``_correction_dicts`` spreads into U_n, in the number type of
-    the table and beta, so a Fraction table gives the exact reduction.
+    Returns chi as {m: {tau_power: coeff}}, only nonzero weights kept: order
+    n's slice of the walk ``_correction_dicts`` spreads into U_n, in the
+    number type of the table and beta: a Fraction table gives it exactly.
     """
     _check_order(n, table, lowest=1)
     chi: dict = {}
-    for (m, tau_pow, den), total in zip(_chi_program(n)[2], _chi_totals(table, n, beta)):
+    for (m, tau_pow, den), total in zip(_chi_program(n)[1], _chi_totals(table, n, beta)[-1]):
         if total:
             chi.setdefault(m, {})[tau_pow] = total / den
     return chi
 
 
 def _chi_totals(table: TaylorTable, n: int, beta) -> list:
-    """The order-n program walked at one table and beta: weight w is totals[w] / den, in their
-    number type.  Each node costs one multiply; a zero entry zeroes its node's subtree, and model
-    tables leave most products zero.  A beta power or product outside the float range raises
-    DomainError."""
-    variables, beta_degree, weights, nodes = _chi_program(n)[:4]
+    """The programs of orders 1..n walked at one table and beta in one pass, as one slice per
+    order: weight w of order i is totals[i-1][w] / den, in their number type.  Each node costs
+    one multiply; a zero entry zeroes its node's subtree, and model tables leave most products
+    zero.  A beta power or product outside the float range raises DomainError."""
+    variables, beta_degree, nodes, bounds = _chi_trie(n)
     # An absent entry reads as 0; an int 0 keeps exact tables exact.
     entries = table.entries
     values = [entries[name].get(key, 0) for name, key in variables]
     products = [1]
-    totals = [0] * len(weights)
+    totals = [0] * bounds[-1]
     try:
         beta_powers = [beta**p for p in range(beta_degree + 1)]
         for parent, var, terms in nodes:
@@ -392,8 +411,8 @@ def _chi_totals(table: TaylorTable, n: int, beta) -> list:
                 for w, num, p in terms:
                     totals[w] += num * beta_powers[p] * product
     except OverflowError as exc:  # float **, or an int too large for a float
-        raise DomainError(f"order-{n} chi weights leave the float range at beta={beta}") from exc
-    return totals
+        raise DomainError(f"chi weights of orders 1..{n} leave the float range at beta={beta}") from exc
+    return [totals[low:high] for low, high in zip(bounds, bounds[1:])]
 
 
 def base_sigma(table: TaylorTable, beta: float) -> float:
@@ -414,11 +433,11 @@ def _correction_dicts(table: TaylorTable, beta: float, order: int) -> tuple:
     and D commutes with chi(tau).  D^m r_0 has the fixed coefficients
     q sigma0^(2t+1) of ``_d_power(m)``, so each U_n coefficient is a short
     dot product of the chi weights with them, along the map the order's
-    program derives once (``spread``): each weight of the walk
-    (``_chi_totals``), a float, goes straight into the dense U_n.
+    program derives once (``spread``): each weight of one walk of orders
+    1..order (``_chi_totals``), a float, goes straight into its dense U_n.
 
     Raises DomainError when sigma0 is not positive or leaves the float
-    range of the order (see the check below).
+    range of the order and its assembly plans (see the check below).
 
     Returns the value the table keeps, (key, sigma0, dense), keyed by
     (type(beta), beta) so that 2, 2.0 and Fraction(2) stay apart; dense[n-1]
@@ -434,21 +453,22 @@ def _correction_dicts(table: TaylorTable, beta: float, order: int) -> tuple:
     sigma0 = base_sigma(table, beta)
     if not sigma0 > 0:
         raise DomainError(f"base volatility must be positive, got {sigma0}")
-    walks = [_chi_totals(table, n, beta) for n in range(1, order + 1)]
+    walks = _chi_totals(table, order, beta) if order else []
     top = max((m for n, totals in enumerate(walks, 1)
-               for (m, _, _), total in zip(_chi_program(n)[2], totals) if total), default=0)
+               for (m, _, _), total in zip(_chi_program(n)[1], totals) if total), default=0)
     # Each coefficient of U_n is a sum of chi coefficients times
     # coefficients of D^j r_0, j <= top.  The coefficient of D^j r_0 at key
     # (l, t) is q sigma0^(2t+1), with |2t+1| <= 2 top + 1 and q a nonzero
     # dyadic, 2^-top <= |q| <= (top+1)!: a D step multiplies q by an integer
-    # or by 1/2, and the sum of |q| by at most j + 3/2.  The check keeps
-    # every such q sigma0^(2t+1) a normal float; it does not bound chi.
-    if not (2 * top + 1) * abs(math.log2(sigma0)) + math.log2(math.factorial(top + 1)) < 1020:
+    # or by 1/2, and the sum of |q| by at most j + 3/2.  The check keeps every
+    # such q sigma0^(2t+1), and each plan's sigma0^e, a normal float; not chi.
+    span = max([2 * top + 1] + [abs(e) for n in range(1, order + 1) for _, _, e, _ in _assembly_plan(n)[2]])
+    if not span * abs(math.log2(sigma0)) + math.log2(math.factorial(top + 1)) < 1020:
         raise DomainError(f"base volatility {sigma0} is out of float range for order {order}")
     powers = [sigma0 ** -(2 * s + 1) for s in range(top + 1)]
     dense = []
     for n, totals in enumerate(walks, 1):
-        _, _, weights, _, keys, spread, layout = _chi_program(n)
+        _, weights, keys, spread, layout = _chi_program(n)
         U = [0.0] * (len(keys) + 1)  # the last slot stays 0 for the Horner layout
         for total, (_, _, den), targets in zip(totals, weights, spread):
             if total:
@@ -473,7 +493,7 @@ def _assembly_plan(n: int) -> tuple:
     each composition of n written out, with R_k's tau^t coefficient read at
     sigma0 = 1, as it scales by sigma0^(2t+1-k).
     """
-    program_keys = _chi_program(n)[4]
+    program_keys = _chi_program(n)[2]
     lower = [(i, key) for i in range(1, n) for key in _assembly_plan(i)[0]]  # (order, key) per value
     merged: dict = {}  # (key, e, idx) -> sum of R_k's coefficients; factor orders merge
     for k in range(2, n + 1):

@@ -141,9 +141,9 @@ def _taylor_table(order: int, x: float, y: float, **families) -> TaylorTable:
             family = entries[name] = {}
             for c, p, q in terms:
                 w = c * math.exp(p * x + q * y)
-                for i in range(order + 1):
+                for i in range(order + 1 if p else 1):  # at p = 0 (q = 0) each i (j) > 0 adds 0
                     wp, fi = w * p**i, math.factorial(i)
-                    for j in range(order + 1 - i):
+                    for j in range(order + 1 - i if q else 1):
                         value = wp * q**j / (fi * math.factorial(j))
                         if value:
                             family[i, j] = family.get((i, j), 0.0) + value

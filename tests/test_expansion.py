@@ -111,7 +111,7 @@ def correction_dicts(table, beta, order):
     """U_1..U_order as Laurent dicts {key: value}, nonzero values only, formed from the
     dense lists the table keeps (``_correction_dicts``) along each order's program keys."""
     _, _, dense = expansion._correction_dicts(table, beta, order)
-    return tuple({key: value for key, value in zip(expansion._chi_program(n)[4], U) if value}
+    return tuple({key: value for key, value in zip(expansion._chi_program(n)[2], U) if value}
                  for n, (U, _) in enumerate(dense[:order], 1))
 
 
@@ -238,7 +238,7 @@ def model_table(kind):
 
 
 def count_chi_walks(monkeypatch):
-    """Route expansion._chi_totals, the chi walk of one order, through a counter;
+    """Route expansion._chi_totals, the one walk of orders 1..n, through a counter;
     returns the list it appends to."""
     calls = []
     original = expansion._chi_totals
@@ -302,14 +302,15 @@ def test_lower_order_after_higher_is_the_fresh_prefix(kind, monkeypatch):
         got = correction_dicts(table, -2.0, order)
         assert got == full[:order]
         assert got == correction_dicts(make(), -2.0, order)
-    # Only the fresh tables derived anything: 2 + 1 + 0 orders.
-    assert len(calls) == 3
-    # An order above the stored one derives afresh and replaces it.
+    # Only the fresh tables derived anything, one walk each: orders 1-2,
+    # order 1, and none for order 0.
+    assert calls == [(2, -2.0), (1, -2.0)]
+    # An order above the stored one derives afresh, in one walk, and replaces it.
     table = make()
     expansion._correction_dicts(table, -2.0, 1)
     del calls[:]
     assert correction_dicts(table, -2.0, 3) == full
-    assert len(calls) == 3 and len(table._corrections[2]) == 3
+    assert calls == [(3, -2.0)] and len(table._corrections[2]) == 3
 
 
 def test_each_beta_and_number_type_is_its_own_key(monkeypatch):
@@ -326,7 +327,8 @@ def test_each_beta_and_number_type_is_its_own_key(monkeypatch):
         assert correction_dicts(table, beta, 2) == want
         assert table._corrections[0] == (type(beta), beta)
         derived.append(len(calls) - before)
-    assert derived == [2, 0, 2, 0, 2, 0, 2, 0]
+    # One walk of orders 1-2 per derivation.
+    assert derived == [1, 0, 1, 0, 1, 0, 1, 0]
 
 
 def test_a_call_that_raises_stores_nothing():
@@ -353,7 +355,7 @@ def test_kept_corrections_are_read_only():
     key, sigma0, dense = kept
     assert type(dense) is tuple and len(dense) == MAX_ORDER
     for n, (U, (low, rows)) in enumerate(dense, 1):
-        assert type(U) is tuple and len(U) == len(expansion._chi_program(n)[4]) + 1
+        assert type(U) is tuple and len(U) == len(expansion._chi_program(n)[2]) + 1
         assert U[-1] == 0.0 and type(low) is int
         assert type(rows) is tuple and all(type(row) is tuple for row in rows)
     with pytest.raises(TypeError):
@@ -621,6 +623,31 @@ def test_a_leverage_beyond_the_float_range_raises_domain_error():
         assert vars(table) == {}
 
 
+@pytest.mark.parametrize("a00", [1e-207, 1e-250])
+def test_a_tiny_sigma0_gives_zero_terms_or_raises_domain_error(a00):
+    # sigma0 = 2 sqrt(2 a00), about 8.9e-104 and 2.8e-125.  Every chi weight
+    # of this table is zero, so U_n is 0 and the old check, on the D powers
+    # alone, passed; but the order-3 plan scales its terms by sigma0^-3,
+    # beyond the float range.  Orders 1 and 2 form no such power: the
+    # all-zero series.  Order 3 raises DomainError, on both routes, which
+    # share the check, and the table keeps nothing.
+    point = make_point(beta=2.0)
+    for order in (1, 2):
+        table = TaylorTable(3, {"a": {(0, 0): a00}})
+        series = iv_series_engine(point, table, order)
+        assert series.sigma0 == base_sigma(table, 2.0) and series.terms == ({},) * order
+        assert price_uN(point, table, order).terms == (0.0,) * order
+    for call in (iv_series_engine, price_uN):
+        table = TaylorTable(3, {"a": {(0, 0): a00}})
+        with pytest.raises(DomainError, match="float range for order 3"):
+            call(point, table, 3)
+        assert vars(table) == {}
+    # Just inside the bound, 3 |log2 sigma0| < 1020, order 3 is all zero too.
+    table = TaylorTable(3, {"a": {(0, 0): 1e-198}})
+    assert iv_series_engine(point, table, 3).terms == ({},) * 3
+    assert price_uN(point, table, 3).terms == (0.0,) * 3
+
+
 def test_price_uN_checks_its_black_scholes_inputs():
     # BsInputs bounds the log strike by MAX_LOG.
     with pytest.raises(DomainError, match="at most"):
@@ -765,7 +792,7 @@ def test_assembly_plans_form_only_the_kept_keys():
     ]
     lower = 0  # how many values the lower orders' plans hold
     for n, (keys, slots, terms) in enumerate(plans, 1):
-        program_keys = expansion._chi_program(n)[4]
+        program_keys = expansion._chi_program(n)[2]
         targets = {j for j, *_ in terms}
         for j, (lp, tp) in enumerate(keys):
             assert tp >= 0 and lp + tp <= n
@@ -782,7 +809,7 @@ def engine_on_kept_corrections(corrections, beta=2.0):
     expansion._correction_dicts(table, beta, 3)
     key, sigma0, dense = table.__dict__["_corrections"]
     planted = tuple(
-        (tuple(values.get(k, 0.0) for k in expansion._chi_program(n)[4]) + (0.0,), layout)
+        (tuple(values.get(k, 0.0) for k in expansion._chi_program(n)[2]) + (0.0,), layout)
         for n, (values, (_, layout)) in enumerate(zip(corrections, dense), 1)
     )
     table.__dict__["_corrections"] = (key, sigma0, planted)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from letfvol.blackscholes import BsInputs
+from letfvol import models
 from letfvol.errors import ConfigError, DomainError, StructuralError
 from letfvol.expansion import IvSeries, iv_approx
 from letfvol.models import (
@@ -229,6 +230,38 @@ def test_gamma_one_collapses_to_flat_vol():
     assert table.get("a", 0, 0) == pytest.approx(0.045)
     for i in range(1, 4):
         assert table.get("a", i, 0) == 0.0
+
+
+def taylor_rule(order, x, y, **families):
+    """Oracle: the Taylor rule cell by cell, w p^i q^j / (i! j!) for every (i, j) of every
+    term, zero slopes included, a cell left out while its sum is 0."""
+    entries = {}
+    for name, terms in families.items():
+        family = entries[name] = {}
+        for c, p, q in terms:
+            w = c * math.exp(p * x + q * y)
+            for i in range(order + 1):
+                for j in range(order + 1 - i):
+                    value = w * p**i * q**j / (math.factorial(i) * math.factorial(j))
+                    if value:
+                        family[i, j] = family.get((i, j), 0.0) + value
+    return entries
+
+
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_taylor_rule_skips_only_zero_cells(order):
+    # A zero x slope zeroes every i > 0 and a zero y slope every j > 0, so the
+    # table stops those loops at 0; it must hold what the whole rule gives,
+    # bit for bit.
+    families = dict(a=[(0.5, 0, 1.0), (0.3, -1.5, 0), (0.2, 0.0, -0.0)], b=[(0.2, 0, 0)],
+                    c=[(0.1, 2.0, -1.0), (-0.4, 0, 0.5)], f=[(0.4, -0.7, 0.0)])
+    for x, y in ((0.0, 0.0), (0.3, -1.2)):
+        table = models._taylor_table(order, x, y, **families)
+        assert {name: dict(family) for name, family in table.entries.items()} == taylor_rule(
+            order, x, y, **families)
+    cev = CevModel(delta=0.3, gamma=1.0)
+    assert dict(cev.taylor_table(0.2, 0.0, 3).entries["a"]) == taylor_rule(
+        3, 0.2, 0.0, a=[(0.5 * 0.3**2, 0.0, 0)])["a"]
 
 
 def test_model_parameter_validation():
