@@ -5,10 +5,11 @@ Everything here works in log coordinates: ``z`` is the log of the spot,
 ``_call``, forms every price, through ``math.erfc``, which keeps
 the left tail to full relative precision.  The put is the call with spot
 and strike swapped, P(e^z, e^k) = C(e^k, e^z), so no parity subtraction
-turns a worthless put into rounding residue.
+turns a worthless put into rounding residue.  ``implied_vol`` steps from
+Corrado and Miller's start, or Manaster and Koehler's in the far wings.
 
 The value objects, ``BsInputs`` and ``ImpliedVol``, are immutable named
-tuples; ``BsInputs`` validates its fields on construction.
+tuples; only ``BsInputs`` validates its fields.
 """
 
 from __future__ import annotations
@@ -108,16 +109,18 @@ def bs_vega(inputs: BsInputs) -> float:
 def implied_vol(price: float, tau: float, z: float, k: float) -> ImpliedVol:
     """Invert an undiscounted call price to a Black-Scholes volatility.
 
-    Starts from Manaster and Koehler's sigma = sqrt(2 |z - k| / tau), the
-    inflection point of the price in sigma.  At the money, where the price is
-    e^z erf(s / sqrt(8)) with s = sigma sqrt(tau), it starts from the series
-    inverse to two terms, s = c + c^3/24 with c = sqrt(2 pi) price / e^z;
-    the first is Brenner and Subrahmanyam's.  Takes Halley steps (volga / vega
-    = d+ d- / sigma), or Newton steps where Halley's denominator is small.
-    The bracket starts as (0, inf) and is narrowed by the sign of each
-    price gap; a step that leaves it bisects, or doubles sigma while the
-    top is still inf.  The stopping rule is on price: |model - target| at
-    most 1e-12 * e^z.
+    Off the money it starts from Corrado and Miller's s = sigma sqrt(tau) =
+    sqrt(2 pi) (m + sqrt(m^2 - g^2 / pi)), with g = (S - K) / (S + K),
+    m = price / (S + K) - g / 2, S = e^z, K = e^k and a negative radicand read as 0.
+    Where that is no sigma in (0, IV_MAX_VOL), or |z - k| > 3 s, far outside the
+    expansion behind it, it starts from Manaster and Koehler's sqrt(2 |z - k| / tau).
+    At the money, where the price is e^z erf(s / sqrt(8)), it starts from the series
+    inverse to two terms, s = c + c^3/24 with c = sqrt(2 pi) price / e^z; the first
+    is Brenner and Subrahmanyam's.  Takes Halley steps (volga / vega = d+ d- / sigma),
+    or Newton steps where Halley's denominator is small.  The bracket starts as
+    (0, inf) and is narrowed by the sign of each price gap; a step that leaves it
+    bisects, or doubles sigma while the top is still inf.  The stopping rule is on
+    price: |model - target| at most 1e-12 * e^z.
 
     Raises:
         DomainError: an input not a finite real number, z or k above MAX_LOG, or tau <= 0.
@@ -136,7 +139,7 @@ def implied_vol(price: float, tau: float, z: float, k: float) -> ImpliedVol:
     if tau <= 0.0:
         raise DomainError(f"tau must be positive, got {tau}")
     spot, strike = math.exp(z), math.exp(k)
-    intrinsic = max(spot - strike, 0.0)
+    intrinsic = spot - strike if spot > strike else 0.0
     if not (intrinsic < price < spot):
         raise NoArbitrageError(
             f"call price {price} outside arbitrage bounds ({intrinsic}, {spot})"
@@ -144,13 +147,22 @@ def implied_vol(price: float, tau: float, z: float, k: float) -> ImpliedVol:
     tol = 1e-12 * spot
     x, root_tau = z - k, math.sqrt(tau)
     vega_scale = INV_SQRT_2PI * spot * root_tau
-    sigma = math.sqrt(2.0 * abs(x) / tau)
+    max_vol, inf, nan, sigma = IV_MAX_VOL, math.inf, math.nan, 0.0
+    if x != 0.0:
+        total = spot + strike
+        g = (spot - strike) / total
+        m = price / total - 0.5 * g
+        radicand = m * m - g * g / math.pi
+        s = (m + math.sqrt(radicand if radicand > 0.0 else 0.0)) / INV_SQRT_2PI
+        sigma = s / root_tau if x * x <= 9.0 * s * s else 0.0  # beyond, Halley's steps crawl
+        if not 0.0 < sigma < max_vol:
+            sigma = min(math.sqrt(2.0 * abs(x) / tau), max_vol)
     if sigma == 0.0:
-        # The floor keeps sigma > 0 where price / e^z underflows.
+        # Capped as every step is; the floor keeps sigma > 0 where price / e^z underflows.
         c = price / (INV_SQRT_2PI * spot)
-        sigma = max((c + c * c * c / 24.0) / root_tau, 1e-300)
+        sigma = min(max((c + c * c * c / 24.0) / root_tau, 1e-300), max_vol)
     half_spot, half_strike, erfc, exp, sqrt2 = 0.5 * spot, 0.5 * strike, math.erfc, math.exp, SQRT2
-    lo, hi = 0.0, math.inf
+    lo, hi = 0.0, inf
     for iteration in range(1, IV_MAX_ITER + 1):
         s = sigma * root_tau
         a, h = x / s, 0.5 * s  # ``_call``'s price term for term: sigma reprices to it exactly
@@ -158,23 +170,23 @@ def implied_vol(price: float, tau: float, z: float, k: float) -> ImpliedVol:
         model = half_spot * erfc(-d_plus / sqrt2) - half_strike * erfc((h - a) / sqrt2)
         diff = (0.0 if model < 0.0 else model) - price
         if -tol <= diff <= tol:
-            return ImpliedVol(sigma, iteration)
+            return tuple.__new__(ImpliedVol, (sigma, iteration))  # a NamedTuple: nothing to check
         if diff > 0.0:
             hi = sigma
-        elif sigma < IV_MAX_VOL:
+        elif sigma < max_vol:
             lo = sigma
         else:
             raise SolverError(f"implied vol exceeds {IV_MAX_VOL}; price {price} too close to spot")
         vega = vega_scale * exp(-0.5 * d_plus * d_plus)
-        step = math.nan
+        step = nan
         if vega > 0.0:
             newton = diff / vega
             # Halley's denominator, with volga / vega = d+ d- / sigma.
             halley = 1.0 - 0.5 * newton * d_plus * (d_plus - s) / sigma
             step = sigma - (newton / halley if halley > 0.5 else newton)
         if not lo < step < hi:
-            step = 2.0 * sigma if hi == math.inf else 0.5 * (lo + hi)
-        sigma = step if step < IV_MAX_VOL else IV_MAX_VOL
+            step = 2.0 * sigma if hi == inf else 0.5 * (lo + hi)
+        sigma = step if step < max_vol else max_vol
     raise SolverError(
         f"implied vol did not converge in {IV_MAX_ITER} iterations; "
         f"bracket [{lo}, {hi}]"
