@@ -146,7 +146,7 @@ def implied_vol(price: float, tau: float, z: float, k: float) -> ImpliedVol:
         )
     tol = 1e-12 * spot
     x, root_tau = z - k, math.sqrt(tau)
-    vega_scale = INV_SQRT_2PI * spot * root_tau
+    vega_scale = INV_SQRT_2PI * root_tau  # times exp(z - d+^2 / 2), one exponential as in bs_vega
     max_vol, inf, nan, sigma = IV_MAX_VOL, math.inf, math.nan, 0.0
     if x != 0.0:
         total = spot + strike
@@ -177,7 +177,7 @@ def implied_vol(price: float, tau: float, z: float, k: float) -> ImpliedVol:
             lo = sigma
         else:
             raise SolverError(f"implied vol exceeds {IV_MAX_VOL}; price {price} too close to spot")
-        vega = vega_scale * exp(-0.5 * d_plus * d_plus)
+        vega = vega_scale * exp(z - 0.5 * d_plus * d_plus)
         step = nan
         if vega > 0.0:
             newton = diff / vega

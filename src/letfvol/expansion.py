@@ -30,8 +30,9 @@ in (lam, tau) whose coefficients depend only on the Taylor table and beta,
 along a plan each order derives once (``_assembly_plan``): sigma_n at the
 keys it keeps is U_n's value there plus fixed products of powers of sigma0
 and the lower orders' values.  Evaluation at a concrete (lam, tau) is a
-separate, cheap step (Horner's rule on one table of the corrections summed
-over orders, built with the series), so one assembly serves a whole smile.
+separate, cheap step (one Horner expression over the cells of the
+corrections summed over orders up to MAX_ORDER, built with the series), so
+one assembly serves a whole smile.
 
 Reuse follows one rule, applied here alone: an immutable input, a
 validated named tuple, keeps the last value derived from it, for one key,
@@ -73,6 +74,10 @@ MAX_ORDER = 3
 MIN_TAU = 1e-8
 # Trimming threshold of a finished correction, relative to max(1, scale).
 TRIM_TOL = 1e-14
+# Slot of the lam^l tau^t cell of a series in ``IvSeries.evaluate``'s Horner order:
+# tau power from MAX_ORDER down, then lam power from its highest down to 0.
+_CELL = {(l, t): i for i, (l, t) in enumerate(
+    (l, t) for t in range(MAX_ORDER, -1, -1) for l in range(MAX_ORDER - t, -1, -1))}
 
 PAYOFFS = ("call", "put")
 
@@ -145,11 +150,13 @@ class IvSeries(validated_tuple("IvSeries", [("sigma0", float), ("terms", tuple)]
     ``terms[i]`` holds the order-(i+1) correction as a coefficient dict
     {(lam_power, tau_power): value}.  The constructor owns every series
     rule and raises DomainError outside them: sigma0 a number in (0, inf);
-    each term a mapping, or (key, value) pairs with no key twice; keys of
-    an order-n series pairs of ints >= 0 of total degree <= n; values
-    finite numbers (``errors.check_number``).  The pass that checks a term
-    builds the series' own read-only dict of it and sums the terms into one
-    private table, row tau_power, column lam_power, for ``evaluate``'s Horner rule.
+    at most MAX_ORDER terms; each term a mapping, or (key, value) pairs with
+    no key twice; keys of an order-n series pairs of ints >= 0 of total
+    degree <= n; values finite numbers (``errors.check_number``).  The pass
+    that checks a term builds the series' own read-only dict of it and adds
+    each value into one private cell per lam^l tau^t of total degree <=
+    MAX_ORDER, padded at 0.0 beyond the series' order, which ``evaluate``
+    reads in one Horner expression.
     """
 
     def __new__(cls, sigma0: float, terms: tuple):
@@ -157,9 +164,9 @@ class IvSeries(validated_tuple("IvSeries", [("sigma0", float), ("terms", tuple)]
             raise DomainError(f"sigma0 must be positive, got {sigma0}")
         try:
             n = len(terms)
-            # Row tp holds lam powers n - tp down to 0, the cells total degree
-            # n allows; rows run from tau power n down to 0.
-            rows = [[0.0] * (n + 1 - tp) for tp in range(n + 1)]
+            if n > MAX_ORDER:
+                raise DomainError(f"a series holds at most {MAX_ORDER} terms, got {n}")
+            cells = [0.0] * len(_CELL)
             kept = []
             for term in terms:
                 own: dict = {}
@@ -170,15 +177,14 @@ class IvSeries(validated_tuple("IvSeries", [("sigma0", float), ("terms", tuple)]
                         raise DomainError(f"series key {key!r}: need ints >= 0, sum <= {n}")
                     own[key] = (value if type(value) is float and -math.inf < value < math.inf
                                 else check_number(value, "value at lam^%d tau^%d", lp, tp))
-                    rows[tp][n - tp - lp] += value
+                    cells[_CELL[key]] += value
                 if len(own) != len(term):
                     raise DomainError(f"a key appears twice in series term {len(kept) + 1}")
                 kept.append(MappingProxyType(own))
         except (TypeError, ValueError) as exc:  # not sized, or not pairs
             raise DomainError(f"series terms must be mappings or pair sequences: {exc}") from exc
-        rows.reverse()
         series = tuple.__new__(cls, (sigma0, tuple(kept)))
-        series._horner = rows
+        series._cells = tuple(cells)
         return series
 
     @property
@@ -193,13 +199,9 @@ class IvSeries(validated_tuple("IvSeries", [("sigma0", float), ("terms", tuple)]
             raise DomainError(f"log-moneyness must be finite, got {lam}")
         if not MIN_TAU <= tau < math.inf:
             raise DomainError(f"maturity must be finite and >= {MIN_TAU}, got {tau}")
-        value = 0.0
-        for row in self._horner:
-            acc = 0.0
-            for coeff in row:
-                acc = acc * lam + coeff
-            value = value * tau + acc
-        value += self.sigma0
+        c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = self._cells  # Horner's rule, row by tau power
+        value = (((c0 * tau + (c1 * lam + c2)) * tau + ((c3 * lam + c4) * lam + c5)) * tau
+                 + (((c6 * lam + c7) * lam + c8) * lam + c9)) + self.sigma0
         if not math.isfinite(value):
             raise DomainError(f"series value overflows at lam={lam}, tau={tau}")
         return value

@@ -417,6 +417,19 @@ def test_implied_vol_iteration_budget_on_quote_grid():
     assert max(iterations) <= 5
 
 
+def test_implied_vol_steps_where_spot_times_root_tau_overflows():
+    # e^z sqrt(tau) leaves the float range here, so a vega formed from it is
+    # inf, every Newton step 0 and each price a bisection.  One exponential,
+    # exp(z - d+^2 / 2), stays finite, as in bs_vega.
+    sigma, tau, z = 0.12586258638179873, 328.76346571384374, 707.9964984185164
+    assert math.exp(z) * math.sqrt(tau) == math.inf
+    twin = implied_vol(bs_call_price(BsInputs(sigma, tau, 0.0, 0.0)), tau, 0.0, 0.0)
+    price = bs_call_price(BsInputs(sigma, tau, z, z))
+    got = implied_vol(price, tau, z, z)
+    assert got.iterations <= twin.iterations
+    assert abs(bs_call_price(BsInputs(got.value, tau, z, z)) - price) <= 1e-12 * math.exp(z)
+
+
 def _corrado_miller_radicand(price, z, k):
     """m^2 - g^2 / pi of Corrado and Miller's start, in units of e^z + e^k."""
     total = math.exp(z) + math.exp(k)

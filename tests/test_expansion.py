@@ -10,9 +10,12 @@ from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.stats import ncx2, norm, t as student_t
 
 from letfvol.blackscholes import BsInputs, bs_call_price, bs_put_price, bs_vega, hermite_vega_ratio
 from letfvol import expansion
@@ -1099,6 +1102,75 @@ def test_unit_leverage_lognormal_sabr_matches_hagans_formula():
         assert summed[key] == pytest.approx(want, rel=1e-13, abs=0), key
 
 
+# CEV dS = delta S^gamma dW at beta = 1, the ETF itself, from S = 1 (x = 0).
+CEV_RATE_MODEL = CevModel(delta=0.3, gamma=0.5)
+CEV_RATE_TAUS = (1.0 / 416.0, 1.0 / 208.0, 1.0 / 104.0, 1.0 / 52.0, 1.0 / 26.0)
+BRENTQ_XTOL, BRENTQ_RTOL = 1e-16, 8.9e-16
+
+
+def schroder_cev_call(model, k, tau):
+    """Reference: Schroder's noncentral chi^2 call (J. Finance 1989) at S = 1,
+    and its own error, each chi^2 probability's cdf against 1 - sf."""
+    g = 1.0 - model.gamma
+    v = g * g * model.delta**2 * tau
+    a, b, c, strike = math.exp(2.0 * g * k) / v, 1.0 / g, 1.0 / v, math.exp(k)
+    p1, p2 = ncx2.cdf(a, b + 2.0, c), ncx2.cdf(c, b, a)
+    error = abs(p1 - (1.0 - ncx2.sf(a, b + 2.0, c))) + strike * abs(p2 - (1.0 - ncx2.sf(c, b, a)))
+    return (1.0 - p1) - strike * p2, error
+
+
+def scipy_bs_call_and_vega(sigma, k, tau):
+    """Black-Scholes at spot 1 from scipy's normal, sharing nothing with letfvol."""
+    s = sigma * math.sqrt(tau)
+    d_plus = -k / s + 0.5 * s
+    return norm.cdf(d_plus) - math.exp(k) * norm.cdf(d_plus - s), norm.pdf(d_plus) * math.sqrt(tau)
+
+
+def test_unit_leverage_cev_iv_error_falls_at_the_expansions_rate():
+    # The order-N series carries the implied vol's expansion in sqrt(tau) at
+    # fixed d = lam / (sigma0 sqrt(tau)) through tau^(N/2), so its error is
+    # O(tau^((N+1)/2)) (Lorig, Pagliarani, Pascucci, arXiv 1306.5447, the
+    # expansion the engine assembles).  At the money sigma_1 and sigma_3 vanish
+    # here, so the orders pair up at rates 1, 1, 2, 2.  A straight line through
+    # log|error| gave 0.502, 1.004, 1.506, 2.007 at d = -1, 0.498, 0.996, 1.493,
+    # 1.992 at d = +1 and 1.0, 1.0, 1.996, 1.996 at d = 0; the next term of the
+    # error, one power of sqrt(tau) up, bends that line, so the fit carries it.
+    # The tolerance is the half-width of the rate's 99% confidence interval,
+    # from the fit's residual, plus the shift the reference's own error allows.
+    point = make_point(beta=1.0, x=0.0, y=0.0)
+    series = [iv_series_engine(point, CEV_RATE_MODEL.taylor_table(0.0, 0.0, n), n)
+              for n in range(MAX_ORDER + 1)]
+    log_tau = np.log(CEV_RATE_TAUS)
+    design = np.column_stack([np.ones_like(log_tau), log_tau, np.sqrt(CEV_RATE_TAUS)])
+    fit = np.linalg.pinv(design)  # least squares: coefficients = fit @ log|error|
+    dof = len(log_tau) - design.shape[1]
+    rate_variance = np.linalg.inv(design.T @ design)[1, 1] / dof
+    for d in (-1.0, 0.0, 1.0):
+        errors, noise = [], []
+        for tau in CEV_RATE_TAUS:
+            k = d * series[0].sigma0 * math.sqrt(tau)
+            price, price_error = schroder_cev_call(CEV_RATE_MODEL, k, tau)
+            iv = brentq(lambda sigma: scipy_bs_call_and_vega(sigma, k, tau)[0] - price, 1e-3, 2.0,
+                        xtol=BRENTQ_XTOL, rtol=BRENTQ_RTOL)
+            noise.append(price_error / scipy_bs_call_and_vega(iv, k, tau)[1]
+                         + BRENTQ_XTOL + BRENTQ_RTOL * iv)
+            errors.append([abs(one.evaluate(k, tau) - iv) for one in series])
+        errors, noise = np.array(errors).T, np.array(noise)
+        assert (noise < errors).all(), d  # the reference resolves every error
+        for n, error in enumerate(errors):
+            if d == 0.0 and n % 2:
+                assert (error == errors[n - 1]).all()  # sigma_n is 0 at lam = 0
+            elif n:
+                assert (error < errors[n - 1]).all(), (d, n)
+            rate = (n + 2) // 2 if d == 0.0 else (n + 1) / 2
+            log_error = np.log(error)
+            coeffs = fit @ log_error
+            residual = log_error - design @ coeffs
+            tol = (student_t.ppf(0.995, dof) * math.sqrt(residual @ residual * rate_variance)
+                   + np.abs(fit[1]) @ (noise / error))
+            assert coeffs[1] >= rate - tol, (d, n, coeffs[1], tol)
+
+
 # ---------------------------------------------------------------------------
 # engine vs printed closed forms
 
@@ -1606,6 +1678,93 @@ def test_series_evaluate_matches_the_term_sum():
                 want = series.sigma0 + sum(lp_eval(term, lam, tau) for term in series.terms)
                 worst = max(worst, abs(series.evaluate(lam, tau) - want) / abs(want))
     assert worst <= 1e-15
+
+
+def row_horner_evaluate(series, lam, tau):
+    """Oracle: ``IvSeries.evaluate`` as it ran on a table of rows.  The terms
+    sum into row tau_power, column lam_power of an order-sized table; rows run
+    from tau power ``series.order`` down to 0, each from its top lam power."""
+    n = series.order
+    rows = [[0.0] * (n + 1 - tp) for tp in range(n + 1)]
+    for term in series.terms:
+        for (lp, tp), coeff in term.items():
+            rows[tp][n - tp - lp] += coeff
+    value = 0.0
+    for row in reversed(rows):
+        acc = 0.0
+        for coeff in row:
+            acc = acc * lam + coeff
+        value = value * tau + acc
+    value += series.sigma0
+    if not math.isfinite(value):
+        raise DomainError(f"series value overflows at lam={lam}, tau={tau}")
+    return value
+
+
+def outcome(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except DomainError as exc:
+        return str(exc)
+
+
+@st.composite
+def random_series(draw):
+    """Series of every order up to MAX_ORDER, each cell in one or two terms.
+    Half have cells and sigma0 of any finite size, subnormal and near the
+    float maximum included; half have cells of one size from a seeded
+    generator and a sigma0 below them, so that each sum rounds and keeps it."""
+    order = draw(st.integers(0, MAX_ORDER))
+    rng = draw(st.randoms(use_true_random=True))
+    any_size = draw(st.booleans())
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    terms = [{} for _ in range(order)]
+    for tp in range(order + 1 if order else 0):
+        for lp in range(order + 1 - tp):
+            for n in draw(st.sets(st.integers(0, order - 1), min_size=1, max_size=2)):
+                terms[n][lp, tp] = draw(finite) if any_size else rng.uniform(-1.0, 1.0)
+    sigma0 = (draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)) if any_size
+              else 10.0 ** rng.uniform(-300.0, 0.0))
+    return IvSeries(sigma0=sigma0, terms=tuple(terms))
+
+
+# |lam| and tau from MIN_TAU to 1e200, spread over their decades.
+DECADES = st.floats(math.log10(MIN_TAU), 200.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(series=random_series(), rng=st.randoms(use_true_random=True),
+       points=st.lists(st.tuples(st.one_of(DECADES, DECADES.map(float.__neg__)), DECADES), max_size=8))
+def test_series_evaluate_matches_the_row_horner_oracle(series, rng, points):
+    # The padded cells below the top order add exact zeros: the same float,
+    # or the same overflow error.  Points below 2 keep terms of one size.
+    points += [(rng.uniform(-2.0, 2.0), rng.uniform(MIN_TAU, 2.0)) for _ in range(8)]
+    for lam, tau in points:
+        assert outcome(series.evaluate, lam, tau) == outcome(row_horner_evaluate, series, lam, tau)
+
+
+def test_series_evaluate_reads_every_cell_of_the_top_order():
+    # One distinct integer per cell and integer (lam, tau): every sum is
+    # exact, so a cell the expression leaves out, as it would if MAX_ORDER
+    # grew past the cells it unpacks, shows as an unequal value.
+    keys = [(lp, tp) for tp in range(MAX_ORDER + 1) for lp in range(MAX_ORDER + 1 - tp)]
+    series = IvSeries(sigma0=0.5, terms=tuple(
+        {key: float(i + 1) for i, key in enumerate(keys) if i % MAX_ORDER == n}
+        for n in range(MAX_ORDER)))
+    assert sum(map(len, series.terms)) == len(keys)
+    for lam, tau in [(2.0, 3.0), (-3.0, 2.0), (5.0, 7.0)]:
+        want = 0.5 + sum(float(i + 1) * lam**lp * tau**tp for i, (lp, tp) in enumerate(keys))
+        assert series.evaluate(lam, tau) == want == row_horner_evaluate(series, lam, tau)
+
+
+def test_series_rejects_more_terms_than_max_order():
+    terms = ({(1, 0): 0.1},) + ({},) * (MAX_ORDER - 1) + ({(MAX_ORDER + 1, 0): 1e-3},)
+    with pytest.raises(DomainError, match=f"at most {MAX_ORDER} terms"):
+        IvSeries(sigma0=0.2, terms=terms)
+    payload = {"sigma0": 0.2, "terms": [{"n": n, "coeffs": []} for n in range(1, MAX_ORDER + 2)]}
+    with pytest.raises(ConfigError, match=f"at most {MAX_ORDER} terms"):
+        IvSeries.from_json(json.dumps(payload))
+    IvSeries.from_json(json.dumps({**payload, "terms": payload["terms"][:MAX_ORDER]}))
 
 
 def test_series_terms_are_read_only_copies():

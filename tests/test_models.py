@@ -452,7 +452,7 @@ def test_value_object_contract(name):
     for field in fields:
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(value, field))
-    assert repr(value) == text and vars(value).keys() <= {"_horner"}
+    assert repr(value) == text and vars(value).keys() <= {"_cells"}
 
 
 # Per class: a valid instance and, for each numeric field, how to put a bad
@@ -547,9 +547,9 @@ def test_value_objects_copy_and_pickle_through_their_checks(name):
     for back in round_trips(value):
         assert back == value and type(back) is type(value) and repr(back) == repr(value)
         # Only what __new__ sets travels; kept derivations are derived again.
-        assert getattr(back, "__dict__", {}).keys() <= {"_horner"}
+        assert getattr(back, "__dict__", {}).keys() <= {"_cells"}
         if name == "IvSeries":
-            assert back._horner == value._horner
+            assert back._cells == value._cells
             assert back.evaluate(0.1, 0.25) == value.evaluate(0.1, 0.25)
             with pytest.raises(TypeError):
                 back.terms[0][0, 1] = 0.0
