@@ -180,7 +180,8 @@ def implied_vol(price: float, tau: float, z: float, k: float) -> ImpliedVol:
         vega = vega_scale * exp(z - 0.5 * d_plus * d_plus)
         step = nan
         if vega > 0.0:
-            newton = diff / vega
+            # Where vega alone overflows, its two factors divide the gap in turn.
+            newton = diff / vega if vega < inf else diff / vega_scale / exp(z - 0.5 * d_plus * d_plus)
             # Halley's denominator, with volga / vega = d+ d- / sigma.
             halley = 1.0 - 0.5 * newton * d_plus * (d_plus - s) / sigma
             step = sigma - (newton / halley if halley > 0.5 else newton)

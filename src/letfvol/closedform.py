@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .errors import ConfigError
-from .expansion import IvSeries, _check_order, lp_add
+from .expansion import IvSeries, _check_order
 from .models import CevModel, HestonModel, SabrModel
 
 PRINTED_MAX_ORDER = {CevModel: 3, HestonModel: 3, SabrModel: 2}
@@ -21,6 +21,11 @@ PRINTED_MAX_ORDER = {CevModel: 3, HestonModel: 3, SabrModel: 2}
 
 def _clean(term: dict) -> dict:
     return {key: value for key, value in term.items() if value != 0.0}
+
+
+def _add(dst: dict, src: dict) -> None:
+    for key, value in src.items():
+        dst[key] = dst.get(key, 0.0) + value
 
 
 def _cev_sigma_terms(sigma0: float, gamma: float, beta: float, order: int) -> list:
@@ -152,7 +157,7 @@ def _sabr_sigma_terms(model: SabrModel, sigma0: float, beta: float, order: int) 
             (0, 1): -0.25 * dl * sigma0 * (dl - rho * sigma0 * sgn),
             (1, 0): 0.5 * dl * rho * sgn,
         }
-        lp_add(terms[0], s01)
+        _add(terms[0], s01)
     if order >= 2:
         s11 = {
             (0, 1): g * dl * rho * sigma0**2 / (4.0 * ab),
@@ -177,8 +182,8 @@ def _sabr_sigma_terms(model: SabrModel, sigma0: float, beta: float, order: int) 
             (1, 1): -(dl**2) * rho * (dl - 3.0 * rho * sigma0 * sgn) / (24.0 * sgn),
             (2, 0): dl**2 * (2.0 - 3.0 * rho**2) / (12.0 * sigma0),
         }
-        lp_add(terms[1], s11)
-        lp_add(terms[1], s02)
+        _add(terms[1], s11)
+        _add(terms[1], s02)
     return terms
 
 

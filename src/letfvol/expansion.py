@@ -11,8 +11,8 @@ with integer coefficients and ``reduce_to_z`` as chi weights over integer
 denominators.  This module alone knows their committed form, one order
 per line of ``chi_programs.jsonl``, written by ``chi_programs_text``; one
 walk of orders 1..N on one trie gives each order's weights for one table
-and beta, in its number type, order n's as {m: {tau_power: coeff}} by
-``reduced_Ln``; the tests check them against the generator, the file against the writer.
+and beta, in its number type (``_chi_totals``); the tests check them
+against the generator, the file against the writer.
 Regenerate the file with
 
     PYTHONPATH=src python3 -m letfvol.expansion
@@ -85,56 +85,6 @@ CHI_PROGRAMS = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "chi_programs.jsonl"
 )
 
-# A Laurent polynomial in (lam, tau): {(lam_power, tau_power): coefficient}.
-
-
-def lp_add(dst: dict, src: dict, factor: float = 1.0) -> None:
-    """In-place dst += factor * src on Laurent coefficient dicts."""
-    for key, value in src.items():
-        acc = dst.get(key, 0.0) + factor * value
-        if acc == 0.0:
-            dst.pop(key, None)
-        else:
-            dst[key] = acc
-
-
-def lp_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for (la, ta), va in a.items():
-        for (lb, tb), vb in b.items():
-            key = (la + lb, ta + tb)
-            acc = out.get(key, 0.0) + va * vb
-            if acc == 0.0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-    return out
-
-
-def vega_ratio_coeffs(k: int, sigma0: float) -> dict:
-    """Laurent coefficients of R_k = (d^k u/dsigma^k) / vega at sigma0, k >= 1.
-
-    R_1 = 1 and R_2 = d+ d- / sigma; each step is
-
-        R_{k+1} = dR_k/dsigma + R_k R_2.
-
-    Reading tau as sigma^-2, R_k scales as sigma^(1 - k), so its tau^t
-    coefficient carries sigma^(2t + 1 - k) and dR_k/dsigma multiplies it by
-    (2t + 1 - k) / sigma0.
-    """
-    if type(k) is not int or k < 1:
-        raise DomainError(f"vega ratio order must be an integer >= 1, got {k}")
-    if not 0 < sigma0 < math.inf:
-        raise DomainError(f"base volatility must be positive and finite, got {sigma0}")
-    r2 = {(2, -1): 1.0 / sigma0**3, (0, 1): -sigma0 / 4.0}
-    ratio = {(0, 0): 1.0}
-    for j in range(1, k):
-        step = lp_mul(ratio, r2)
-        lp_add(step, {(lp, tp): v * (2 * tp + 1 - j) / sigma0
-                      for (lp, tp), v in ratio.items()})
-        ratio = step
-    return ratio
-
 
 class PriceApprox(NamedTuple):
     """Base price plus correction terms; total is their sum."""
@@ -149,10 +99,11 @@ class IvSeries(validated_tuple("IvSeries", [("sigma0", float), ("terms", tuple)]
 
     ``terms[i]`` holds the order-(i+1) correction as a coefficient dict
     {(lam_power, tau_power): value}.  The constructor owns every series
-    rule and raises DomainError outside them: sigma0 a number in (0, inf);
-    at most MAX_ORDER terms; each term a mapping, or (key, value) pairs with
-    no key twice; keys of an order-n series pairs of ints >= 0 of total
-    degree <= n; values finite numbers (``errors.check_number``).  The pass
+    rule and raises DomainError outside them: sigma0 a number whose float is
+    in (0, inf); at most MAX_ORDER terms; each term a mapping, or (key,
+    value) pairs with no key twice; keys of an order-n series pairs of ints
+    >= 0 of total degree <= n; values finite numbers (``errors.check_number``).
+    sigma0 and each value are kept as floats.  The pass
     that checks a term builds the series' own read-only dict of it and adds
     each value into one private cell per lam^l tau^t of total degree <=
     MAX_ORDER, padded at 0.0 beyond the series' order, which ``evaluate``
@@ -160,7 +111,8 @@ class IvSeries(validated_tuple("IvSeries", [("sigma0", float), ("terms", tuple)]
     """
 
     def __new__(cls, sigma0: float, terms: tuple):
-        if not check_number(sigma0, "sigma0") > 0:
+        sigma0 = float(check_number(sigma0, "sigma0"))
+        if not sigma0 > 0:
             raise DomainError(f"sigma0 must be positive, got {sigma0}")
         try:
             n = len(terms)
@@ -175,8 +127,9 @@ class IvSeries(validated_tuple("IvSeries", [("sigma0", float), ("terms", tuple)]
                     lp, tp = key
                     if not (type(lp) is int and type(tp) is int and 0 <= tp and 0 <= lp <= n - tp):
                         raise DomainError(f"series key {key!r}: need ints >= 0, sum <= {n}")
-                    own[key] = (value if type(value) is float and -math.inf < value < math.inf
-                                else check_number(value, "value at lam^%d tau^%d", lp, tp))
+                    if not (type(value) is float and -math.inf < value < math.inf):
+                        value = float(check_number(value, "value at lam^%d tau^%d", lp, tp))
+                    own[key] = value
                     cells[_CELL[key]] += value
                 if len(own) != len(term):
                     raise DomainError(f"a key appears twice in series term {len(kept) + 1}")
@@ -248,12 +201,12 @@ def _json_number(value):
     return float(value) if type(value) is int else value
 
 
-def _check_order(order: int, *table: TaylorTable, lowest: int = 0) -> None:
-    """The order rule of the series API: an int in lowest..MAX_ORDER that the table, if one
-    is given, serves; a table that is not a TaylorTable, None included, raises ConfigError."""
+def _check_order(order: int, *table: TaylorTable) -> None:
+    """The order rule of the series API: an int in 0..MAX_ORDER that the table, if one is
+    given, serves; a table that is not a TaylorTable, None included, raises ConfigError."""
     # type(), not isinstance: True is an int equal to 1, and 1.0 equals 1.
-    if type(order) is not int or not lowest <= order <= MAX_ORDER:
-        raise DomainError(f"order must be an integer in {lowest}..{MAX_ORDER}, got {order}")
+    if type(order) is not int or not 0 <= order <= MAX_ORDER:
+        raise DomainError(f"order must be an integer in 0..{MAX_ORDER}, got {order}")
     for table in table:  # none or one
         if not isinstance(table, TaylorTable):
             raise ConfigError(f"expected a TaylorTable, got {type(table).__name__}")
@@ -378,21 +331,6 @@ def _chi_trie(n: int) -> tuple:
     return [(name, (i, j)) for name, i, j in _chi_variables(n)], beta_degree, nodes, bounds
 
 
-def reduced_Ln(table: TaylorTable, n: int, beta) -> dict:
-    """chi of ``reduce_to_z(build_Ln(n))`` at one table and beta, from the compiled programs.
-
-    Returns chi as {m: {tau_power: coeff}}, only nonzero weights kept: order
-    n's slice of the walk ``_correction_dicts`` spreads into U_n, in the
-    number type of the table and beta: a Fraction table gives it exactly.
-    """
-    _check_order(n, table, lowest=1)
-    chi: dict = {}
-    for (m, tau_pow, den), total in zip(_chi_program(n)[1], _chi_totals(table, n, beta)[-1]):
-        if total:
-            chi.setdefault(m, {})[tau_pow] = total / den
-    return chi
-
-
 def _chi_totals(table: TaylorTable, n: int, beta) -> list:
     """The programs of orders 1..n walked at one table and beta in one pass, as one slice per
     order: weight w of order i is totals[i-1][w] / den, in their number type.  Each node costs
@@ -482,6 +420,25 @@ def _correction_dicts(table: TaylorTable, beta: float, order: int) -> tuple:
     return stored
 
 
+def _vega_ratio(k: int) -> dict:
+    """R_k = (d^k u/dsigma^k) / vega at sigma0 = 1, {(lam_power, tau_power): coeff}, k >= 1.
+
+    R_1 = 1, R_2 = d+ d- / sigma = lam^2 / tau - tau / 4 and R_{j+1} = R_j R_2 +
+    dR_j/dsigma.  Reading tau as sigma^-2, R_j's tau^t coefficient scales as
+    sigma^(2t + 1 - j), so d/dsigma multiplies it by 2t + 1 - j.
+    """
+    ratio = {(0, 0): 1.0}
+    for j in range(1, k):
+        step: dict = {}
+        for (l, t), c in ratio.items():
+            step[l + 2, t - 1] = step.get((l + 2, t - 1), 0.0) + c
+            step[l, t + 1] = step.get((l, t + 1), 0.0) + c * -0.25
+        for (l, t), c in ratio.items():
+            step[l, t] = step.get((l, t), 0.0) + c * (2 * t + 1 - j)
+        ratio = {key: c for key, c in step.items() if c}
+    return ratio
+
+
 @functools.lru_cache(maxsize=None)
 def _assembly_plan(n: int) -> tuple:
     """How sigma_n assembles, derived once per order: (keys, slots, terms); do not mutate.
@@ -499,7 +456,7 @@ def _assembly_plan(n: int) -> tuple:
     lower = [(i, key) for i in range(1, n) for key in _assembly_plan(i)[0]]  # (order, key) per value
     merged: dict = {}  # (key, e, idx) -> sum of R_k's coefficients; factor orders merge
     for k in range(2, n + 1):
-        ratio = vega_ratio_coeffs(k, 1.0).items()
+        ratio = _vega_ratio(k).items()
         for parts in itertools.product(range(1, n), repeat=k):
             at = [[i for i, (o, _) in enumerate(lower) if o == p] for p in parts]
             for idx in itertools.product(*at) if sum(parts) == n else ():

@@ -33,8 +33,9 @@ def vega_ratio(order: int, inputs: BsInputs) -> float:
     """Oracle: ratio of the order-2, 3 or 4 sigma-derivative of the call
     price to its vega, written out in (k - z), tau and sigma.
 
-    The expansion uses the Laurent form ``expansion.vega_ratio_coeffs``;
-    this float form checks it, and finite differences check this.
+    The expansion's assembly plans use the Laurent form at sigma0 = 1,
+    ``expansion._vega_ratio``; this float form checks it, and finite
+    differences check this.
     """
     lam = inputs.k - inputs.z
     sigma, tau = inputs.sigma, inputs.tau
@@ -423,6 +424,20 @@ def test_implied_vol_steps_where_spot_times_root_tau_overflows():
     # exp(z - d+^2 / 2), stays finite, as in bs_vega.
     sigma, tau, z = 0.12586258638179873, 328.76346571384374, 707.9964984185164
     assert math.exp(z) * math.sqrt(tau) == math.inf
+    twin = implied_vol(bs_call_price(BsInputs(sigma, tau, 0.0, 0.0)), tau, 0.0, 0.0)
+    price = bs_call_price(BsInputs(sigma, tau, z, z))
+    got = implied_vol(price, tau, z, z)
+    assert got.iterations <= twin.iterations
+    assert abs(bs_call_price(BsInputs(got.value, tau, z, z)) - price) <= 1e-12 * math.exp(z)
+
+
+def test_implied_vol_steps_where_vega_itself_overflows():
+    # e^z phi(d+) sqrt(tau), formed from one exponential, still leaves the
+    # float range here: a Newton step over that inf vega is 0, and the
+    # inversion took 36 price evaluations, nearly all bisections.  Its two
+    # factors divide the price gap in turn, and exp(z - d+^2 / 2) stays finite.
+    sigma, tau, z = 0.11562727616523852, 315.91975625917536, 708.9128134042363
+    assert bs_vega(BsInputs(sigma, tau, z, z)) == math.inf
     twin = implied_vol(bs_call_price(BsInputs(sigma, tau, 0.0, 0.0)), tau, 0.0, 0.0)
     price = bs_call_price(BsInputs(sigma, tau, z, z))
     got = implied_vol(price, tau, z, z)

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from letfvol.errors import DomainError
 from letfvol.expansion import (
     CHI_PROGRAMS,
     MAX_ORDER,
@@ -25,9 +24,8 @@ from letfvol.expansion import (
     _chi_totals,
     _chi_variables,
     chi_programs_text,
-    reduced_Ln,
 )
-from test_expansion import RANDOM_TABLES, TABLE_KEYS, random_table
+from test_expansion import RANDOM_TABLES, TABLE_KEYS, random_table, reduced_Ln
 from test_opalgebra import MODEL_TABLES, cev_like_table, evaluate_Ln, full_table
 
 ORDERS = range(1, MAX_ORDER + 1)
@@ -150,15 +148,5 @@ def test_programs_match_the_algebra_on_model_tables(kind, beta):
 def test_programs_read_only_entries_within_the_order():
     # An order-n program must serve a table of extent n, as the generator does.
     for n in ORDERS:
-        reduced_Ln(full_table(extent=n), n, beta=-2)
-
-
-def test_program_order_bounds():
-    table = full_table()
-    # True and 1.0 equal 1: unchecked, they would read the order-1 program.
-    for n in (0, MAX_ORDER + 1, True, 1.0):
-        with pytest.raises(DomainError):
-            reduced_Ln(table, n, beta=-2)
-    # A table must reach the order, as for the engine.
-    with pytest.raises(DomainError, match="cannot serve"):
-        reduced_Ln(full_table(extent=1), 2, beta=-2)
+        assert all(i + j <= n for _, (i, j) in _chi_trie(n)[0])
+        assert reduced_Ln(full_table(extent=n), n, beta=-2) == evaluate_Ln(full_table(extent=n), n, -2)

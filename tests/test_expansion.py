@@ -29,11 +29,7 @@ from letfvol.expansion import (
     base_sigma,
     iv_approx,
     iv_series_engine,
-    lp_add,
-    lp_mul,
     price_uN,
-    reduced_Ln,
-    vega_ratio_coeffs,
 )
 from letfvol.models import (
     CevModel,
@@ -54,6 +50,27 @@ def lp_eval(a: dict, lam: float, tau: float) -> float:
 
 def lp_max_abs(a: dict) -> float:
     return max((abs(v) for v in a.values()), default=0.0)
+
+
+def lp_sum(*terms) -> dict:
+    """The sum of Laurent dicts, exact zeros dropped."""
+    out: dict = {}
+    for term in terms:
+        for key, value in term.items():
+            out[key] = out.get(key, 0.0) + value
+    return {key: value for key, value in out.items() if value != 0.0}
+
+
+def reduced_Ln(table, n, beta):
+    """chi of ``reduce_to_z(build_Ln(n))`` at one table and beta as {m: {tau_power: coeff}}:
+    order n's slice of the walk ``_correction_dicts`` spreads into U_n, nonzero weights only,
+    in the number type of the table and beta, so a Fraction table gives it exactly."""
+    chi: dict = {}
+    for (m, tau_pow, den), total in zip(expansion._chi_program(n)[1],
+                                        expansion._chi_totals(table, n, beta)[-1]):
+        if total:
+            chi.setdefault(m, {})[tau_pow] = total / den
+    return chi
 
 
 def make_point(beta=2.0, tau=0.75, k=0.12, z=0.0, x=0.05, y=-2.0):
@@ -79,20 +96,7 @@ def flat_table(a00=0.02, extent=3):
 
 
 # ---------------------------------------------------------------------------
-# Laurent helpers
-
-
-def test_lp_helpers_round_trip():
-    a = {(1, 0): 2.0, (0, 1): -3.0}
-    b = {(0, 0): 1.0, (1, -1): 0.5}
-    prod = lp_mul(a, b)
-    assert prod == {(1, 0): 0.5, (2, -1): 1.0, (0, 1): -3.0}
-    lam, tau = 0.3, 0.7
-    want = lp_eval(a, lam, tau) * lp_eval(b, lam, tau)
-    assert lp_eval(prod, lam, tau) == pytest.approx(want, rel=1e-14, abs=0)
-    acc = dict(a)
-    lp_add(acc, a, -1.0)
-    assert acc == {}
+# price corrections
 
 
 def float_route_terms(point, table, order):
@@ -373,19 +377,14 @@ def holds_a_mapping(value):
 
 
 @pytest.mark.parametrize("kind", sorted(MODEL_TABLES) + ["rich"])
-def test_runtime_path_builds_no_dict_views(kind, monkeypatch):
+def test_runtime_path_builds_no_dict_views(kind):
     # The engine and price_uN spread the chi walk straight into the dense
-    # U_n: with the dict view of the walk, reduced_Ln, made to raise, both
-    # give what they give with it, bit for bit.
+    # U_n: a table keeps no mapping, and the series and prices repeat bit
+    # for bit, those of one table priced at every order in turn included.
     make = rich_table if kind == "rich" else lambda: model_table(kind)
     points = [make_point(beta=beta, tau=0.3, k=0.08) for beta in (-3.0, 2.0)]
     wants = [(iv_series_engine(point, make(), order).to_json(), price_uN(point, make(), order))
              for point in points for order in range(MAX_ORDER + 1)]
-
-    def no_view(*args):
-        raise AssertionError("reduced_Ln called on the runtime path")
-
-    monkeypatch.setattr(expansion, "reduced_Ln", no_view)
     for point in points:
         table = make()
         for order in range(MAX_ORDER + 1):
@@ -477,10 +476,15 @@ def test_states_whose_table_leaves_the_float_range_raise_domain_error(model, x, 
         route(point, model)
 
 
+def scaled_vega_ratio(k, sigma0):
+    """R_k at sigma0 from the plans' sigma0 = 1 coefficients: tau^t's scales by sigma0^(2t+1-k)."""
+    return {(lp, tp): c * sigma0 ** (2 * tp + 1 - k) for (lp, tp), c in expansion._vega_ratio(k).items()}
+
+
 def test_vega_ratio_coeffs_match_finite_differences():
     sigma0, tau, z = 0.27, 0.6, -0.02
     for order in (2, 3):
-        coeffs = vega_ratio_coeffs(order, sigma0)
+        coeffs = scaled_vega_ratio(order, sigma0)
         for k in (-0.15, 0.0, 0.2):
             lam = k - z
 
@@ -499,9 +503,9 @@ def test_vega_ratio_coeffs_match_finite_differences():
             assert lp_eval(coeffs, lam, tau) == pytest.approx(want, rel=2e-6, abs=1e-8)
     # Generated orders against the written-out oracle, itself checked by
     # finite differences in test_blackscholes.
-    assert vega_ratio_coeffs(1, sigma0) == {(0, 0): 1.0}
+    assert expansion._vega_ratio(1) == {(0, 0): 1.0}
     for order in (2, 3, 4):
-        coeffs = vega_ratio_coeffs(order, sigma0)
+        coeffs = scaled_vega_ratio(order, sigma0)
         for k in (-0.15, 0.0, 0.2):
             assert vega_ratio(order, BsInputs(sigma=sigma0, tau=tau, z=z, k=k)) == pytest.approx(
                 lp_eval(coeffs, k - z, tau), rel=1e-12
@@ -537,7 +541,7 @@ def test_vega_ratio_coeffs_match_the_z_derivative_route():
     # code with the sigma-step generator.
     sigma0, tau, z = 0.27, 0.6, -0.02
     for order in range(1, 7):
-        coeffs = vega_ratio_coeffs(order, sigma0)
+        coeffs = scaled_vega_ratio(order, sigma0)
         for k in (-0.15, 0.0, 0.2):
             want = z_route_vega_ratio(order, BsInputs(sigma=sigma0, tau=tau, z=z, k=k))
             assert lp_eval(coeffs, k - z, tau) == pytest.approx(want, rel=1e-10), (order, k)
@@ -545,24 +549,21 @@ def test_vega_ratio_coeffs_match_the_z_derivative_route():
 
 def test_vega_ratio_coeffs_scale_by_sigma0_powers():
     # The identity the assembly plans rest on: R_k's tau^t coefficient at
-    # sigma0 is its sigma0 = 1 value times sigma0^(2t + 1 - k).
-    for k in range(2, MAX_ORDER + 1):
-        unit = vega_ratio_coeffs(k, 1.0)
-        for sigma0 in (1e-3, 0.05, 0.3, 2.0, 40.0):
-            coeffs = vega_ratio_coeffs(k, sigma0)
-            assert coeffs.keys() == unit.keys()
-            for (lp, tp), value in coeffs.items():
-                want = unit[lp, tp] * sigma0 ** (2 * tp + 1 - k)
-                assert value == pytest.approx(want, rel=1e-15, abs=0), (k, sigma0, lp, tp)
+    # sigma0 is its sigma0 = 1 value times sigma0^(2t + 1 - k), exactly, as
+    # the exact recursion in sigma gives it at rational sigma0.  Every
+    # sigma0 = 1 coefficient is a dyadic rational, exact in a float.
+    def nonzero(ratio):
+        return {key: value for key, value in ratio.items() if value}
 
-
-def test_vega_ratio_coeffs_rejects_unsupported_order():
-    for order in (0, -1, 1.5):
-        with pytest.raises(DomainError):
-            vega_ratio_coeffs(order, 0.3)
-    for sigma0 in (0.0, -0.3, float("nan"), float("inf")):
-        with pytest.raises(DomainError):
-            vega_ratio_coeffs(2, sigma0)
+    unit = exact_vega_ratios(8, 1)
+    for k in range(2, 9):
+        assert expansion._vega_ratio(k) == nonzero(unit[k]), k
+    for sigma0 in (Fraction(1, 1000), Fraction(1, 20), Fraction(3, 10), Fraction(2), Fraction(40)):
+        exact = exact_vega_ratios(MAX_ORDER + 3, sigma0)
+        for k in range(2, MAX_ORDER + 4):
+            want = {(lp, tp): Fraction(c) * sigma0 ** (2 * tp + 1 - k)
+                    for (lp, tp), c in expansion._vega_ratio(k).items()}
+            assert nonzero(exact[k]) == want, (k, sigma0)
 
 
 # ---------------------------------------------------------------------------
@@ -746,23 +747,24 @@ def dict_iv_terms(table, beta, order):
     """Oracle: sigma_1..sigma_order by the Taylor-remainder recursion on Laurent dicts.
 
     Forms every key, those that cancel included, with C(n, k) =
-    sum_i sigma_i C(n - i, k - 1) and R_k at sigma0 from vega_ratio_coeffs,
-    then keeps and trims each order's keys (``finalize_term``).  Shares
-    _correction_dicts with the engine, and nothing of its plan.
+    sum_i sigma_i C(n - i, k - 1) and R_k at sigma0 from the recursion in
+    sigma (``exact_vega_ratios``), then keeps and trims each order's keys
+    (``finalize_term``).  Shares _correction_dicts with the engine, and
+    nothing of its plan or of its sigma0 = 1 ratios.
     """
     sigma0 = base_sigma(table, beta)
     corrections = correction_dicts(table, beta, order)
-    ratios = {k: vega_ratio_coeffs(k, sigma0) for k in range(2, order + 1)}
+    ratios = exact_vega_ratios(order, sigma0)
     compositions: dict = {}  # (n, k) -> C(n, k)
     terms: list = []
     for n in range(1, order + 1):
         raw = dict(corrections[n - 1])
         for k in range(2, n + 1):
-            total = lp_mul(terms[0], compositions[n - 1, k - 1])
-            for i in range(2, n - k + 2):
-                lp_add(total, lp_mul(terms[i - 1], compositions[n - i, k - 1]))
+            total = lp_sum(*(exact_poly_mul(terms[i - 1], compositions[n - i, k - 1])
+                             for i in range(1, n - k + 2)))
             compositions[n, k] = total
-            lp_add(raw, lp_mul(total, ratios[k]), -1.0 / math.factorial(k))
+            for key, value in exact_poly_mul(total, ratios[k]).items():
+                raw[key] = raw.get(key, 0.0) - value / math.factorial(k)
         terms.append(finalize_term(n, raw))
         compositions[n, 1] = terms[-1]
     return terms
@@ -1033,10 +1035,7 @@ def hand_beta1_terms(table):
         )
         / (12.0 * s0**7),
     }
-    term2 = {}
-    for part in (s20, s11, s02):
-        lp_add(term2, part)
-    return s0, term1, term2
+    return s0, term1, lp_sum(s20, s11, s02)
 
 
 def test_beta_one_matches_hand_folded_single_asset_forms():
@@ -1088,9 +1087,7 @@ def test_unit_leverage_lognormal_sabr_matches_hagans_formula():
     y, nu, rho = -1.0, 0.4, -0.3
     series = iv_series_engine(make_point(beta=1.0, x=0.0, y=y),
                               SabrModel(delta=nu, gamma=1.0, rho=rho).taylor_table(0.0, y, 3), 3)
-    summed: dict = {}
-    for term in series.terms:
-        lp_add(summed, term)
+    summed = lp_sum(*series.terms)
     alpha = math.exp(y)
     assert series.sigma0 == pytest.approx(alpha, rel=1e-15, abs=0)
     hagan = {
@@ -1171,6 +1168,46 @@ def test_unit_leverage_cev_iv_error_falls_at_the_expansions_rate():
             assert coeffs[1] >= rate - tol, (d, n, coeffs[1], tol)
 
 
+def test_unit_leverage_cev_price_error_falls_at_the_expansions_rate():
+    # The price route, with no inversion: the order-N price is the base price
+    # plus vega times U_1..U_N, so its error is vega, O(sqrt(tau)) at fixed
+    # d, times the implied vol's, O(tau^((N+1)/2)): O(tau^((N+2)/2)), and at
+    # the money, where the orders pair up, rates 1.5, 1.5, 2.5, 2.5.  Fitted
+    # as the IV test fits its errors: 1.000, 1.500, 2.001, 2.507 at d = -1,
+    # 1.000, 1.500, 2.001, 2.508 at d = +1 and 1.500, 1.500, 2.479, 2.479 at
+    # d = 0.  The tolerance is the rate's 99% half-width from the fit's
+    # residual plus the shift Schroder's cdf against 1 - sf allows.
+    table = CEV_RATE_MODEL.taylor_table(0.0, 0.0, MAX_ORDER)
+    sigma0 = base_sigma(table, 1.0)
+    log_tau = np.log(CEV_RATE_TAUS)
+    design = np.column_stack([np.ones_like(log_tau), log_tau, np.sqrt(CEV_RATE_TAUS)])
+    fit = np.linalg.pinv(design)
+    dof = len(log_tau) - design.shape[1]
+    rate_variance = np.linalg.inv(design.T @ design)[1, 1] / dof
+    for d in (-1.0, 0.0, 1.0):
+        errors, noise = [], []
+        for tau in CEV_RATE_TAUS:
+            k = d * sigma0 * math.sqrt(tau)
+            price, price_error = schroder_cev_call(CEV_RATE_MODEL, k, tau)
+            point = make_point(beta=1.0, tau=tau, k=k, z=0.0, x=0.0, y=0.0)
+            errors.append([abs(price_uN(point, table, n).total - price) for n in range(MAX_ORDER + 1)])
+            noise.append(price_error)
+        errors, noise = np.array(errors).T, np.array(noise)
+        assert (noise < errors).all(), d  # the reference resolves every error
+        for n, error in enumerate(errors):
+            if d == 0.0 and n % 2:
+                assert (error == errors[n - 1]).all()  # U_n is 0 at lam = 0
+            elif n:
+                assert (error < errors[n - 1]).all(), (d, n)
+            rate = (n // 2) + 1.5 if d == 0.0 else (n + 2) / 2
+            log_error = np.log(error)
+            coeffs = fit @ log_error
+            residual = log_error - design @ coeffs
+            tol = (student_t.ppf(0.995, dof) * math.sqrt(residual @ residual * rate_variance)
+                   + np.abs(fit[1]) @ (noise / error))
+            assert coeffs[1] >= rate - tol, (d, n, coeffs[1], tol)
+
+
 # ---------------------------------------------------------------------------
 # engine vs printed closed forms
 
@@ -1220,10 +1257,7 @@ def general_sigma_terms(table, sigma0, beta, order):
             (0, 1): beta**2 * a01 * (2.0 * c00 + beta * f00) / (4.0 * sigma0),
             (1, 0): beta**3 * a01 * f00 / (2.0 * sigma0**3),
         }
-        term = {}
-        for part in (s10, s01):
-            lp_add(term, part)
-        terms.append(term)
+        terms.append(lp_sum(s10, s01))
     if order >= 2:
         A11 = 2.0 * table.get("a", 1, 1)
         A20 = 2.0 * table.get("a", 2, 0)
@@ -1307,10 +1341,7 @@ def general_sigma_terms(table, sigma0, beta, order):
             )
             / (12.0 * sigma0**7),
         }
-        term = {}
-        for part in (s20, s11, s02):
-            lp_add(term, part)
-        terms.append(term)
+        terms.append(lp_sum(s20, s11, s02))
     return terms
 
 
@@ -1400,8 +1431,7 @@ def test_iv_approx_rejects_what_is_not_an_expansion_input():
     # The table-only entries take no named model and no dict either.
     for table in (SabrModel(0.4, 0.5, -0.3), rich_table().entries, {}):
         for call in (lambda: iv_series_engine(make_point(), table, 2),
-                     lambda: price_uN(make_point(), table, 2),
-                     lambda: reduced_Ln(table, 2, 2.0)):
+                     lambda: price_uN(make_point(), table, 2)):
             with pytest.raises(ConfigError):
                 call()
 
@@ -1409,8 +1439,7 @@ def test_iv_approx_rejects_what_is_not_an_expansion_input():
 @pytest.mark.parametrize("call", [
     lambda: iv_series_engine(make_point(), None, 2),
     lambda: price_uN(make_point(), None, 2),
-    lambda: reduced_Ln(None, 2, 2.0),
-], ids=["iv_series_engine", "price_uN", "reduced_Ln"])
+], ids=["iv_series_engine", "price_uN"])
 def test_an_explicit_none_table_raises_config_error(call):
     # None given as the table is a table of the wrong type, not "no table".
     with pytest.raises(ConfigError, match="NoneType"):
@@ -1509,10 +1538,8 @@ def bool_order_calls():
         # would return the order-1 series the model keeps.
         "iv_approx": lambda: (iv_approx(point, model, 1), iv_approx(point, model, True)),
         "iv_series_engine": lambda: iv_series_engine(point, model.taylor_table(0.0, -1.0, 1), True),
-        "vega_ratio_coeffs": lambda: vega_ratio_coeffs(True, 0.3),
         "iv_series_printed": lambda: iv_series_printed(model, point, True),
         "price_uN": lambda: price_uN(point, model.taylor_table(0.0, -1.0, 1), True),
-        "reduced_Ln": lambda: reduced_Ln(model.taylor_table(0.0, -1.0, 1), True, -2.0),
     }
 
 
@@ -1804,6 +1831,22 @@ def test_series_rejects_a_coefficient_that_is_not_finite(value):
     # Unchecked, evaluate would report a nan coefficient as an overflow.
     with pytest.raises(DomainError, match="finite"):
         IvSeries(sigma0=0.2, terms=({(0, 1): 0.1, (1, 0): value},))
+
+
+def test_series_keeps_its_numbers_as_floats():
+    # A float32 coefficient was kept and summed as given: evaluate returned
+    # a single-precision numpy scalar, and to_json raised a bare TypeError.
+    for sigma0, value in ((0.2, np.float32(0.1)), (Fraction(1, 5), Fraction(1, 10)),
+                          (np.float32(0.2), 1)):
+        series = IvSeries(sigma0, ({(0, 1): value},))
+        assert type(series.sigma0) is float and type(series.terms[0][0, 1]) is float
+        got = series.evaluate(0.1, 0.3)
+        assert type(got) is float
+        assert got == pytest.approx(float(sigma0) + 0.3 * float(value), rel=1e-15, abs=0)
+        assert IvSeries.from_json(series.to_json()) == series
+    # A sigma0 whose float rounds to 0.0 is not positive.
+    with pytest.raises(DomainError, match="positive"):
+        IvSeries(Fraction(1, 10**400), ())
 
 
 def test_series_overflow_raises_domain_error():
