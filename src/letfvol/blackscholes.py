@@ -128,9 +128,8 @@ def implied_vol(price: float, tau: float, z: float, k: float) -> ImpliedVol:
         SolverError: the vol exceeds IV_MAX_VOL, or no convergence within
             IV_MAX_ITER price evaluations.
     """
-    if not type(price) is type(tau) is type(z) is type(k) is float:  # as in BsInputs
-        for name, value in zip(("price", "tau", "z", "k"), (price, tau, z, k)):
-            check_number(value, name)
+    if not type(price) is type(tau) is type(z) is type(k) is float:  # as in BsInputs, then as floats
+        price, tau, z, k = map(float, map(check_number, (price, tau, z, k), ("price", "tau", "z", "k")))
     isfinite = math.isfinite
     if not (isfinite(price) and isfinite(tau) and isfinite(z) and isfinite(k)):
         raise DomainError(f"inputs must be finite, got {(price, tau, z, k)}")

@@ -66,7 +66,6 @@ from .blackscholes import (
 )
 from .errors import ConfigError, DomainError, check_number, validated_tuple
 from .models import CevModel, HestonModel, SabrModel, TaylorTable
-from .opalgebra import build_Ln, reduce_to_z
 
 # Largest correction order carried by the series machinery.
 MAX_ORDER = 3
@@ -107,7 +106,8 @@ class IvSeries(validated_tuple("IvSeries", [("sigma0", float), ("terms", tuple)]
     that checks a term builds the series' own read-only dict of it and adds
     each value into one private cell per lam^l tau^t of total degree <=
     MAX_ORDER, padded at 0.0 beyond the series' order, which ``evaluate``
-    reads in one Horner expression.
+    reads in one Horner expression.  ``iv_series_engine`` skips this pass
+    (see there); its series' copies and pickles go through it.
     """
 
     def __new__(cls, sigma0: float, terms: tuple):
@@ -146,8 +146,7 @@ class IvSeries(validated_tuple("IvSeries", [("sigma0", float), ("terms", tuple)]
 
     def evaluate(self, lam: float, tau: float) -> float:
         if not type(lam) is type(tau) is float:  # the number rule, skipped for floats
-            check_number(lam, "lam")
-            check_number(tau, "tau")
+            lam, tau = float(check_number(lam, "lam")), float(check_number(tau, "tau"))
         if not -math.inf < lam < math.inf:
             raise DomainError(f"log-moneyness must be finite, got {lam}")
         if not MIN_TAU <= tau < math.inf:
@@ -217,6 +216,18 @@ def _check_order(order: int, *table: TaylorTable) -> None:
 def _chi_variables(n: int) -> list:
     """The table entries (name, i, j) with i + j <= n that order-n programs index."""
     return [(name, i, d - i) for name in "abcf" for d in range(n + 1) for i in range(d, -1, -1)]
+
+
+def build_Ln(n: int) -> tuple:
+    """``opalgebra.build_Ln``, imported when called: only the writer runs the generator."""
+    from .opalgebra import build_Ln
+    return build_Ln(n)
+
+
+def reduce_to_z(op: tuple) -> dict:
+    """``opalgebra.reduce_to_z``, imported when called, as ``build_Ln``."""
+    from .opalgebra import reduce_to_z
+    return reduce_to_z(op)
 
 
 def chi_programs_text() -> str:
@@ -390,19 +401,20 @@ def _correction_dicts(table: TaylorTable, beta: float, order: int) -> tuple:
     stored = table.__dict__.get("_corrections")
     if stored is not None and stored[0] == key and len(stored[2]) >= order:
         return stored
-    sigma0 = base_sigma(table, beta)
+    sigma0 = float(base_sigma(table, beta))  # a float, as IvSeries keeps it, whatever beta's type
     if not sigma0 > 0:
         raise DomainError(f"base volatility must be positive, got {sigma0}")
     walks = _chi_totals(table, order, beta) if order else []
-    top = max((m for n, totals in enumerate(walks, 1)
-               for (m, _, _), total in zip(_chi_program(n)[1], totals) if total), default=0)
+    # The highest m with a nonzero weight, read from the top: each order lists its weights by m.
+    top = max([next((w[0] for w, total in zip(reversed(_chi_program(n)[1]), reversed(totals)) if total), 0)
+               for n, totals in enumerate(walks, 1)] + [0])
     # Each coefficient of U_n is a sum of chi coefficients times
     # coefficients of D^j r_0, j <= top.  The coefficient of D^j r_0 at key
     # (l, t) is q sigma0^(2t+1), with |2t+1| <= 2 top + 1 and q a nonzero
     # dyadic, 2^-top <= |q| <= (top+1)!: a D step multiplies q by an integer
     # or by 1/2, and the sum of |q| by at most j + 3/2.  The check keeps every
     # such q sigma0^(2t+1), and each plan's sigma0^e, a normal float; not chi.
-    span = max([2 * top + 1] + [abs(e) for n in range(1, order + 1) for _, _, e, _ in _assembly_plan(n)[2]])
+    span = max(2 * top + 1, _assembly_plan(order)[3] if order else 0)
     if not span * abs(math.log2(sigma0)) + math.log2(math.factorial(top + 1)) < 1020:
         raise DomainError(f"base volatility {sigma0} is out of float range for order {order}")
     powers = [sigma0 ** -(2 * s + 1) for s in range(top + 1)]
@@ -441,7 +453,7 @@ def _vega_ratio(k: int) -> dict:
 
 @functools.lru_cache(maxsize=None)
 def _assembly_plan(n: int) -> tuple:
-    """How sigma_n assembles, derived once per order: (keys, slots, terms); do not mutate.
+    """How sigma_n assembles, derived once per order: (keys, slots, terms, span); do not mutate.
 
     ``keys``: the keys sigma_n keeps, tau power >= 0 and degree <= n, that
     can be nonzero, a U_n key or a term's target; the others are 0.0 on
@@ -450,7 +462,8 @@ def _assembly_plan(n: int) -> tuple:
     c sigma0^e prod(values[i] for i in idx) to keys[j], ``values`` the lower
     orders' values along their plans' keys: -R_k/k! C(n, k), k = len(idx),
     each composition of n written out, with R_k's tau^t coefficient read at
-    sigma0 = 1, as it scales by sigma0^(2t+1-k).
+    sigma0 = 1, as it scales by sigma0^(2t+1-k).  ``span``: the largest |e|
+    of the plans of orders 1..n, which the float-range check bounds.
     """
     program_keys = _chi_program(n)[2]
     lower = [(i, key) for i in range(1, n) for key in _assembly_plan(i)[0]]  # (order, key) per value
@@ -471,7 +484,8 @@ def _assembly_plan(n: int) -> tuple:
     slots = tuple((*program_keys, key).index(key) for key in keys)  # absent: the zero slot
     terms = tuple((keys.index(key), -c / math.factorial(len(idx)), e, idx)
                   for (key, e, idx), c in merged.items())
-    return keys, slots, terms
+    span = max([abs(e) for _, e, _ in merged] + [_assembly_plan(n - 1)[3] if n > 1 else 0])
+    return keys, slots, terms, span
 
 
 def iv_series_engine(point, table: TaylorTable, order: int) -> IvSeries:
@@ -487,25 +501,38 @@ def iv_series_engine(point, table: TaylorTable, order: int) -> IvSeries:
     with R_k the sigma-derivative/vega ratios.  Keys of tau power < 0 or
     degree > n cancel exactly, and others are 0.0 on every table; neither is
     formed: each order's ``_assembly_plan`` reads the rest from sigma0 and
-    the table's dense U_n and adds its terms.  A value at or below
-    TRIM_TOL * max(1, its order's largest) is rounding and is dropped.
+    the table's dense U_n and adds its terms.  An order with a value that is
+    not finite raises DomainError.  A value at or below TRIM_TOL * max(1,
+    its order's largest) is rounding and is dropped.  The plans' keys meet
+    the series key rule and the values are floats, so the trim's pass builds
+    the series' terms and cells, and ``IvSeries.__new__`` does not check again.
     """
     _check_order(order, table)
     _, sigma0, dense = _correction_dicts(table, point.beta, order)
     values, terms = [], []  # values: the kept values of sigma_1.., along each plan's keys
+    cells = [0.0] * len(_CELL)
     for n, (U, _) in enumerate(dense[:order], 1):
-        keys, slots, plan = _assembly_plan(n)
+        keys, slots, plan, _ = _assembly_plan(n)
         raw = [U[i] for i in slots]
         for j, c, e, idx in plan:
             c *= sigma0**e
             for i in idx:
                 c *= values[i]
             raw[j] += c
+        if not all(-math.inf < value < math.inf for value in raw):
+            raise DomainError(f"order-{n} corrections leave the float range at beta={point.beta}")
         cut = TRIM_TOL * max(1.0, *map(abs, raw))
         raw = [value if abs(value) > cut else 0.0 for value in raw]
         values += raw
-        terms.append([(key, value) for key, value in zip(keys, raw) if value])
-    return IvSeries(sigma0=sigma0, terms=tuple(terms))
+        term = {}
+        for key, value in zip(keys, raw):
+            if value:
+                term[key] = value
+                cells[_CELL[key]] += value
+        terms.append(MappingProxyType(term))
+    series = tuple.__new__(IvSeries, (sigma0, tuple(terms)))
+    series._cells = tuple(cells)
+    return series
 
 
 def price_uN(point, table: TaylorTable, order: int, payoff: str = "call") -> PriceApprox:

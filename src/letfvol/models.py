@@ -97,6 +97,8 @@ class TaylorTable(validated_tuple("TaylorTable", [("extent", int), ("entries", M
     named model builds it at the (x, y) it is asked for, and a table given
     to the expansion is used as given.  Being immutable, a table may keep
     what the expansion derives from it in its instance dict (see ``expansion``).
+    A named model's table comes from ``_taylor_table``, which skips these
+    checks (see there); its copies and pickles go through them.
     """
 
     def __new__(cls, extent: int, entries: Mapping = MappingProxyType({})):
@@ -133,6 +135,9 @@ def _taylor_table(order: int, x: float, y: float, **families) -> TaylorTable:
     """The table at (x, y) of families that are sums of terms w = c e^(p x + q y),
     given as (c, p, q): each term adds w p^i q^j / (i! j!) to entry (i, j),
     i + j <= order, unless that is 0; leaving the float range raises DomainError.
+    Its keys are int pairs within the extent and the named models give only
+    families among a, b, c and f, so it checks only that each value is finite
+    and a(0,0) positive, and ``TaylorTable.__new__`` does not check again.
     """
     _check_extent(order)  # before the loops read it
     entries: dict = {}
@@ -149,7 +154,14 @@ def _taylor_table(order: int, x: float, y: float, **families) -> TaylorTable:
                             family[i, j] = family.get((i, j), 0.0) + value
     except OverflowError as exc:  # math.exp, or float ** of a steep slope
         raise DomainError(f"Taylor table at x={x}, y={y} leaves the float range") from exc
-    return TaylorTable(extent=order, entries=entries)
+    # A product or a sum that overflows raises nothing.
+    if not all(-math.inf < value < math.inf for family in entries.values() for value in family.values()):
+        raise DomainError(f"Taylor table at x={x}, y={y} leaves the float range")
+    families = {name: MappingProxyType(entries.get(name, {})) for name in "abcf"}
+    a00 = families["a"].get((0, 0), 0.0)
+    if not a00 > 0:  # e^(p x + q y) can underflow to 0
+        raise DomainError(f"table needs a positive a(0,0), got {a00}")
+    return tuple.__new__(TaylorTable, (order, MappingProxyType(families)))
 
 
 class CevModel(validated_tuple("CevModel", [("delta", float), ("gamma", float)])):

@@ -346,6 +346,15 @@ def test_implied_vol_rejects_non_finite_inputs(position, bad):
         implied_vol(*args)
 
 
+def test_implied_vol_solves_a_float32_price_in_double_precision():
+    # The price gap was formed in single precision, where the 1e-12 e^z
+    # stopping rule never holds: SolverError after IV_MAX_ITER evaluations.
+    price = np.float32(bs_call_price(BsInputs(0.2, 0.5, 0.0, 0.1)))
+    result = implied_vol(price, 0.5, 0.0, 0.1)
+    assert type(result.value) is float
+    assert abs(bs_call_price(BsInputs(result.value, 0.5, 0.0, 0.1)) - float(price)) <= 1e-12
+
+
 def _outcome(solve, *args):
     try:
         return solve(*args)

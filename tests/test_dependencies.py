@@ -5,7 +5,8 @@ modules must not pull in numpy, scipy or ``fractions`` (with ``decimal``),
 which only the tests use: the chi generator works on integers.  Nor
 does it load ``dataclasses`` or ``inspect``, whose import costs more than
 a fresh process spends on the package itself: the value objects are
-named tuples.
+named tuples.  Nor ``opalgebra``, the generator, which only the chi-program
+writer runs.
 """
 
 import json
@@ -46,3 +47,8 @@ def test_runtime_imports_need_no_undeclared_dependency():
 def test_runtime_imports_load_neither_dataclasses_nor_inspect():
     # Only what the import adds: a site hook may have loaded them before.
     assert {"dataclasses", "inspect"}.isdisjoint(probe()["added"])
+
+
+def test_runtime_imports_leave_the_generator_unloaded():
+    # expansion imports opalgebra when its writer calls build_Ln or reduce_to_z.
+    assert "letfvol.opalgebra" not in probe()["added"]

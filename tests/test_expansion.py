@@ -8,7 +8,7 @@ import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +36,7 @@ from letfvol.models import (
     HestonModel,
     MarketPoint,
     SabrModel,
+    TYPICAL_BETAS,
     TaylorTable,
     heston_beta_map,
 )
@@ -781,22 +782,84 @@ def test_engine_matches_the_dict_recursion_on_random_tables(a00, values, beta):
     assert_terms_match(series.terms, want)
 
 
+def assert_built_as_the_constructor_builds(series):
+    """The engine builds its series without ``IvSeries.__new__``: fed the same
+    sigma0 and terms, the constructor must give an equal series, with the same
+    cells bit for bit, float numbers and read-only terms."""
+    rebuilt = IvSeries(series.sigma0, series.terms)
+    assert series == rebuilt and repr(series._cells) == repr(rebuilt._cells)
+    assert type(series.sigma0) is float
+    for term in series.terms:
+        assert type(term) is MappingProxyType and all(type(value) is float for value in term.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(**RANDOM_TABLES)
+def test_engine_builds_what_the_series_constructor_builds_on_random_tables(a00, values, beta):
+    table = random_table(a00, values)
+    for order in range(MAX_ORDER + 1):
+        assert_built_as_the_constructor_builds(iv_series_engine(make_point(beta=beta), table, order))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_engine_builds_what_the_series_constructor_builds_on_model_draws(seed):
+    # Parameters and points drawn as the benchmark draws them, every entry
+    # nonzero; a numpy beta makes a numpy sigma0, which the series keeps as a float.
+    rng = random.Random(seed)
+    u = rng.uniform
+    for model, x, y in (
+        (CevModel(u(0.15, 0.35), u(0.3, 0.8)), u(-0.2, 0.2), 0.0),
+        (HestonModel(u(0.8, 2.5), u(0.02, 0.08), u(0.2, 0.5), u(-0.8, -0.2)), u(-0.2, 0.2),
+         math.log(u(0.02, 0.08))),
+        (SabrModel(u(0.2, 0.5), u(0.4, 0.8), u(-0.7, -0.2)), u(-0.1, 0.1), math.log(u(0.15, 0.3))),
+    ):
+        for order in range(MAX_ORDER + 1):
+            table = model.taylor_table(x, y, order)
+            for beta in (*TYPICAL_BETAS, np.float64(-2.0)):
+                assert_built_as_the_constructor_builds(
+                    iv_series_engine(make_point(beta=beta, x=x, y=y), table, order))
+
+
+def test_an_order_whose_corrections_overflow_raises_domain_error():
+    # U_2 and U_3 of this table hold inf and nan.  The trim's cut was inf and
+    # dropped every value: the engine returned orders 2 and 3 empty and
+    # iv_approx 1.5e199, while price_uN raised DomainError.
+    def overflowing():
+        return TaylorTable(3, {"a": {(0, 0): 0.02, (1, 0): 1e200, (2, 0): 1e200}})
+
+    point = make_point(beta=2.0, tau=0.25, k=0.05)
+    table = overflowing()
+    for order in (2, 3):
+        for call in (iv_series_engine, price_uN):
+            with pytest.raises(DomainError, match="float range"):
+                call(point, table, order)
+    fresh = overflowing()
+    with pytest.raises(DomainError, match="float range"):
+        iv_approx(point, fresh, 3)
+    assert "_series" not in vars(fresh)
+    # Order 1 reads the finite U_1 that the calls above derived.
+    (term,) = iv_series_engine(point, table, 1).terms
+    assert term and all(map(math.isfinite, term.values()))
+
+
 def test_assembly_plans_form_only_the_kept_keys():
     # Only the keys that can be nonzero, 2 of 3, 4 of 6 and 6 of 10 at orders
     # 1-3, with 0, 0 and 4 terms.  U_1 has no lam^0 tau^0 key and U_2 none at
     # lam^0 tau^0 or lam tau^0, so the 34 terms with such a factor, which only
     # ever added 0.0, are gone, and so are the keys that only they reached.
     plans = [expansion._assembly_plan(n) for n in range(1, MAX_ORDER + 1)]
-    assert [len(keys) for keys, _, _ in plans] == [2, 4, 6]
-    assert [len(terms) for _, _, terms in plans] == [0, 0, 4]
+    assert [len(keys) for keys, _, _, _ in plans] == [2, 4, 6]
+    assert [len(terms) for _, _, terms, _ in plans] == [0, 0, 4]
     # The keys the engine can keep, as when the plans named every key.
-    assert [set(keys) for keys, _, _ in plans] == [
+    assert [set(keys) for keys, _, _, _ in plans] == [
         {(1, 0), (0, 1)},
         {(2, 0), (0, 1), (1, 1), (0, 2)},
         {(3, 0), (1, 1), (2, 1), (0, 2), (1, 2), (0, 3)},
     ]
     lower = 0  # how many values the lower orders' plans hold
-    for n, (keys, slots, terms) in enumerate(plans, 1):
+    for n, (keys, slots, terms, span) in enumerate(plans, 1):
+        # The float-range check's bound on the sigma0 powers of orders 1..n.
+        assert span == max([abs(e) for _, _, terms_i, _ in plans[:n] for _, _, e, _ in terms_i] + [0])
         program_keys = expansion._chi_program(n)[2]
         targets = {j for j, *_ in terms}
         for j, (lp, tp) in enumerate(keys):
@@ -1844,6 +1907,13 @@ def test_series_keeps_its_numbers_as_floats():
         assert type(got) is float
         assert got == pytest.approx(float(sigma0) + 0.3 * float(value), rel=1e-15, abs=0)
         assert IvSeries.from_json(series.to_json()) == series
+    # The point too: a float32 lam or tau was used as given, and evaluate
+    # returned a float32.
+    series = IvSeries(0.2, ({(1, 0): 0.1},))
+    for point, want in (((np.float32(0.1), 0.3), (float(np.float32(0.1)), 0.3)),
+                        ((0.1, np.float32(0.3)), (0.1, float(np.float32(0.3))))):
+        got = series.evaluate(*point)
+        assert type(got) is float and got == series.evaluate(*want)
     # A sigma0 whose float rounds to 0.0 is not positive.
     with pytest.raises(DomainError, match="positive"):
         IvSeries(Fraction(1, 10**400), ())

@@ -6,6 +6,7 @@ import math
 import pickle
 import struct
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -262,6 +263,30 @@ def test_taylor_rule_skips_only_zero_cells(order):
     cev = CevModel(delta=0.3, gamma=1.0)
     assert dict(cev.taylor_table(0.2, 0.0, 3).entries["a"]) == taylor_rule(
         3, 0.2, 0.0, a=[(0.5 * 0.3**2, 0.0, 0)])["a"]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("model", [CEV, HESTON, SABR], ids=["cev", "heston", "sabr"])
+def test_a_models_table_is_what_the_table_constructor_makes_of_it(model, order):
+    # The Taylor rule builds its table without TaylorTable.__new__; fed the
+    # same extent and entries, the constructor is the oracle.  SABR's f
+    # family is empty at rho = 0 and CEV has only a.
+    for x, y in ((0.0, -3.0), (0.15, -1.2)):
+        table = model.taylor_table(x, y, order)
+        rebuilt = TaylorTable(table.extent, table.entries)
+        assert table == rebuilt and repr(table) == repr(rebuilt)
+        assert type(table.entries) is MappingProxyType and list(table.entries) == list("abcf")
+        assert all(type(family) is MappingProxyType for family in table.entries.values())
+
+
+def test_the_taylor_rule_checks_the_values_it_forms():
+    # 0.5e200 * (2e60)^2 overflows to inf in a product, which raises no
+    # OverflowError; the constructor's value check caught it, the rule's does now.
+    with pytest.raises(DomainError, match="float range"):
+        CevModel(1e100, -1e60).taylor_table(0.0, 0.0, 2)
+    # e^(2 y) underflows to 0, so a(0,0) is absent.
+    with pytest.raises(DomainError, match="positive a"):
+        SabrModel(0.3, 0.5, -0.3).taylor_table(0.0, -400.0, 2)
 
 
 def test_model_parameter_validation():
